@@ -4,6 +4,7 @@ The small spaces here are fully enumerable, so most checks are exhaustive
 rather than sampled: the brute-force side is the oracle.
 """
 
+import hashlib
 import itertools
 import random
 
@@ -94,6 +95,31 @@ def test_generators_are_maximal_isotropic_with_full_masks():
             assert is_isotropic(space, g.basis)
             assert bin(g.point_mask).count("1") == per_gen
             assert algebra.rref(g.basis, space.field) == g.basis
+
+
+# sha256 over "index|basis|mask" lines in catalog order, recorded from the
+# breadth-first rref catalog; any rewrite of the catalog must reproduce it.
+CATALOG_DIGESTS = {
+    (2, 2): "d20749f98951558f7f98e1d09437c47791c4339f7bcc010e7055c7a1c9123d7b",
+    (3, 2): "77ef0aa83f48eaa40b3110fbfb8a480b84512e93d469908a8328fbf183626149",
+    (2, 3): "8e2c3f2235b68059bba58927c4f780b162a2aa908de202df29b3f6e3e4a66b72",
+    (5, 2): "a925d91fcc6dc400f3d19c89cee646546b0040ec5757487646cc3011be3b9152",
+}
+
+
+@pytest.mark.parametrize("d,n", sorted(CATALOG_DIGESTS))
+def test_catalog_is_pinned(d, n):
+    space = PolarSpace(d, n)
+    per_gen = (d**n - 1) // (d - 1)
+    h = hashlib.sha256()
+    for i, g in enumerate(space.generators):
+        assert g.gen_index == i
+        assert len(algebra.rref(g.basis, space.field)) == n
+        assert is_isotropic(space, g.basis)
+        assert bin(g.point_mask).count("1") == per_gen
+        h.update(f"{g.gen_index}|{g.basis}|{g.point_mask}\n".encode())
+    assert space.num_generators == polar.generator_count(d, n)
+    assert h.hexdigest() == CATALOG_DIGESTS[(d, n)]
 
 
 def test_generator_order_is_lexicographic():
