@@ -206,34 +206,6 @@ def row_space_contains(basis: Matrix, v: Vector, spec: FieldSpec) -> bool:
     return not any(reduce_vector(basis, v, spec))
 
 
-def rref_extend(basis: Matrix, v: Vector, spec: FieldSpec) -> Matrix | None:
-    """rref of the row space extended by v, or None if v is dependent.
-
-    Cheaper than a full re-reduction: the new row is reduced against the
-    basis, scaled, inserted by pivot position, and its column cleared.
-    """
-    d = spec.d
-    res = reduce_vector(basis, v, spec)
-    p = _pivot_col(res)
-    if p < 0:
-        return None
-    inv = pow(res[p], -1, d)
-    if inv != 1:
-        res = tuple((x * inv) % d for x in res)
-    rows = list(basis)
-    pos = 0
-    while pos < len(rows) and _pivot_col(rows[pos]) < p:
-        pos += 1
-    rows.insert(pos, res)
-    out = []
-    for i, row in enumerate(rows):
-        if i != pos and row[p]:
-            c = row[p]
-            row = tuple((row[j] - c * res[j]) % d for j in range(len(row)))
-        out.append(row)
-    return tuple(out)
-
-
 def subspace_sum(a: Matrix, b: Matrix, spec: FieldSpec) -> Matrix:
     return rref(tuple(a) + tuple(b), spec)
 

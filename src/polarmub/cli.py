@@ -67,21 +67,25 @@ def serialize_spread(ps: PartialSpread, fmt: str = "json") -> bytes:
 
 
 def deserialize_spread(data: bytes, fmt: str = "json") -> PartialSpread:
-    text = data.decode()
-    if fmt == "json":
-        obj = json.loads(text)
-        space = get_space(int(obj["d"]), int(obj["n"]))
-        bases = [tuple(tuple(int(x) for x in row) for row in gen) for gen in obj["generators"]]
-    elif fmt == "text":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        head = dict(part.split("=") for part in lines[0].split())
-        space = get_space(int(head["d"]), int(head["n"]))
-        bases = [
-            tuple(tuple(int(x) for x in row.split(",")) for row in ln.split("|"))
-            for ln in lines[1:]
-        ]
-    else:
-        raise UsageError(f"unknown format {fmt!r}")
+    try:
+        text = data.decode()
+        if fmt == "json":
+            obj = json.loads(text)
+            d, n = int(obj["d"]), int(obj["n"])
+            bases = [tuple(tuple(int(x) for x in row) for row in gen) for gen in obj["generators"]]
+        elif fmt == "text":
+            lines = [ln for ln in text.splitlines() if ln.strip()]
+            head = dict(part.split("=") for part in lines[0].split())
+            d, n = int(head["d"]), int(head["n"])
+            bases = [
+                tuple(tuple(int(x) for x in row.split(",")) for row in ln.split("|"))
+                for ln in lines[1:]
+            ]
+        else:
+            raise UsageError(f"unknown format {fmt!r}")
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
+        raise UsageError(f"not a {fmt} spread file with d, n and generators: {exc!r}") from None
+    space = get_space(d, n)
     members = []
     for b in bases:
         canonical = algebra.rref(b, space.field)
@@ -103,7 +107,25 @@ def _cert_dict(cert) -> dict:
     return {"complete": cert.complete, "witness": cert.witness}
 
 
+def _read_spread(path: str, args) -> PartialSpread:
+    with open(path, "rb") as fh:
+        ps = deserialize_spread(fh.read(), args.format)
+    if (ps.space.d, ps.space.n) != (args.d, args.n):
+        raise UsageError(
+            f"{path} holds a spread with d={ps.space.d} n={ps.space.n}, "
+            f"not d={args.d} n={args.n}"
+        )
+    return ps
+
+
 def _construct_spread(args, space) -> tuple[PartialSpread, dict]:
+    for flag in ("u_index", "l_index", "m_index", "chi_index"):
+        value = getattr(args, flag)
+        if value is not None and not 0 <= value < space.num_generators:
+            raise UsageError(
+                f"--{flag.replace('_', '-')} must lie in [0, {space.num_generators}), "
+                f"got {value}"
+            )
     s = spread.construct_symplectic_spread(space)
     method = args.method
     if method == "classical":
@@ -153,8 +175,7 @@ def cmd_verify(args) -> tuple[dict, bool]:
     space = get_space(args.d, args.n)
     if args.check == "complete":
         if args.infile:
-            with open(args.infile, "rb") as fh:
-                ps = deserialize_spread(fh.read(), args.format)
+            ps = _read_spread(args.infile, args)
         else:
             ps = spread.construct_symplectic_spread(space)
         cert = spread.is_complete(ps)
@@ -252,8 +273,7 @@ def cmd_classify(args) -> tuple[dict, bool]:
 def cmd_mub(args) -> tuple[dict, bool]:
     space = get_space(args.d, args.n)
     if args.from_file:
-        with open(args.from_file, "rb") as fh:
-            ps = deserialize_spread(fh.read(), args.format)
+        ps = _read_spread(args.from_file, args)
     else:
         method = args.from_spread or "classical"
         ns = argparse.Namespace(
@@ -397,3 +417,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

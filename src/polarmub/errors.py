@@ -17,6 +17,10 @@ class ScaleExceeded(PolarMubError):
     """Requested computation is beyond the supported desk scale."""
 
 
+class CatalogMismatch(PolarMubError):
+    """A generator catalog disagrees with its closed-form counts."""
+
+
 # -- polar space operations
 
 

@@ -2,11 +2,15 @@
 
 Points are the projective points of PG(2N-1, d), normalised so the first
 nonzero coordinate is 1, indexed in lexicographic coordinate order.
-Generators (maximal totally isotropic subspaces) are found by breadth-first
-extension of isotropic rref bases, deduplicated through the canonical rref
-representative, and indexed in lexicographic order of their basis.  Point
-sets are held as arbitrary-precision integer bitmasks over point indices,
-so disjointness and coverage tests are single AND/OR operations.
+Point sets are held as arbitrary-precision integer bitmasks over point
+indices, so disjointness and coverage tests are single AND/OR operations.
+Incidence comes from two point-mask primitives: the perp mask of each point,
+read off the Gram matrix, and the mask of the line through two points.
+Generators (maximal totally isotropic subspaces) are enumerated once each
+by depth-first search over their greedy point bases: candidates come from
+AND-ed perp masks, spans grow by OR-ing line masks, and the last point
+closes the generator as its own perp.  They are indexed in lexicographic
+order of their rref basis.
 """
 
 from __future__ import annotations
@@ -14,9 +18,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import algebra
 from .algebra import FieldSpec, Matrix, Vector
 from .errors import (
+    CatalogMismatch,
     DimensionMismatch,
     NotDisjoint,
     NotIsotropic,
@@ -84,6 +91,7 @@ class PolarSpace:
         assert len(self.points) == point_count(d, n)
         self._generators: tuple[Generator, ...] | None = None
         self._gen_lookup: dict[Matrix, int] | None = None
+        self._perp_masks: tuple[int, ...] | None = None
         self._disjoint_adj: list[int] | None = None
         self._symplectic_mats: tuple[Matrix, ...] | None = None
 
@@ -144,26 +152,50 @@ class PolarSpace:
             vectors = new
         return vectors
 
-    def mask_of_span(self, basis: Matrix) -> int:
-        """Bitmask of the projective points lying in the row space."""
-        mask = 0
-        index = self.point_index
-        for v in self.span_vectors(basis):
-            if any(v):
-                lead = next(x for x in v if x)
-                if lead == 1:  # already the normalized representative
-                    mask |= 1 << index[v]
-        return mask
-
     def point_indices(self, mask: int) -> list[int]:
         out = []
-        i = 0
         while mask:
-            if mask & 1:
-                out.append(i)
-            mask >>= 1
-            i += 1
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
         return out
+
+    # -- incidence
+
+    @property
+    def perp_masks(self) -> tuple[int, ...]:
+        """Bit j of entry i is set iff F(point i, point j) = 0."""
+        if self._perp_masks is None:
+            P = np.array(self.points, dtype=np.int64)
+            JPt = np.array(self.form, dtype=np.int64) @ P.T
+            bits = (np.packbits(p @ JPt % self.d == 0, bitorder="little") for p in P)
+            self._perp_masks = tuple(int.from_bytes(b, "little") for b in bits)
+        return self._perp_masks
+
+    def line_mask(self, i: int, j: int) -> int:
+        """The d + 1 points of the projective line through points i != j."""
+        d = self.d
+        x, y = self.points[i], self.points[j]
+        index = self.point_index
+        mask = 1 << i | 1 << j
+        for c in range(1, d):
+            v = [(a + c * b) % d for a, b in zip(x, y)]
+            lead = next(t for t in v if t)
+            if lead != 1:
+                inv = pow(lead, -1, d)
+                v = [t * inv % d for t in v]
+            mask |= 1 << index[tuple(v)]
+        return mask
+
+    @property
+    def disjoint_adjacency(self) -> list[int]:
+        """Bit j of entry i is set iff generators i and j share no point."""
+        if self._disjoint_adj is None:
+            masks = [g.point_mask for g in self.generators]
+            self._disjoint_adj = [
+                sum(1 << j for j, h in enumerate(masks) if not g & h) for g in masks
+            ]
+        return self._disjoint_adj
 
     # -- generators
 
@@ -192,28 +224,49 @@ class PolarSpace:
             raise ScaleExceeded(
                 f"W_{2*n-1}({d}) has {expected} generators; enumeration refused"
             )
-        spec = self.field
-        level: set[Matrix] = {(p,) for p in self.points}
-        for _ in range(n - 1):
-            nxt: set[Matrix] = set()
-            for basis in level:
-                constraints = tuple(self.form_constraint(row) for row in basis)
-                perp = algebra.kernel(constraints, self.dim, spec)
-                for v in self.span_vectors(perp):
-                    if not any(v):
-                        continue
-                    ext = algebra.rref_extend(basis, v, spec)
-                    if ext is not None:
-                        nxt.add(ext)
-            level = nxt
-        ordered = sorted(level)
-        assert len(ordered) == expected, "generator census does not match"
+        perp = self.perp_masks
+        found: list[tuple[Matrix, int]] = []
+
+        def grow(basis: list[int], span: int, common: int) -> None:
+            # A greedy basis point is the least point of the generator outside
+            # the span of those before it, so x comes after basis[-1] and the
+            # span may gain no point below x: each generator is reached once.
+            if len(basis) == n:
+                rows = tuple(self.points[x] for x in basis)
+                found.append((algebra.rref(rows, self.field), span))
+                return
+            cand = common & ~span & -(2 << basis[-1])
+            span_points = self.point_indices(span)
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                x = low.bit_length() - 1
+                barred = (low - 1) & ~span
+                if len(basis) == n - 1:
+                    # x completes a generator, and a generator is its own perp.
+                    grown = common & perp[x]
+                else:
+                    grown = span | low
+                    for s in span_points:
+                        grown |= self.line_mask(s, x)
+                        if grown & barred:
+                            break
+                if not grown & barred:
+                    grow(basis + [x], grown, common & perp[x])
+
+        for p in range(self.num_points):
+            grow([p], 1 << p, perp[p])
+        if len(found) != expected:
+            raise CatalogMismatch(
+                f"W_{2*n-1}({d}) gave {len(found)} generators, expected {expected}"
+            )
+        found.sort()
+        per_gen = (d**n - 1) // (d - 1)
         gens = []
         lookup = {}
-        per_gen = (d**n - 1) // (d - 1)
-        for i, basis in enumerate(ordered):
-            mask = self.mask_of_span(basis)
-            assert bin(mask).count("1") == per_gen
+        for i, (basis, mask) in enumerate(found):
+            if bin(mask).count("1") != per_gen:
+                raise CatalogMismatch(f"generator {basis} has the wrong point count")
             gens.append(Generator(i, basis, mask))
             lookup[basis] = i
         self._generators = tuple(gens)

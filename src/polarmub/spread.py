@@ -207,25 +207,6 @@ def construct_symplectic_spread(space: PolarSpace) -> PartialSpread:
 # --------------------------------------------------------------------------
 
 
-def _ambient_transversal_masks(space: PolarSpace, m1, m2, m3) -> list[int]:
-    """Point masks of all ambient projective lines meeting three disjoint
-    generators.  Every transversal meets m1, so it is spanned by a point
-    of m1 and a point of m2."""
-    spec = space.field
-    seen = {}
-    pts1 = [space.points[i] for i in space.point_indices(m1.point_mask)]
-    pts2 = [space.points[i] for i in space.point_indices(m2.point_mask)]
-    for x in pts1:
-        for y in pts2:
-            line = algebra.rref((x, y), spec)
-            if line in seen:
-                continue
-            mask = space.mask_of_span(line)
-            if mask & m3.point_mask:
-                seen[line] = mask
-    return list(seen.values())
-
-
 def check_regularity(s: PartialSpread) -> bool:
     """Spread regularity: for any three members, exactly d - 2 further
     members meet every ambient line that meets all three.  Degenerates to
@@ -235,18 +216,20 @@ def check_regularity(s: PartialSpread) -> bool:
     space = s.space
     if space.d == 2:
         return True
-    gens = s.member_generators()
-    for a, b, c in itertools.combinations(gens, 3):
-        lines = _ambient_transversal_masks(space, a, b, c)
-        triple = {a.gen_index, b.gen_index, c.gen_index}
-        further = 0
-        for m in gens:
-            if m.gen_index in triple:
-                continue
-            if all(m.point_mask & mask for mask in lines):
-                further += 1
-        if further != space.d - 2:
-            return False
+    masks = [g.point_mask for g in s.member_generators()]
+    for ia, ib in itertools.combinations(range(len(masks)), 2):
+        # A line meeting two disjoint members meets each in one point, so
+        # the ambient transversals of a, b, c join a point of a to one of b.
+        pair_lines = [
+            space.line_mask(x, y)
+            for x in space.point_indices(masks[ia])
+            for y in space.point_indices(masks[ib])
+        ]
+        for ic in range(ib + 1, len(masks)):
+            lines = [line for line in pair_lines if line & masks[ic]]
+            # a, b and c meet every transversal, and so must d - 2 others.
+            if sum(all(m & line for line in lines) for m in masks) != space.d + 1:
+                return False
     return True
 
 
@@ -484,19 +467,6 @@ def unextendible_from_Uset(
 # --------------------------------------------------------------------------
 
 
-def _disjointness_adjacency(space: PolarSpace) -> list[int]:
-    if space._disjoint_adj is None:
-        gens = space.generators
-        adj = [0] * len(gens)
-        for i, g in enumerate(gens):
-            for j in range(i + 1, len(gens)):
-                if not g.point_mask & gens[j].point_mask:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-        space._disjoint_adj = adj
-    return space._disjoint_adj
-
-
 def search_maximal(
     space: PolarSpace, mode: str = "exhaustive", size: int | None = None
 ) -> list[PartialSpread]:
@@ -512,7 +482,7 @@ def search_maximal(
         raise ScaleExceeded("exhaustive search supported for W_3(2), W_3(3), W_5(2)")
     if mode == "first_of_size" and size is None:
         raise ValueError("first_of_size needs a size")
-    adj = _disjointness_adjacency(space)
+    adj = space.disjoint_adjacency
     count = len(space.generators)
     results: list[tuple[int, ...]] = []
     want = size if size is not None else -1

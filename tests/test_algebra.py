@@ -93,20 +93,6 @@ def test_rref_is_canonical_form():
                 assert r1 != r2
 
 
-def test_rref_extend_matches_full_reduction():
-    rng = random.Random(23)
-    spec = FieldSpec(5)
-    for _ in range(100):
-        m = algebra.rref(random_matrix(rng, 2, 4, 5), spec)
-        v = tuple(rng.randrange(5) for _ in range(4))
-        ext = algebra.rref_extend(m, v, spec)
-        full = algebra.rref(m + (v,), spec)
-        if ext is None:
-            assert full == m
-        else:
-            assert ext == full
-
-
 # -- subspace meet
 
 

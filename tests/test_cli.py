@@ -1,7 +1,10 @@
 """CLI tests: exit codes, determinism, round-trip serialization."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -206,3 +209,65 @@ def test_serialize_empty_spread():
     data = json.loads(serialize_spread(ps, "json").decode())
     assert data == {"d": 2, "n": 2, "generators": []}
     assert deserialize_spread(serialize_spread(ps, "json"), "json").members == ()
+
+
+# -- rejected input: exit 1 and one line on stderr
+
+
+def assert_usage_error(capsys, argv, needle):
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("usage error:")
+    assert needle in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        '{"n": 2, "generators": []}',
+        "[[1, 0, 0, 0], [0, 0, 1, 0]]",
+        "envelope",
+    ],
+    ids=["no-d-key", "list-shaped", "construct-envelope"],
+)
+def test_verify_rejects_malformed_spread_file(tmp_path, capsys, content):
+    path = tmp_path / "spread.json"
+    if content == "envelope":
+        assert run(["construct", "--d", "2", "--n", "2", "--out", str(path)]) == 0
+        capsys.readouterr()
+    else:
+        path.write_text(content)
+    argv = ["verify", "--d", "2", "--n", "2", "--check", "complete", "--in", str(path)]
+    assert_usage_error(capsys, argv, "not a json spread file")
+
+
+def test_spread_file_must_match_space_flags(tmp_path, capsys):
+    path = tmp_path / "w33.json"
+    path.write_bytes(serialize_spread(spread.construct_symplectic_spread(get_space(3, 2))))
+    for command in (
+        ["verify", "--check", "complete", "--in", str(path)],
+        ["mub", "--from-file", str(path)],
+    ):
+        argv = command[:1] + ["--d", "2", "--n", "2"] + command[1:]
+        assert_usage_error(capsys, argv, "d=3 n=2, not d=2 n=2")
+
+
+@pytest.mark.parametrize("value", ["-1", "999"])
+@pytest.mark.parametrize(
+    "flag,method",
+    [("--u-index", "tu"), ("--l-index", "sr"), ("--m-index", "sr"), ("--chi-index", "uset")],
+)
+def test_generator_index_out_of_range(capsys, flag, method, value):
+    argv = ["construct", "--d", "3", "--n", "2", "--method", method, flag, value]
+    assert_usage_error(capsys, argv, f"{flag} must lie in [0, 40), got {value}")
+
+
+def test_python_m_cli_runs():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "polarmub.cli", "--version"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "0.1.0"

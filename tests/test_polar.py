@@ -78,6 +78,45 @@ def test_form_matrix_is_nondegenerate():
         assert len(algebra.rref(space.form, space.field)) == space.dim
 
 
+# -- incidence layer, against rref membership and the form
+
+
+def _line_oracle(space, i, j):
+    line = algebra.rref((space.points[i], space.points[j]), space.field)
+    mask = 0
+    for p, v in enumerate(space.points):
+        if algebra.row_space_contains(line, v, space.field):
+            mask |= 1 << p
+    return mask
+
+
+def test_line_mask_matches_rref_membership():
+    pairs = [(W32, i, j) for i, j in itertools.permutations(range(15), 2)]
+    rng = random.Random(5)
+    for space in (W33, W52):
+        for _ in range(60):
+            i, j = rng.sample(range(space.num_points), 2)
+            pairs.append((space, i, j))
+    for space, i, j in pairs:
+        mask = space.line_mask(i, j)
+        assert mask == _line_oracle(space, i, j)
+        assert bin(mask).count("1") == space.d + 1
+
+
+def test_perp_masks_match_form():
+    masks = W33.perp_masks
+    assert len(masks) == W33.num_points
+    for i, u in enumerate(W33.points):
+        for j, v in enumerate(W33.points):
+            assert ((masks[i] >> j) & 1) == (W33.symp_form(u, v) == 0)
+
+
+def test_point_indices_walks_set_bits():
+    assert W32.point_indices(0) == []
+    assert W32.point_indices(0b100101) == [0, 2, 5]
+    assert W52.point_indices(1 << 62 | 1) == [0, 62]
+
+
 # -- generator catalog
 
 
@@ -97,8 +136,8 @@ def test_generators_are_maximal_isotropic_with_full_masks():
             assert algebra.rref(g.basis, space.field) == g.basis
 
 
-# sha256 over "index|basis|mask" lines in catalog order, recorded from the
-# breadth-first rref catalog; any rewrite of the catalog must reproduce it.
+# sha256 over "index|basis|mask" lines in catalog order: any rewrite of the
+# catalog must reproduce indices, bases and masks bit for bit.
 CATALOG_DIGESTS = {
     (2, 2): "d20749f98951558f7f98e1d09437c47791c4339f7bcc010e7055c7a1c9123d7b",
     (3, 2): "77ef0aa83f48eaa40b3110fbfb8a480b84512e93d469908a8328fbf183626149",

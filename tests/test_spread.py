@@ -6,6 +6,7 @@ against the closed-form counts where those exist.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -116,6 +117,26 @@ def test_classical_spreads_are_regular():
     assert spread.check_regularity(S33) is True
     assert spread.check_regularity(S32) is True  # vacuous in order 2
     assert spread.check_regularity(spread.construct_symplectic_spread(PolarSpace(5, 2)))
+
+
+def test_regular_triples_have_d_plus_one_transversals():
+    # Three members of a regular spread have d + 1 ambient transversal
+    # lines, one through each point of the first member.
+    rng = random.Random(9)
+    for space in (W33, PolarSpace(5, 2)):
+        s = spread.construct_symplectic_spread(space)
+        for _ in range(10):
+            a, b, c = (space.generator(m).point_mask for m in rng.sample(s.members, 3))
+            lines = [
+                line
+                for x in space.point_indices(a)
+                for y in space.point_indices(b)
+                if (line := space.line_mask(x, y)) & c
+            ]
+            assert len(lines) == space.d + 1
+            assert sorted(
+                space.point_indices(line & a)[0] for line in lines
+            ) == space.point_indices(a)
 
 
 def test_regularity_requires_spread():
@@ -418,7 +439,7 @@ def test_spread_structure_through_sections():
         through = polar.generators_through(tau, space)
         others = [g for g in through if g.gen_index != alpha.gen_index]
         assert len(others) == space.d
-        tau_mask = space.mask_of_span(tau)
+        tau_mask = 1 << space.point_index[tau[0]]  # tau is a point in W_3
         off_tau = 0
         for g in others:
             off_tau |= g.point_mask & ~tau_mask
