@@ -1,0 +1,68 @@
+"""Pins `spread.search_maximal` against an independent maximal-clique oracle.
+
+Complete partial spreads are the maximal sets of pairwise disjoint
+generators, that is, the maximal cliques of the disjointness graph.  The
+oracle builds that graph from `point_mask` ANDs (not from
+`PolarSpace.disjoint_adjacency`) and lists its maximal cliques with
+networkx, so any pruning of the search that drops or reorders a result,
+or changes which result `first_of_size` returns, fails here.
+"""
+
+import functools
+
+import networkx as nx
+import pytest
+
+from polarmub import spread
+from polarmub.polar import PolarSpace
+
+
+@functools.lru_cache(maxsize=None)
+def space(d, n):
+    return PolarSpace(d, n)
+
+
+@functools.lru_cache(maxsize=None)
+def maximal_cliques(d, n):
+    """Sorted member tuples of every maximal clique, in lexicographic order."""
+    masks = [g.point_mask for g in space(d, n).generators]
+    graph = nx.Graph()
+    graph.add_nodes_from(range(len(masks)))
+    graph.add_edges_from(
+        (i, j)
+        for i in range(len(masks))
+        for j in range(i + 1, len(masks))
+        if not masks[i] & masks[j]
+    )
+    return sorted(tuple(sorted(c)) for c in nx.find_cliques(graph))
+
+
+SPACES = [(2, 2), (3, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("d, n", SPACES)
+def test_exhaustive_equals_maximal_cliques_in_order(d, n):
+    found = spread.search_maximal(space(d, n), "exhaustive")
+    assert [p.members for p in found] == maximal_cliques(d, n)
+
+
+@pytest.mark.parametrize("d, n", SPACES)
+def test_first_of_size_is_lex_least_clique_of_that_size(d, n):
+    cliques = maximal_cliques(d, n)
+    for size in range(1, d**n + 2):
+        want = [c for c in cliques if len(c) == size][:1]
+        found = spread.search_maximal(space(d, n), "first_of_size", size=size)
+        assert [p.members for p in found] == want, size
+
+
+@pytest.mark.parametrize(
+    "size, members",
+    [
+        (14, (0, 7, 12, 17, 22, 28, 40, 44, 48, 56, 65, 73, 96, 104)),
+        (16, (0, 7, 12, 17, 22, 28, 40, 44, 48, 65, 69, 78, 90, 94, 136, 153)),
+    ],
+)
+def test_first_of_size_w35_pinned(size, members):
+    found = spread.search_maximal(space(5, 2), "first_of_size", size=size)
+    assert [p.members for p in found] == [members]
+    assert spread.is_complete(found[0]).complete
