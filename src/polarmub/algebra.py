@@ -20,17 +20,6 @@ Matrix = tuple[Vector, ...]
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
-
-
 # --------------------------------------------------------------------------
 # Polynomials over F_d, as little-endian coefficient tuples (index i holds
 # the coefficient of t^i).  Only what the extension-field plumbing needs.
@@ -42,17 +31,6 @@ def poly_trim(p: Vector) -> Vector:
     while i > 0 and p[i - 1] == 0:
         i -= 1
     return tuple(p[:i])
-
-
-def poly_mul(p: Vector, q: Vector, d: int) -> Vector:
-    if not p or not q:
-        return ()
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] = (out[i + j] + a * b) % d
-    return poly_trim(tuple(out))
 
 
 def poly_mod(p: Vector, m: Vector, d: int) -> Vector:
@@ -220,9 +198,7 @@ def subspace_meet(a: Matrix, b: Matrix, spec: FieldSpec) -> Matrix:
     zero = (0,) * width
     block = [row + row for row in a] + [row + zero for row in b]
     red = rref(tuple(block), spec)
-    meet = rref(tuple(row[width:] for row in red if not any(row[:width])), spec)
-    assert len(meet) == len(a) + len(b) - len(subspace_sum(a, b, spec))
-    return meet
+    return rref(tuple(row[width:] for row in red if not any(row[:width])), spec)
 
 
 def kernel(m: Matrix, width: int, spec: FieldSpec) -> Matrix:

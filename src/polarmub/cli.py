@@ -206,6 +206,8 @@ def cmd_verify(args) -> tuple[dict, bool]:
 def cmd_search(args) -> tuple[dict, bool]:
     space = get_space(args.d, args.n)
     if args.mode == "exhaustive":
+        if args.size is not None:
+            raise UsageError("--size applies only to --mode first-of-size")
         found = spread.search_maximal(space, "exhaustive")
         sizes: dict[int, int] = {}
         for p in found:
@@ -218,6 +220,8 @@ def cmd_search(args) -> tuple[dict, bool]:
     if args.mode == "first-of-size":
         if args.size is None:
             raise UsageError("--size is required for first-of-size")
+        if args.size < 1:
+            raise UsageError(f"--size must be at least 1, got {args.size}")
         found = spread.search_maximal(space, "first_of_size", size=args.size)
         payload = {
             "mode": "first-of-size",

@@ -75,6 +75,10 @@ class NotASpread(PolarMubError):
     """A full spread was required."""
 
 
+class NotSymplecticBasis(PolarMubError):
+    """A basis change does not carry the form onto the canonical one."""
+
+
 class NotUnextendibleTriple(PolarMubError):
     """Expected a complete partial spread of three lines in the rank-2 space of order 2."""
 

@@ -43,10 +43,6 @@ class PauliOp:
     def num_systems(self) -> int:
         return len(self.a)
 
-    @property
-    def is_identity(self) -> bool:
-        return not any(self.a) and not any(self.b) and self.phase_exp == 0
-
     def symplectic_image(self) -> Vector:
         out = []
         for aj, bj in zip(self.a, self.b):

@@ -24,6 +24,7 @@ from .errors import (
     NotASpread,
     NotDisjoint,
     NotRankTwo,
+    NotSymplecticBasis,
     NotUnextendibleTriple,
     ScaleExceeded,
 )
@@ -46,7 +47,8 @@ class PartialSpread:
     def is_spread(self) -> bool:
         full = self.size == self.space.d**self.space.n + 1
         covered = self.coverage == (1 << self.space.num_points) - 1
-        assert full == covered
+        if full != covered:
+            raise NotDisjoint("member count and point coverage disagree")
         return full
 
     def member_generators(self) -> list[Generator]:
@@ -180,7 +182,8 @@ def construct_symplectic_spread(space: PolarSpace) -> PartialSpread:
         )
         for a in range(2 * n)
     )
-    assert check == space.form, "hyperbolic basis change failed"
+    if check != space.form:
+        raise NotSymplecticBasis("hyperbolic basis change failed")
     Pinv = algebra.invert_matrix(P, spec)
 
     one = algebra.ext_one(spec)
@@ -198,7 +201,8 @@ def construct_symplectic_spread(space: PolarSpace) -> PartialSpread:
         basis = algebra.rref(new_rows, spec)
         members.append(space.generator_by_basis(basis).gen_index)
     ps = partial_spread(space, members)
-    assert ps.is_spread
+    if not ps.is_spread:
+        raise NotASpread(f"field reduction gave {ps.size} members, not a spread")
     return ps
 
 
@@ -289,7 +293,8 @@ def pair_partner(s: PartialSpread, x) -> Generator:
     if len(partners) > 1:
         raise AmbiguousPartner(f"{len(partners)} partner candidates")
     y = partners[0]
-    assert members_meeting(s, y) == [g.gen_index for g in sx]
+    if members_meeting(s, y) != [g.gen_index for g in sx]:
+        raise NoPartner("the transversal candidate meets other members than x")
     return y
 
 
@@ -438,7 +443,8 @@ def construct_U_set(s: PartialSpread, chi=None) -> USet:
         raise NoBeta("no generator through chi ∩ alpha avoids the other members")
     beta = candidates[0]
     traded = partial_spread(space, rest + [beta.gen_index])
-    assert chi.point_mask & traded.coverage == chi.point_mask
+    if chi.point_mask & traded.coverage != chi.point_mask:
+        raise NoBeta("the traded members do not cover the carrier")
     if not _partitionable_with(space, traded.coverage, chi):
         return USet(traded, chi.gen_index)
     untraded = partial_spread(space, r_chi)
@@ -458,7 +464,8 @@ def unextendible_from_Uset(
     r_chi = set(members_meeting(s, chi))
     seed = [m for m in s.members if m not in r_chi] + [chi.gen_index]
     final = extend_to_maximal(partial_spread(space, seed))
-    assert not final.is_spread
+    if final.is_spread:
+        raise NoSuitableChi("completion reached a spread; the input is not a U-set")
     return final, is_complete(final)
 
 
@@ -474,34 +481,52 @@ def search_maximal(
 
     "exhaustive" returns every complete partial spread; "first_of_size"
     returns the first complete partial spread with exactly `size` members
-    (empty list when none exists).  Output order is deterministic.
+    (empty list when none exists).  Results come in lexicographic order of
+    their member tuples.
+
+    At a node, `cand` holds every generator disjoint from all members and
+    `above` the ones after the last member; only those can still be added.
+    A skipped candidate (in `cand` but not `above`) leaves `cand` only if a
+    later member meets it, so once one is disjoint from all of `above` no
+    leaf below reaches `cand == 0`, and the branch ends.  This maximality
+    cut removes only subtrees that hold no result, so the output and its
+    order, and the first hit of "first_of_size", are those of the full tree.
     """
     if mode not in ("exhaustive", "first_of_size"):
         raise ValueError(f"unknown search mode {mode!r}")
-    if mode == "exhaustive" and (space.d, space.n) not in EXHAUSTIVE_SPACES:
-        raise ScaleExceeded("exhaustive search supported for W_3(2), W_3(3), W_5(2)")
+    if mode == "exhaustive" and size is not None:
+        raise ValueError("exhaustive search takes no size")
     if mode == "first_of_size" and size is None:
         raise ValueError("first_of_size needs a size")
+    if mode == "first_of_size" and size < 1:
+        raise ValueError(f"size must be at least 1, got {size}")
+    if mode == "exhaustive" and (space.d, space.n) not in EXHAUSTIVE_SPACES:
+        raise ScaleExceeded("exhaustive search supported for W_3(2), W_3(3), W_5(2)")
     adj = space.disjoint_adjacency
     count = len(space.generators)
     results: list[tuple[int, ...]] = []
-    want = size if size is not None else -1
 
     def dfs(members: list[int], cand: int) -> bool:
         if cand == 0:
             if mode == "exhaustive":
                 results.append(tuple(members))
                 return False
-            if len(members) == want:
+            if len(members) == size:
                 results.append(tuple(members))
                 return True
             return False
         if mode == "first_of_size":
-            if len(members) + bin(cand).count("1") < want:
+            if len(members) + bin(cand).count("1") < size:
                 return False
-            if len(members) >= want:
+            if len(members) >= size:
                 return False
         above = cand >> (members[-1] + 1) << (members[-1] + 1)
+        skipped = cand ^ above
+        while skipped:
+            low = skipped & -skipped
+            if adj[low.bit_length() - 1] & above == above:
+                return False
+            skipped ^= low
         while above:
             low = above & -above
             j = low.bit_length() - 1

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarmub import algebra
 from polarmub.algebra import FieldSpec
@@ -29,6 +31,16 @@ def random_matrix(rng, rows, cols, d):
     return tuple(
         tuple(rng.randrange(d) for _ in range(cols)) for _ in range(rows)
     )
+
+
+@st.composite
+def matrices(draw, count):
+    """`count` matrices over one F_d with a shared width; rows may repeat."""
+    d = draw(st.sampled_from([2, 3, 5]))
+    width = draw(st.integers(1, 5))
+    row = st.tuples(*[st.integers(0, d - 1)] * width)
+    mats = [tuple(draw(st.lists(row, max_size=width + 1))) for _ in range(count)]
+    return FieldSpec(d), mats
 
 
 # -- field_inv
@@ -64,13 +76,12 @@ def test_rref_examples():
     assert algebra.rref(((1, 1, 0), (1, 1, 0)), f3) == ((1, 1, 0),)
 
 
-def test_rref_idempotent():
-    rng = random.Random(7)
-    spec = FieldSpec(3)
-    for _ in range(50):
-        m = random_matrix(rng, 3, 5, 3)
-        r = algebra.rref(m, spec)
-        assert algebra.rref(r, spec) == r
+@settings(derandomize=True, database=None, max_examples=200)
+@given(matrices(1))
+def test_rref_idempotent(case):
+    spec, (m,) = case
+    r = algebra.rref(m, spec)
+    assert algebra.rref(r, spec) == r
 
 
 def test_rref_is_canonical_form():
@@ -119,6 +130,16 @@ def test_meet_against_enumeration_oracle():
         assert got == expect
         dim_sum = len(algebra.subspace_sum(a, b, spec))
         assert len(meet) == len(a) + len(b) - dim_sum
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(matrices(2))
+def test_meet_sum_dimension_formula(case):
+    spec, (a, b) = case
+    dim_a, dim_b = len(algebra.rref(a, spec)), len(algebra.rref(b, spec))
+    dim_meet = len(algebra.subspace_meet(a, b, spec))
+    dim_sum = len(algebra.subspace_sum(a, b, spec))
+    assert dim_meet + dim_sum == dim_a + dim_b
 
 
 def test_meet_dimension_mismatch():

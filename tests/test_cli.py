@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from polarmub import cli, spread
+from polarmub import cli, polar, spread
 from polarmub.cli import deserialize_spread, get_space, run, serialize_spread
 
 
@@ -152,6 +152,33 @@ def test_usage_error_exit_code(capsys):
 
 def test_scale_error_exit_code(capsys):
     assert run(["search", "--d", "5", "--n", "2", "--mode", "exhaustive"]) == 1
+
+
+def test_search_size_with_exhaustive_is_refused(capsys):
+    argv = ["search", "--d", "2", "--n", "2", "--mode", "exhaustive", "--size", "5"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--size" in captured.err
+
+
+@pytest.mark.parametrize("size", ["0", "-2"])
+def test_search_size_below_one_is_refused(capsys, size):
+    argv = ["search", "--d", "3", "--n", "2", "--mode", "first-of-size", "--size", size]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--size" in captured.err
+
+
+def test_oversized_space_is_refused_before_the_field(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("FieldSpec built for an oversized space")
+
+    monkeypatch.setattr(polar, "FieldSpec", refuse)
+    assert run(["search", "--d", "2", "--n", "40", "--mode", "exhaustive"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "ScaleExceeded" in captured.err
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

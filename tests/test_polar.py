@@ -171,6 +171,17 @@ def test_scale_guard():
         PolarSpace(2, 6).generators  # ~4.9M generators is over budget
 
 
+def test_oversized_space_is_refused_before_the_field(monkeypatch):
+    # FieldSpec's irreducible search grows with d^n; the point count is
+    # checked first, so an oversized space is refused at once.
+    def refuse(*args):
+        raise AssertionError("FieldSpec built for an oversized space")
+
+    monkeypatch.setattr(polar, "FieldSpec", refuse)
+    with pytest.raises(ScaleExceeded):
+        PolarSpace(2, 30)
+
+
 def test_collinear_iff_form_vanishes():
     # Two distinct points lie on a common generator iff F(u, v) = 0.
     for space in (W32, W33):

@@ -5,7 +5,9 @@ computed by the exhaustive enumeration oracles in this file and cross-checked
 against the closed-form counts where those exist.
 """
 
+import ast
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -361,6 +363,26 @@ def test_search_first_of_size():
     assert found[0].size == 8
     assert spread.is_complete(found[0]).complete
     assert spread.search_maximal(W32, "first_of_size", size=4) == []
+
+
+@pytest.mark.parametrize(
+    "mode, size",
+    [("exhaustive", 5), ("first_of_size", None), ("first_of_size", 0), ("first_of_size", -2)],
+)
+def test_search_rejects_a_size_it_cannot_answer(mode, size):
+    with pytest.raises(ValueError):
+        spread.search_maximal(W32, mode, size=size)
+
+
+def test_is_spread_rejects_inconsistent_coverage():
+    with pytest.raises(NotDisjoint):
+        spread.PartialSpread(W32, S32.members, 0).is_spread
+
+
+def test_spread_module_has_no_assert():
+    # python -O strips asserts; certificate checks must be typed raises.
+    tree = ast.parse(pathlib.Path(spread.__file__).read_text())
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
 
 
 def test_search_scale_guard():
