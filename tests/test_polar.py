@@ -8,6 +8,7 @@ import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from polarmub import algebra, polar
@@ -388,7 +389,12 @@ def test_gq_projection_property():
 
 
 def test_symplectic_group_order():
+    # |Sp(4, 2)| = 720, so 720 distinct form-preserving matrices are all of it.
     mats = polar.symplectic_group(W32)
-    assert len(mats) == 720
+    assert len(mats) == 720 == len(set(mats))
     identity = tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
     assert identity in mats
+    J = np.array(W32.form)
+    for M in mats:
+        M = np.array(M)
+        assert np.array_equal(M @ J @ M.T % 2, J)

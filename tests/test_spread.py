@@ -393,19 +393,28 @@ def test_search_scale_guard():
 # -- isomorphism classification
 
 
+CENSUS32 = spread.search_maximal(W32, "exhaustive")
+
+
 def test_classify_triples_single_orbit():
-    triples = [
-        p for p in spread.search_maximal(W32, "exhaustive") if p.size == 3
-    ]
+    triples = [p for p in CENSUS32 if p.size == 3]
     assert len(triples) == 20
     orbits = spread.classify_iso(W32, triples)
-    assert len(orbits) == 1
+    assert [p.members for p in orbits] == [(0, 4, 6)]
 
 
 def test_classify_separates_sizes():
-    res = spread.search_maximal(W32, "exhaustive")
-    orbits = spread.classify_iso(W32, res)
-    assert len(orbits) == 2  # the triple orbit and the spread orbit
+    # Each orbit is represented by its first input member, in order of the
+    # orbit's least sorted image; the inputs need not be closed under the group.
+    cases = [
+        (CENSUS32, [(0, 4, 6), (0, 4, 7, 11, 14)]),
+        (CENSUS32[::-1], [(7, 8, 11), (2, 4, 6, 10, 12)]),
+        (CENSUS32[:3], [(0, 4, 6), (0, 4, 7, 11, 14)]),
+        ([CENSUS32[0], CENSUS32[-1]], [(0, 4, 6)]),
+    ]
+    for inputs, expected in cases:
+        orbits = spread.classify_iso(W32, inputs)
+        assert [p.members for p in orbits] == expected
 
 
 def test_classify_scale_guard():
