@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, ZeroInverse
+from .errors import DimensionMismatch, NotInBaseField, ZeroInverse
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
@@ -304,5 +304,6 @@ def ext_trace(x: Vector, spec: FieldSpec) -> int:
     for _ in range(n):
         total = [(total[i] + power[i]) % d for i in range(n)]
         power = ext_pow(power, d, spec)
-    assert not any(total[1:]), "trace landed outside the base field"
+    if any(total[1:]):
+        raise NotInBaseField(f"trace of {x} landed outside F_{d}")
     return total[0]

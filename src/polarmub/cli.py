@@ -17,7 +17,7 @@ import time
 
 from . import __version__, algebra, counting, mub, pauli, spread
 from .errors import PolarMubError
-from .polar import PolarSpace
+from .polar import PolarSpace, symplectic_group
 from .spread import PartialSpread
 
 _SPACE_CACHE: dict[tuple[int, int], PolarSpace] = {}
@@ -259,17 +259,16 @@ def cmd_conjecture(args) -> tuple[dict, bool]:
 
 def cmd_classify(args) -> tuple[dict, bool]:
     space = get_space(args.d, args.n)
+    group = symplectic_group(space)  # refuses all but W_3(2) before the census
     found = spread.search_maximal(space, "exhaustive")
     triples = [p for p in found if not p.is_spread]
     orbits = spread.classify_iso(space, triples)
-    from .polar import symplectic_group
-
     payload = {
         "complete_non_spreads": len(triples),
         "sizes": sorted({p.size for p in triples}),
         "orbits": len(orbits),
         "orbit_representatives": [list(p.members) for p in orbits],
-        "group_order": len(symplectic_group(space)),
+        "group_order": len(group),
     }
     return payload, True
 
@@ -372,8 +371,6 @@ def _render_text(envelope: dict) -> str:
         if isinstance(value, dict):
             for key in sorted(value):
                 walk(f"{prefix}{key}.", value[key])
-        elif isinstance(value, list):
-            lines.append(f"{prefix[:-1]} = {value}")
         else:
             lines.append(f"{prefix[:-1]} = {value}")
 

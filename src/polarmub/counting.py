@@ -32,7 +32,6 @@ class ConjectureReport:
     binom_term: int | None
     lhs: int | None
     verdict: str  # "Equality" | "StrictlyLess" | "Violated"
-    brute_force: "BruteForceSummary | None" = None
 
 
 @dataclass(frozen=True)

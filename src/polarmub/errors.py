@@ -9,6 +9,10 @@ class ZeroInverse(PolarMubError):
     """Inversion of zero requested in a prime field."""
 
 
+class NotInBaseField(PolarMubError):
+    """A value that must lie in the prime field F_d does not."""
+
+
 class DimensionMismatch(PolarMubError):
     """Operands live in different ambient spaces."""
 

@@ -25,7 +25,6 @@ from .spread import PartialSpread
 class ProjectorBasis:
     dim: int
     projectors: tuple
-    source_class: int
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,7 @@ def eigenprojectors(c: CommutingClass, spec) -> ProjectorBasis:
             s = sum(w ** (-(k * chi[j])) * pw[k] for k in range(d)) / d
             p = p @ s
         projectors.append(p)
-    return ProjectorBasis(dim, tuple(projectors), c.generator_image)
+    return ProjectorBasis(dim, tuple(projectors))
 
 
 def unbiasedness(p: ProjectorBasis, q: ProjectorBasis) -> float:

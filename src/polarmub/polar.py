@@ -89,12 +89,12 @@ class PolarSpace:
         self.point_index: dict[Vector, int] = {
             v: i for i, v in enumerate(self.points)
         }
-        assert len(self.points) == point_count(d, n)
+        if len(self.points) != point_count(d, n):
+            raise CatalogMismatch(f"W_{2*n-1}({d}) gave {len(self.points)} points")
         self._generators: tuple[Generator, ...] | None = None
         self._gen_lookup: dict[Matrix, int] | None = None
         self._perp_masks: tuple[int, ...] | None = None
         self._disjoint_adj: list[int] | None = None
-        self._symplectic_mats: tuple[Matrix, ...] | None = None
 
     def __repr__(self):
         return f"PolarSpace(d={self.d}, n={self.n})"
@@ -279,15 +279,6 @@ class PolarSpace:
 # --------------------------------------------------------------------------
 
 
-def enumerate_generators(space: PolarSpace) -> tuple[Generator, ...]:
-    """Complete, duplicate-free, lexicographically ordered generator catalog."""
-    return space.generators
-
-
-def symp_form(u: Vector, v: Vector, space: PolarSpace) -> int:
-    return space.symp_form(u, v)
-
-
 def perp(s: Matrix, space: PolarSpace) -> Matrix:
     """rref basis of the polarity image {v : F(v, w) = 0 for w in <s>}."""
     constraints = tuple(space.form_constraint(row) for row in s)
@@ -301,7 +292,8 @@ def nearest_generator(x: PPoint, g: Generator, space: PolarSpace) -> Generator:
         raise PointOnGenerator("x lies on g")
     section = algebra.subspace_meet(perp((x.vec,), space), g.basis, space.field)
     basis = algebra.rref(section + (x.vec,), space.field)
-    assert len(basis) == space.n
+    if len(basis) != space.n:
+        raise WrongRank(f"expected rank {space.n}, got {len(basis)}")
     return space.generator_by_basis(basis)
 
 
@@ -313,9 +305,12 @@ def hyperplane_map(g: Generator, g2: Generator, space: PolarSpace) -> dict[int, 
     for idx in space.point_indices(g.point_mask):
         vec = space.points[idx]
         h = algebra.subspace_meet(perp((vec,), space), g2.basis, space.field)
-        assert len(h) == space.n - 1
+        if len(h) != space.n - 1:
+            raise WrongRank(f"expected rank {space.n - 1}, got {len(h)}")
         mapping[idx] = h
-    assert len(set(mapping.values())) == len(mapping)
+    # The map is injective exactly when g meets g2^perp = g2 in no point.
+    if len(set(mapping.values())) != len(mapping):
+        raise NotDisjoint("two points of g share a hyperplane of g2")
     return mapping
 
 
@@ -331,7 +326,8 @@ def generators_through(s: Matrix, space: PolarSpace) -> list[Generator]:
     for row in basis:
         need |= 1 << space.point_index[row]
     out = [g for g in space.generators if g.point_mask & need == need]
-    assert len(out) == space.d + 1
+    if len(out) != space.d + 1:
+        raise CatalogMismatch(f"{len(out)} generators through {basis}, not d + 1")
     return out
 
 
@@ -350,8 +346,8 @@ def common_transversals(gens: list[Generator], space: PolarSpace) -> list[Genera
         if g.gen_index not in member_ids
         and all(g.point_mask & m for m in masks)
     ]
-    if len(gens) == 2:
-        assert len(out) == space.d + 1
+    if len(gens) == 2 and len(out) != space.d + 1:
+        raise CatalogMismatch(f"{len(out)} transversals of two lines, not d + 1")
     return out
 
 
@@ -361,25 +357,41 @@ def double_perp_size(V: Generator, W: Generator, space: PolarSpace) -> int:
     return len(common_transversals(inner, space))
 
 
+def transvections(space: PolarSpace) -> tuple[Matrix, ...]:
+    """x ↦ x + F(x, v)·v on row vectors, as I + cᵀv with c = form_constraint(v),
+    for each point v.  Its k-th power has scalar k, so for prime d these
+    generate Sp(2N, d) (O'Meara, *Symplectic Groups*, 1978)."""
+    d = space.d
+    return tuple(
+        tuple(
+            tuple((int(i == j) + a * x) % d for j, x in enumerate(v))
+            for i, a in enumerate(space.form_constraint(v))
+        )
+        for v in space.points
+    )
+
+
+def orbit(start, images) -> set:
+    """Everything reachable from start, where images(x) yields x's neighbours."""
+    seen = {start}
+    frontier = {start}
+    while frontier:
+        frontier = {y for x in frontier for y in images(x)} - seen
+        seen |= frontier
+    return seen
+
+
 def symplectic_group(space: PolarSpace) -> tuple[Matrix, ...]:
-    """All matrices over F_d preserving the form.  Order-2 rank-2 case only."""
+    """All matrices over F_d preserving the form, sorted: the orbit of the
+    identity under `transvections(space)`, which generate Sp(2N, d).  Refused
+    beyond W_3(2), whose group has 720; the 51 840 of Sp(4, 3) take minutes."""
     if (space.d, space.n) != (2, 2):
         raise ScaleExceeded("symplectic group enumeration supported for W_3(2) only")
-    if space._symplectic_mats is not None:
-        return space._symplectic_mats
-    J = space.form
-    spec = space.field
-    out = []
-    for bits in range(1 << 16):
-        rows = tuple(
-            tuple((bits >> (4 * r + c)) & 1 for c in range(4)) for r in range(4)
-        )
-        MJ = algebra.mat_mul(rows, J, spec)
-        MJMt = tuple(
-            tuple(sum(MJ[i][k] * rows[j][k] for k in range(4)) % 2 for j in range(4))
-            for i in range(4)
-        )
-        if MJMt == J:
-            out.append(rows)
-    space._symplectic_mats = tuple(out)
-    return space._symplectic_mats
+    gens = transvections(space)
+    dim = space.dim
+    identity = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+
+    def images(M):
+        return (algebra.mat_mul(M, T, space.field) for T in gens)
+
+    return tuple(sorted(orbit(identity, images)))

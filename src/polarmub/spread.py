@@ -548,26 +548,31 @@ def search_maximal(
 def classify_iso(
     space: PolarSpace, spreads: list[PartialSpread]
 ) -> list[PartialSpread]:
-    """Orbit representatives of partial spreads under the symplectic group.
+    """Orbit representatives of partial spreads under Sp(2N, d).
 
-    Supported for W_3(2), where the 720 form-preserving matrices act on
-    generators by right multiplication.
-    """
-    if (space.d, space.n) != (2, 2):
-        raise ScaleExceeded("isomorphism classification supported for W_3(2) only")
-    mats = polar.symplectic_group(space)
-    spec = space.field
+    Each of `polar.transvections`, which generate the group, becomes a
+    permutation of generator indices.  A spread's key, the least sorted
+    member tuple in its orbit under them, is its least image over the whole
+    group, which is never enumerated.  The first input spread of each orbit
+    represents it, and the output is sorted by key."""
+    gen_points = [space.point_indices(g.point_mask) for g in space.generators]
+    index = {g.point_mask: g.gen_index for g in space.generators}
     perms = []
-    for M in mats:
-        images = []
-        for g in space.generators:
-            rows = tuple(algebra.vec_mat(r, M, spec) for r in g.basis)
-            images.append(space.generator_by_basis(algebra.rref(rows, spec)).gen_index)
-        perms.append(tuple(images))
+    for T in polar.transvections(space):
+        moved = (algebra.vec_mat(v, T, space.field) for v in space.points)
+        bits = [1 << space.point_index[space.normalize(v)] for v in moved]
+        perms.append([index[sum(bits[x] for x in points)] for points in gen_points])
+
+    def images(members):
+        return (tuple(sorted(perm[m] for m in members)) for perm in perms)
+
+    keys: dict[tuple[int, ...], tuple[int, ...]] = {}
     reps: dict[tuple[int, ...], PartialSpread] = {}
     for ps in spreads:
-        key = min(tuple(sorted(perm[m] for m in ps.members)) for perm in perms)
-        reps.setdefault(key, ps)
+        if ps.members not in keys:
+            found = polar.orbit(ps.members, images)
+            keys.update(dict.fromkeys(found, min(found)))
+        reps.setdefault(keys[ps.members], ps)
     return [reps[k] for k in sorted(reps)]
 
 

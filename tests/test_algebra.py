@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polarmub import algebra
@@ -84,6 +84,19 @@ def test_rref_idempotent(case):
     assert algebra.rref(r, spec) == r
 
 
+@settings(derandomize=True, database=None, max_examples=200)
+@given(matrices(1), st.data())
+def test_rref_is_invariant_under_invertible_row_combinations(case, data):
+    spec, (m,) = case
+    k = len(m)
+    row = st.tuples(*[st.integers(0, spec.d - 1)] * k)
+    invertible = st.lists(row, min_size=k, max_size=k).filter(
+        lambda r: len(algebra.rref(tuple(r), spec)) == k
+    )
+    mixed = algebra.mat_mul(tuple(data.draw(invertible)), m, spec)
+    assert algebra.rref(mixed, spec) == algebra.rref(m, spec)
+
+
 def test_rref_is_canonical_form():
     # Two bases span the same subspace iff their rrefs coincide.
     rng = random.Random(11)
@@ -148,15 +161,16 @@ def test_meet_dimension_mismatch():
         algebra.subspace_meet(((1, 0),), ((1, 0, 0),), spec)
 
 
-def test_kernel_annihilates():
-    rng = random.Random(43)
-    spec = FieldSpec(3)
-    for _ in range(40):
-        m = random_matrix(rng, 2, 5, 3)
-        ker = algebra.kernel(m, 5, spec)
-        assert len(ker) == 5 - len(algebra.rref(m, spec))
-        for v in ker:
-            assert not any(algebra.mat_vec(m, v, spec))
+@settings(derandomize=True, database=None, max_examples=200)
+@given(matrices(1))
+def test_kernel_annihilates(case):
+    spec, (m,) = case
+    assume(m)
+    width = len(m[0])
+    ker = algebra.kernel(m, width, spec)
+    assert len(algebra.rref(m, spec)) + len(ker) == width
+    for v in ker:
+        assert not any(algebra.mat_vec(m, v, spec))
 
 
 def test_invert_matrix_round_trip():

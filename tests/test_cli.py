@@ -2,11 +2,12 @@
 
 import json
 import os
-import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarmub import cli, polar, spread
 from polarmub.cli import deserialize_spread, get_space, run, serialize_spread
@@ -133,6 +134,14 @@ def test_classify_w32(capsys):
     assert result["complete_non_spreads"] == 20
 
 
+@pytest.mark.parametrize("d, n", [("3", "2"), ("2", "3")])
+def test_classify_refuses_beyond_w32(capsys, d, n):
+    assert run(["classify", "--d", d, "--n", n]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "ScaleExceeded" in captured.err
+
+
 def test_mub_from_spread(capsys):
     code, out = run_capture(
         capsys, ["mub", "--d", "2", "--n", "2", "--from-spread", "classical"]
@@ -203,31 +212,27 @@ def test_text_format_renders(capsys):
 # -- serialization round trips
 
 
-def random_partial_spread(space, rng):
-    members = []
-    coverage = 0
-    order = list(range(space.num_generators))
-    rng.shuffle(order)
-    for idx in order:
-        g = space.generator(idx)
-        if not g.point_mask & coverage:
+@st.composite
+def partial_spreads(draw):
+    """A disjoint member set: drawn generators, each kept if it meets none before."""
+    space = get_space(*draw(st.sampled_from([(2, 2), (3, 2), (2, 3)])))
+    picks = st.lists(st.integers(0, space.num_generators - 1), unique=True)
+    members, coverage = [], 0
+    for idx in draw(picks):
+        mask = space.generator(idx).point_mask
+        if not mask & coverage:
             members.append(idx)
-            coverage |= g.point_mask
-        if len(members) >= 3:
-            break
+            coverage |= mask
     return spread.partial_spread(space, members)
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
-def test_serialize_round_trip(fmt):
-    rng = random.Random(2024)
-    for d, n in ((2, 2), (3, 2), (2, 3)):
-        space = get_space(d, n)
-        for _ in range(5):
-            ps = random_partial_spread(space, rng)
-            back = deserialize_spread(serialize_spread(ps, fmt), fmt)
-            assert back.members == ps.members
-            assert back.coverage == ps.coverage
+@settings(derandomize=True, database=None, max_examples=100)
+@given(ps=partial_spreads())
+def test_serialize_round_trip(fmt, ps):
+    back = deserialize_spread(serialize_spread(ps, fmt), fmt)
+    assert back.members == ps.members
+    assert back.coverage == ps.coverage
 
 
 def test_serialize_empty_spread():

@@ -379,10 +379,15 @@ def test_is_spread_rejects_inconsistent_coverage():
         spread.PartialSpread(W32, S32.members, 0).is_spread
 
 
-def test_spread_module_has_no_assert():
+def test_package_has_no_assert():
     # python -O strips asserts; certificate checks must be typed raises.
-    tree = ast.parse(pathlib.Path(spread.__file__).read_text())
-    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    found = [
+        (path.name, node.lineno)
+        for path in sorted(pathlib.Path(spread.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found
 
 
 def test_search_scale_guard():
@@ -417,9 +422,24 @@ def test_classify_separates_sizes():
         assert [p.members for p in orbits] == expected
 
 
-def test_classify_scale_guard():
-    with pytest.raises(ScaleExceeded):
-        spread.classify_iso(W33, [S33])
+def test_classify_census_orbits():
+    # Sp(4, 3) splits the size-5 complete partial spreads of W_3(3) into two
+    # orbits of 216; every other size at W_3(3) and W_5(2) is one orbit.
+    cases = [
+        (
+            W33,
+            [
+                (0, 5, 8, 11, 19, 21, 28, 30, 35, 38),
+                (0, 5, 8, 12, 22, 28, 30, 35),
+                (0, 5, 8, 12, 31),
+                (0, 5, 8, 13, 22),
+            ],
+        ),
+        (W52, [(0, 19, 32, 63, 71, 74, 87, 105, 127), (0, 19, 32, 63, 131)]),
+    ]
+    for space, expected in cases:
+        orbits = spread.classify_iso(space, spread.search_maximal(space, "exhaustive"))
+        assert [p.members for p in orbits] == expected
 
 
 # -- repartition of the grid triple
