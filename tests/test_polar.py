@@ -6,6 +6,7 @@ rather than sampled: the brute-force side is the oracle.
 
 import hashlib
 import itertools
+import json
 import random
 
 import numpy as np
@@ -398,3 +399,31 @@ def test_symplectic_group_order():
     for M in mats:
         M = np.array(M)
         assert np.array_equal(M @ J @ M.T % 2, J)
+
+
+# sha256 of the JSON list of transvection permutations of generator indices,
+# one per point v in point order, as the matrix group produced them.
+TRANSVECTION_DIGESTS = {
+    (2, 2): "ef8482f5205b57f76f35820cda20fce0f3d093682f25629bceea409d5764dafb",
+    (3, 2): "d52705a9803f3bac337783669e609ae676d73db3df5db6ddcb6ebc68a8ba7c25",
+    (2, 3): "aac1b6fcf4475076d19b896c3d90a9f8b189ee7dbc1df3f7b26ed6986f5a9360",
+}
+
+
+def transvection_permutations(space):
+    gen_points = [space.point_indices(g.point_mask) for g in space.generators]
+    index = {g.point_mask: g.gen_index for g in space.generators}
+    perms = []
+    for T in polar.transvections(space):
+        moved = (algebra.vec_mat(v, T, space.field) for v in space.points)
+        bits = [1 << space.point_index[space.normalize(v)] for v in moved]
+        perms.append([index[sum(bits[x] for x in points)] for points in gen_points])
+    return perms
+
+
+@pytest.mark.parametrize("space", [W32, W33, W52], ids=repr)
+def test_transvection_permutations_pinned(space):
+    perms = [list(p) for p in transvection_permutations(space)]
+    assert len(perms) == space.num_points
+    digest = hashlib.sha256(json.dumps(perms).encode()).hexdigest()
+    assert digest == TRANSVECTION_DIGESTS[(space.d, space.n)]
