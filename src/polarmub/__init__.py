@@ -4,13 +4,12 @@ of mutually unbiased bases, by exact computation."""
 __version__ = "0.1.0"
 
 from .algebra import FieldSpec
-from .polar import Generator, PolarSpace, PPoint
+from .polar import Generator, PolarSpace
 from .spread import CompletenessCert, PartialSpread, USet
 
 __all__ = [
     "FieldSpec",
     "PolarSpace",
-    "PPoint",
     "Generator",
     "PartialSpread",
     "CompletenessCert",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, NotInBaseField, ZeroInverse
+from .errors import DimensionMismatch, NotInBaseField
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
@@ -111,14 +111,6 @@ class FieldSpec:
             raise ValueError("ext_poly is reducible over F_d")
 
 
-def field_inv(a: int, spec: FieldSpec) -> int:
-    """Multiplicative inverse of a modulo d."""
-    a %= spec.d
-    if a == 0:
-        raise ZeroInverse(f"0 has no inverse mod {spec.d}")
-    return pow(a, -1, spec.d)
-
-
 # --------------------------------------------------------------------------
 # Row reduction and subspace arithmetic.
 # --------------------------------------------------------------------------
@@ -184,10 +176,6 @@ def row_space_contains(basis: Matrix, v: Vector, spec: FieldSpec) -> bool:
     return not any(reduce_vector(basis, v, spec))
 
 
-def subspace_sum(a: Matrix, b: Matrix, spec: FieldSpec) -> Matrix:
-    return rref(tuple(a) + tuple(b), spec)
-
-
 def subspace_meet(a: Matrix, b: Matrix, spec: FieldSpec) -> Matrix:
     """rref basis of the intersection of two row spaces (Zassenhaus)."""
     if a and b and len(a[0]) != len(b[0]):
@@ -201,36 +189,10 @@ def subspace_meet(a: Matrix, b: Matrix, spec: FieldSpec) -> Matrix:
     return rref(tuple(row[width:] for row in red if not any(row[:width])), spec)
 
 
-def kernel(m: Matrix, width: int, spec: FieldSpec) -> Matrix:
-    """rref basis of {v : row . v = 0 for every row of m}."""
-    d = spec.d
-    red = rref(m, spec)
-    pivots = [_pivot_col(row) for row in red]
-    basis = []
-    for free in range(width):
-        if free in pivots:
-            continue
-        v = [0] * width
-        v[free] = 1
-        for row, p in zip(red, pivots):
-            v[p] = (-row[free]) % d
-        basis.append(tuple(v))
-    return rref(tuple(basis), spec)
-
-
-def mat_vec(m: Matrix, v: Vector, spec: FieldSpec) -> Vector:
-    d = spec.d
-    return tuple(sum(r[i] * v[i] for i in range(len(v))) % d for r in m)
-
-
 def vec_mat(v: Vector, m: Matrix, spec: FieldSpec) -> Vector:
     d = spec.d
     width = len(m[0])
     return tuple(sum(v[i] * m[i][j] for i in range(len(v))) % d for j in range(width))
-
-
-def mat_mul(a: Matrix, b: Matrix, spec: FieldSpec) -> Matrix:
-    return tuple(vec_mat(row, b, spec) for row in a)
 
 
 def invert_matrix(m: Matrix, spec: FieldSpec) -> Matrix:

@@ -105,7 +105,9 @@ def conjecture_counts(d: int, n: int) -> ConjectureReport:
 
 
 def asymptotic_gate(d: int, m: int) -> bool:
-    """Exact exponent comparison d^{M-1} >= M(M+3)/2, monotone in M."""
+    """Exact exponent comparison d^{M-1} >= M(M+3)/2, monotone in M.  Kept
+    for the README inequality result: where it holds, the inequality is
+    Violated."""
     return 2 * d ** (m - 1) >= m * (m + 3)
 
 

@@ -5,10 +5,6 @@ class PolarMubError(Exception):
     """Base class for all library errors."""
 
 
-class ZeroInverse(PolarMubError):
-    """Inversion of zero requested in a prime field."""
-
-
 class NotInBaseField(PolarMubError):
     """A value that must lie in the prime field F_d does not."""
 
@@ -26,10 +22,6 @@ class CatalogMismatch(PolarMubError):
 
 
 # -- polar space operations
-
-
-class PointOnGenerator(PolarMubError):
-    """The point already lies on the given generator."""
 
 
 class NotDisjoint(PolarMubError):

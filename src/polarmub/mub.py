@@ -94,9 +94,14 @@ def certify_weak_umub(ps: PartialSpread, tolerance: float = 1e-9) -> UMUBCertifi
 
     Valid iff the partial spread is complete (no further class exists) and
     every cross pair of member eigenbases is unbiased within tolerance.
-    Failures are recorded in the certificate, never raised.
+    Failures are recorded in the certificate, never raised.  The tolerance
+    must lie strictly between 0 and 1/d^N: at 1/d^N an orthogonal overlap of
+    0 would pass as unbiased.
     """
     space = ps.space
+    target = 1.0 / space.d**space.n
+    if not 0 < tolerance < target:
+        raise ValueError(f"tolerance must lie in (0, {target}), got {tolerance}")
     cert = spread_mod.is_complete(ps)
     bases = [
         eigenprojectors(class_from_generator(space.generator(m), space), space.field)

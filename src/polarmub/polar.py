@@ -10,7 +10,8 @@ Generators (maximal totally isotropic subspaces) are enumerated once each
 by depth-first search over their greedy point bases: candidates come from
 AND-ed perp masks, spans grow by OR-ing line masks, and the last point
 closes the generator as its own perp.  They are indexed in lexicographic
-order of their rref basis.
+order of their rref basis.  The symplectic group acts only on these
+indices: `transvections` gives its generating set as permutations.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .errors import (
     NotDisjoint,
     NotIsotropic,
     NotRankTwo,
-    PointOnGenerator,
     ScaleExceeded,
     WrongRank,
 )
@@ -48,12 +48,6 @@ def generator_count(d: int, n: int) -> int:
     for i in range(1, n + 1):
         total *= d**i + 1
     return total
-
-
-@dataclass(frozen=True)
-class PPoint:
-    point_index: int
-    vec: Vector
 
 
 @dataclass(frozen=True)
@@ -112,9 +106,6 @@ class PolarSpace:
     def num_points(self) -> int:
         return len(self.points)
 
-    def point(self, index: int) -> PPoint:
-        return PPoint(index, self.points[index])
-
     def normalize(self, v: Vector) -> Vector:
         lead = next((x for x in v if x % self.d), None)
         if lead is None:
@@ -129,15 +120,6 @@ class PolarSpace:
         for i in range(0, self.dim, 2):
             total += u[i] * v[i + 1] - u[i + 1] * v[i]
         return total % self.d
-
-    def form_constraint(self, v: Vector) -> Vector:
-        """Row c with c . x = F(x, v) for all x."""
-        d = self.d
-        out = [0] * self.dim
-        for i in range(0, self.dim, 2):
-            out[i] = v[i + 1] % d
-            out[i + 1] = (-v[i]) % d
-        return tuple(out)
 
     def span_vectors(self, basis: Matrix) -> list[Vector]:
         """All d^k vectors of the row space, zero included."""
@@ -279,41 +261,6 @@ class PolarSpace:
 # --------------------------------------------------------------------------
 
 
-def perp(s: Matrix, space: PolarSpace) -> Matrix:
-    """rref basis of the polarity image {v : F(v, w) = 0 for w in <s>}."""
-    constraints = tuple(space.form_constraint(row) for row in s)
-    return algebra.kernel(constraints, space.dim, space.field)
-
-
-def nearest_generator(x: PPoint, g: Generator, space: PolarSpace) -> Generator:
-    """The unique generator on x meeting g in an (N-2)-space: <x, x^perp ∩ g>."""
-    idx = space.point_index[space.normalize(x.vec)]
-    if (g.point_mask >> idx) & 1:
-        raise PointOnGenerator("x lies on g")
-    section = algebra.subspace_meet(perp((x.vec,), space), g.basis, space.field)
-    basis = algebra.rref(section + (x.vec,), space.field)
-    if len(basis) != space.n:
-        raise WrongRank(f"expected rank {space.n}, got {len(basis)}")
-    return space.generator_by_basis(basis)
-
-
-def hyperplane_map(g: Generator, g2: Generator, space: PolarSpace) -> dict[int, Matrix]:
-    """x -> x^perp ∩ g2, a bijection from points of g onto hyperplanes of g2."""
-    if g.point_mask & g2.point_mask:
-        raise NotDisjoint("generators share a point")
-    mapping = {}
-    for idx in space.point_indices(g.point_mask):
-        vec = space.points[idx]
-        h = algebra.subspace_meet(perp((vec,), space), g2.basis, space.field)
-        if len(h) != space.n - 1:
-            raise WrongRank(f"expected rank {space.n - 1}, got {len(h)}")
-        mapping[idx] = h
-    # The map is injective exactly when g meets g2^perp = g2 in no point.
-    if len(set(mapping.values())) != len(mapping):
-        raise NotDisjoint("two points of g share a hyperplane of g2")
-    return mapping
-
-
 def generators_through(s: Matrix, space: PolarSpace) -> list[Generator]:
     """The d + 1 generators containing a totally isotropic (N-2)-space."""
     basis = algebra.rref(s, space.field)
@@ -352,23 +299,29 @@ def common_transversals(gens: list[Generator], space: PolarSpace) -> list[Genera
 
 
 def double_perp_size(V: Generator, W: Generator, space: PolarSpace) -> int:
-    """|({V,W}^perp)^perp|: 3 in order 2, 2 in odd order (antiregularity)."""
+    """|({V,W}^perp)^perp|: 3 in order 2, 2 in odd order (antiregularity).
+    Kept for acceptance 9."""
     inner = common_transversals([V, W], space)
     return len(common_transversals(inner, space))
 
 
-def transvections(space: PolarSpace) -> tuple[Matrix, ...]:
-    """x ↦ x + F(x, v)·v on row vectors, as I + cᵀv with c = form_constraint(v),
-    for each point v.  Its k-th power has scalar k, so for prime d these
-    generate Sp(2N, d) (O'Meara, *Symplectic Groups*, 1978)."""
+def transvections(space: PolarSpace) -> tuple[tuple[int, ...], ...]:
+    """One permutation of generator indices per point v, in point order:
+    entry i is the image of generator i under x ↦ x + F(x, v)·v.  That map's
+    k-th power has scalar k, so for prime d these generate the action of
+    Sp(2N, d) on generators (O'Meara, *Symplectic Groups*, 1978)."""
     d = space.d
-    return tuple(
-        tuple(
-            tuple((int(i == j) + a * x) % d for j, x in enumerate(v))
-            for i, a in enumerate(space.form_constraint(v))
-        )
-        for v in space.points
-    )
+    index = {g.point_mask: g.gen_index for g in space.generators}
+    gen_points = [space.point_indices(g.point_mask) for g in space.generators]
+    perms = []
+    for v in space.points:
+        bits = []
+        for x in space.points:
+            c = space.symp_form(x, v)
+            y = space.normalize(tuple((a + c * b) % d for a, b in zip(x, v)))
+            bits.append(1 << space.point_index[y])
+        perms.append(tuple(index[sum(bits[x] for x in xs)] for xs in gen_points))
+    return tuple(perms)
 
 
 def orbit(start, images) -> set:
@@ -381,17 +334,16 @@ def orbit(start, images) -> set:
     return seen
 
 
-def symplectic_group(space: PolarSpace) -> tuple[Matrix, ...]:
-    """All matrices over F_d preserving the form, sorted: the orbit of the
-    identity under `transvections(space)`, which generate Sp(2N, d).  Refused
-    beyond W_3(2), whose group has 720; the 51 840 of Sp(4, 3) take minutes."""
+def symplectic_group(space: PolarSpace) -> tuple[tuple[int, ...], ...]:
+    """The action of Sp(2N, d) on generator indices, sorted: the orbit of the
+    identity permutation under `transvections(space)`.  −I fixes every
+    generator, so this is PSp(2N, d).  Refused beyond W_3(2), whose group
+    has 720 elements: the closure enumerates, and PSp(4, 3) has 25 920."""
     if (space.d, space.n) != (2, 2):
         raise ScaleExceeded("symplectic group enumeration supported for W_3(2) only")
     gens = transvections(space)
-    dim = space.dim
-    identity = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
 
-    def images(M):
-        return (algebra.mat_mul(M, T, space.field) for T in gens)
+    def images(p):
+        return (tuple(t[i] for i in p) for t in gens)
 
-    return tuple(sorted(orbit(identity, images)))
+    return tuple(sorted(orbit(tuple(range(space.num_generators)), images)))

@@ -280,7 +280,9 @@ def members_meeting(s: PartialSpread, g: Generator) -> list[int]:
 
 
 def pair_partner(s: PartialSpread, x) -> Generator:
-    """The unique other line Y with S_X = S_Y, via common transversals."""
+    """The unique other line Y with S_X = S_Y, via common transversals.
+    Kept for the README T(U) result: in odd order, the line `complete_TU`
+    adjoins to T(X) is X's partner."""
     space = s.space
     x = space.generator(_gen_index(x))
     if x.gen_index in s.members:
@@ -550,18 +552,11 @@ def classify_iso(
 ) -> list[PartialSpread]:
     """Orbit representatives of partial spreads under Sp(2N, d).
 
-    Each of `polar.transvections`, which generate the group, becomes a
-    permutation of generator indices.  A spread's key, the least sorted
-    member tuple in its orbit under them, is its least image over the whole
-    group, which is never enumerated.  The first input spread of each orbit
-    represents it, and the output is sorted by key."""
-    gen_points = [space.point_indices(g.point_mask) for g in space.generators]
-    index = {g.point_mask: g.gen_index for g in space.generators}
-    perms = []
-    for T in polar.transvections(space):
-        moved = (algebra.vec_mat(v, T, space.field) for v in space.points)
-        bits = [1 << space.point_index[space.normalize(v)] for v in moved]
-        perms.append([index[sum(bits[x] for x in points)] for points in gen_points])
+    A spread's key, the least sorted member tuple in its orbit under
+    `polar.transvections`, is its least image over the whole group, which is
+    never enumerated.  The first input spread of each orbit represents it,
+    and the output is sorted by key."""
+    perms = polar.transvections(space)
 
     def images(members):
         return (tuple(sorted(perm[m] for m in members)) for perm in perms)
@@ -578,7 +573,8 @@ def classify_iso(
 
 def repartition_triple(ps: PartialSpread) -> PartialSpread:
     """Opposite regulus of an unextendible triple in W_3(2): three new lines
-    on the same nine points, each meeting each original line once."""
+    on the same nine points, each meeting each original line once.  Kept for
+    acceptance 4."""
     space = ps.space
     if (space.d, space.n) != (2, 2) or ps.size != 3 or not is_complete(ps).complete:
         raise NotUnextendibleTriple("need a complete triple in W_3(2)")

@@ -154,6 +154,15 @@ def test_mub_from_spread(capsys):
     assert result["target_overlap"] == 0.25
 
 
+@pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+def test_mub_tolerance_outside_open_interval_is_refused(capsys, tolerance):
+    argv = ["mub", "--d", "2", "--n", "2", "--tolerance", tolerance]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "tolerance" in captured.err
+
+
 def test_usage_error_exit_code(capsys):
     assert run(["construct", "--d", "2"]) == 1
     assert run(["bogus"]) == 1

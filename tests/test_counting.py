@@ -73,6 +73,13 @@ def test_asymptotic_gate_monotone():
         assert fired
 
 
+def test_asymptotic_gate_implies_violated():
+    for d in (2, 3, 5, 7, 11, 13):
+        for m in range(2, 9):
+            if counting.asymptotic_gate(d, m):
+                assert counting.conjecture_counts(d, m).verdict == "Violated"
+
+
 def test_brute_force_w32():
     space = PolarSpace(2, 2)
     s = spread.construct_symplectic_spread(space)

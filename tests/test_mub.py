@@ -139,6 +139,20 @@ def test_certificate_for_unextendible_triple():
     assert cert.max_deviation < TOL
 
 
+@pytest.mark.parametrize("tolerance", [-1.0, 0.0, float("nan"), float("inf"), 0.25])
+def test_certificate_refuses_tolerance_outside_open_interval(tolerance):
+    # At or above 1/d^N = 1/4 an orthogonal overlap of 0 would pass.
+    s = spread.construct_symplectic_spread(W32)
+    with pytest.raises(ValueError, match="tolerance"):
+        mub.certify_weak_umub(s, tolerance=tolerance)
+
+
+def test_certificate_default_and_near_bound_tolerance_pass():
+    s = spread.construct_symplectic_spread(W32)
+    assert mub.certify_weak_umub(s).valid
+    assert mub.certify_weak_umub(s, tolerance=0.2499).valid
+
+
 def test_certificate_rejects_extendible_pair():
     s = spread.construct_symplectic_spread(W32)
     pair = spread.partial_spread(W32, s.members[:2])

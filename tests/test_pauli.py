@@ -197,28 +197,3 @@ def test_generator_from_class_rejects_corruption():
     with pytest.raises(NotAClass):
         generator_from_class(corrupted, W32)
 
-
-# -- group structure reports
-
-
-def test_center_check_qutrit():
-    report = pauli.center_check(FieldSpec(3, 1))
-    assert report["center_order"] == 3
-    assert report["scalars_central"]
-    assert report["no_noncentral_rep"]
-    assert report["exponent_ok"] and report["exponent"] == 3
-    assert report["nonabelian"]
-
-
-def test_center_check_two_qubits():
-    report = pauli.center_check(FieldSpec(2, 2))
-    assert report["center_order"] == 4
-    assert report["exponent"] == 4 and report["exponent_ok"]
-    assert report["squares_to_minus_identity"] > 0
-    assert report["nonabelian"]
-
-
-def test_center_check_single_qubit():
-    report = pauli.center_check(FieldSpec(2, 1))
-    assert report["nonabelian"]
-    assert report["no_noncentral_rep"]

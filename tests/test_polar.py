@@ -7,9 +7,9 @@ rather than sampled: the brute-force side is the oracle.
 import hashlib
 import itertools
 import json
+import math
 import random
 
-import numpy as np
 import pytest
 
 from polarmub import algebra, polar
@@ -18,7 +18,6 @@ from polarmub.errors import (
     NotDisjoint,
     NotIsotropic,
     NotRankTwo,
-    PointOnGenerator,
     ScaleExceeded,
     WrongRank,
 )
@@ -197,78 +196,42 @@ def test_collinear_iff_form_vanishes():
             assert ((i, j) in on_common) == expected
 
 
-# -- perp
+# -- perp, as the AND of point perp masks
+
+
+def perp_of(space, mask):
+    out = (1 << space.num_points) - 1
+    for i in space.point_indices(mask):
+        out &= space.perp_masks[i]
+    return out
 
 
 def test_perp_of_whole_space_is_zero():
-    whole = tuple(
-        tuple(1 if i == j else 0 for j in range(4)) for i in range(4)
-    )
-    assert polar.perp(whole, W32) == ()
+    assert perp_of(W32, (1 << W32.num_points) - 1) == 0
 
 
 def test_perp_of_point_contains_point():
+    # x^perp is a hyperplane through x: 7 of the 15 points of PG(3, 2).
     for idx in range(W32.num_points):
-        v = W32.points[idx]
-        pp = polar.perp((v,), W32)
-        assert len(pp) == 3
-        assert algebra.row_space_contains(pp, v, W32.field)
+        assert bin(W32.perp_masks[idx]).count("1") == 7
+        assert W32.perp_masks[idx] >> idx & 1
 
 
 def test_double_perp_is_identity_on_lines():
+    # A generator is its own perp.
     rng = random.Random(17)
     for _ in range(20):
         g = W33.generators[rng.randrange(W33.num_generators)]
-        assert polar.perp(polar.perp(g.basis, W33), W33) == g.basis
+        assert perp_of(W33, g.point_mask) == g.point_mask
+        assert perp_of(W33, perp_of(W33, g.point_mask)) == g.point_mask
 
 
 def test_perp_reverses_inclusion():
     for g in W52.generators[:10]:
-        line = g.basis[:2]
-        p_line = polar.perp(algebra.rref(line, W52.field), W52)
-        p_gen = polar.perp(g.basis, W52)
-        for row in p_gen:
-            assert algebra.row_space_contains(p_line, row, W52.field)
-
-
-# -- nearest generator, hyperplane bijection, generators through
-
-
-def test_nearest_generator_exhaustive_w32():
-    # For every line g and every point x off g, exactly one generator
-    # contains x and meets g in an (N-2)-space; it is span(x, x^perp ∩ g).
-    for g in W32.generators:
-        off = [i for i in range(15) if not (g.point_mask >> i) & 1]
-        assert len(off) == 12
-        for idx in off:
-            x = W32.point(idx)
-            got = polar.nearest_generator(x, g, W32)
-            candidates = [
-                h
-                for h in W32.generators
-                if (h.point_mask >> idx) & 1
-                and len(algebra.subspace_meet(h.basis, g.basis, W32.field))
-                == W32.n - 1
-            ]
-            assert candidates == [got]
-
-
-def test_nearest_generator_rejects_incident_point():
-    g = W32.generators[0]
-    idx = W32.point_indices(g.point_mask)[0]
-    with pytest.raises(PointOnGenerator):
-        polar.nearest_generator(W32.point(idx), g, W32)
-
-
-def test_nearest_generator_meet_dimension_w52():
-    g = W52.generators[0]
-    for idx in range(W52.num_points):
-        if (g.point_mask >> idx) & 1:
-            continue
-        got = polar.nearest_generator(W52.point(idx), g, W52)
-        meet = algebra.subspace_meet(got.basis, g.basis, W52.field)
-        assert len(meet) == 2  # a projective line
-        break
+        x, y = W52.point_indices(g.point_mask)[:2]
+        p_line = perp_of(W52, W52.line_mask(x, y))
+        p_gen = perp_of(W52, g.point_mask)
+        assert p_gen & ~p_line == 0 and p_gen != p_line
 
 
 def _disjoint_pair(space):
@@ -280,20 +243,7 @@ def _disjoint_pair(space):
     raise AssertionError("no disjoint pair found")
 
 
-def test_hyperplane_map_counts():
-    for space, expect in ((W32, 3), (W33, 4), (W52, 7)):
-        g, h = _disjoint_pair(space)
-        mapping = polar.hyperplane_map(g, h, space)
-        assert len(mapping) == expect
-        assert len(set(mapping.values())) == expect
-        for basis in mapping.values():
-            assert len(basis) == space.n - 1
-
-
-def test_hyperplane_map_requires_disjoint():
-    g = W32.generators[0]
-    with pytest.raises(NotDisjoint):
-        polar.hyperplane_map(g, g, W32)
+# -- generators through a subspace
 
 
 def test_generators_through_point():
@@ -389,16 +339,34 @@ def test_gq_projection_property():
                 assert len(on_x) == 1
 
 
+def preserves_disjointness(space, perm):
+    """perm is a permutation of generator indices, and i, j are disjoint
+    exactly when perm[i], perm[j] are."""
+    adj = space.disjoint_adjacency
+    if sorted(perm) != list(range(len(adj))):
+        return False
+    return all(
+        sum(1 << perm[j] for j in range(len(adj)) if adj[i] >> j & 1) == adj[perm[i]]
+        for i in range(len(adj))
+    )
+
+
 def test_symplectic_group_order():
-    # |Sp(4, 2)| = 720, so 720 distinct form-preserving matrices are all of it.
-    mats = polar.symplectic_group(W32)
-    assert len(mats) == 720 == len(set(mats))
-    identity = tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
-    assert identity in mats
-    J = np.array(W32.form)
-    for M in mats:
-        M = np.array(M)
-        assert np.array_equal(M @ J @ M.T % 2, J)
+    # |Sp(2N, d)| = d^{N²} ∏(d^{2i} − 1); −I fixes every generator, so the
+    # action on generators has that order over |{±I}|: 720 at W_3(2).
+    group = polar.symplectic_group(W32)
+    d, n = W32.d, W32.n
+    order = d ** (n * n) * math.prod(d ** (2 * i) - 1 for i in range(1, n + 1))
+    assert len(set(group)) == len(group) == order // (1 if d == 2 else 2) == 720
+    assert tuple(range(W32.num_generators)) in group
+    assert all(preserves_disjointness(W32, p) for p in group)
+
+
+@pytest.mark.parametrize("space", [W33, W52], ids=repr)
+def test_transvections_preserve_disjointness(space):
+    perms = polar.transvections(space)
+    assert len(perms) == space.num_points
+    assert all(preserves_disjointness(space, p) for p in perms)
 
 
 # sha256 of the JSON list of transvection permutations of generator indices,
@@ -410,20 +378,9 @@ TRANSVECTION_DIGESTS = {
 }
 
 
-def transvection_permutations(space):
-    gen_points = [space.point_indices(g.point_mask) for g in space.generators]
-    index = {g.point_mask: g.gen_index for g in space.generators}
-    perms = []
-    for T in polar.transvections(space):
-        moved = (algebra.vec_mat(v, T, space.field) for v in space.points)
-        bits = [1 << space.point_index[space.normalize(v)] for v in moved]
-        perms.append([index[sum(bits[x] for x in points)] for points in gen_points])
-    return perms
-
-
 @pytest.mark.parametrize("space", [W32, W33, W52], ids=repr)
 def test_transvection_permutations_pinned(space):
-    perms = [list(p) for p in transvection_permutations(space)]
+    perms = [list(p) for p in polar.transvections(space)]
     assert len(perms) == space.num_points
     digest = hashlib.sha256(json.dumps(perms).encode()).hexdigest()
     assert digest == TRANSVECTION_DIGESTS[(space.d, space.n)]
