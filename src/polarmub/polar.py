@@ -239,6 +239,9 @@ class PolarSpace:
 
         for p in range(self.num_points):
             grow([p], 1 << p, perp[p])
+        # grow calls itself through its closure; break that cycle so that
+        # `found` is freed on return, not at the next full collection.
+        del grow
         if len(found) != expected:
             raise CatalogMismatch(
                 f"W_{2*n-1}({d}) gave {len(found)} generators, expected {expected}"
