@@ -415,7 +415,7 @@ def test_package_has_no_uncalled_public_names():
             own = None
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and path.parent == package:
                 own = stmt.name
-                defined[own] = (path.stem, ast.get_docstring(stmt) or "")
+                defined[own] = ast.get_docstring(stmt) or ""
             for node in ast.walk(stmt):
                 name = getattr(node, "id", None) or getattr(node, "attr", None)
                 if name and name != own:
@@ -423,7 +423,7 @@ def test_package_has_no_uncalled_public_names():
     uncalled = {n for n in defined if not n.startswith("_") and n not in used}
     assert sorted(uncalled - set(UNCALLED_KEPT)) == []
     for name, reason in UNCALLED_KEPT.items():
-        assert reason in " ".join(defined[name][1].split()), name
+        assert reason in " ".join(defined[name].split()), name
 
 
 def test_search_scale_guard():
