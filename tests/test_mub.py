@@ -1,11 +1,12 @@
 """Tests for eigenprojector bases and unbiasedness certificates."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
 
-from polarmub import mub, pauli, spread
+from polarmub import algebra, mub, pauli, spread
 from polarmub.algebra import FieldSpec
 from polarmub.errors import DimensionMismatch, NonDiagonalizable
 from polarmub.pauli import class_from_generator
@@ -161,3 +162,83 @@ def test_certificate_rejects_extendible_pair():
     assert not cert.complete
     assert cert.witness is not None
     assert cert.max_deviation < TOL  # unbiased, just not unextendible
+
+
+# -- pins of the trace-product definitions
+
+
+def character_sum_projectors(c, spec):
+    """Reference: the d^N joint eigenprojectors multiplied out from the
+    spectral projectors (1/d) sum_k omega^{-k chi_j} G_j^k of the N class
+    members whose images are the rref basis rows, chi in lexicographic
+    order."""
+    d = c.d
+    by_image = {op.symplectic_image(): op for op in c.ops}
+    rows = algebra.rref(tuple(by_image), spec)
+    mats = [pauli.pauli_matrix(by_image[row], spec) for row in rows]
+    dim = mats[0].shape[0]
+    w = np.exp(2j * np.pi / d)
+    spectral = []
+    for m in mats:
+        powers = [np.linalg.matrix_power(m, k) for k in range(d)]
+        spectral.append(
+            [sum(w ** (-k * x) * powers[k] for k in range(d)) / d for x in range(d)]
+        )
+    out = []
+    for chi in itertools.product(range(d), repeat=len(mats)):
+        p = np.eye(dim, dtype=complex)
+        for s, x in zip(spectral, chi):
+            p = p @ s[x]
+        out.append(p)
+    return np.array(out)
+
+
+def trace_deviation(b1, b2):
+    """max |tr(P Q) - 1/dim| over cross pairs of the bases' projectors."""
+    ps, qs = np.array(b1.projectors), np.array(b2.projectors)
+    traces = np.einsum("aij,bji->ab", ps, qs)
+    return float(np.max(np.abs(traces - 1.0 / b1.dim)))
+
+
+def all_bases(sp):
+    return [
+        mub.eigenprojectors(class_from_generator(g, sp), sp.field) for g in sp.generators
+    ]
+
+
+W52 = PolarSpace(2, 3)
+W35 = PolarSpace(5, 2)
+
+
+def sampled_pairs(sp, count, seed):
+    pairs = list(itertools.combinations(range(sp.num_generators), 2))
+    return random.Random(seed).sample(pairs, count)
+
+
+@pytest.mark.parametrize(
+    "sp, pairs",
+    [
+        (W33, None),
+        (W52, lambda: sampled_pairs(W52, 300, 7)),
+        (W35, lambda: sampled_pairs(W35, 150, 11)),
+    ],
+    ids=["W_3(3)", "W_5(2)", "W_3(5)"],
+)
+def test_unbiasedness_matches_trace_products(sp, pairs):
+    bases = all_bases(sp)
+    if pairs is None:
+        pairs = list(itertools.combinations(range(sp.num_generators), 2))
+    else:
+        pairs = pairs()
+    disjoint = sum(1 for i, j in pairs if sp.disjoint_adjacency[i] >> j & 1)
+    assert disjoint > 0 and disjoint < len(pairs)
+    for i, j in pairs:
+        assert abs(mub.unbiasedness(bases[i], bases[j]) - trace_deviation(bases[i], bases[j])) < TOL
+
+
+@pytest.mark.parametrize("sp", [W32, W33, W52], ids=["W_3(2)", "W_3(3)", "W_5(2)"])
+def test_projectors_match_character_sums_in_order(sp):
+    for g in sp.generators:
+        c = class_from_generator(g, sp)
+        got = np.array(mub.eigenprojectors(c, sp.field).projectors)
+        assert np.max(np.abs(got - character_sum_projectors(c, sp.field))) < TOL
