@@ -87,4 +87,6 @@ class NotAClass(PolarMubError):
 
 
 class NonDiagonalizable(PolarMubError):
-    """Class representative does not have order d; phase convention violated."""
+    """A class fails its eigenbasis certificate: a member lacks order d (the
+    phase convention is violated), or the joint eigenvectors found are not
+    orthonormal or not eigenvectors of the class."""

@@ -1,10 +1,10 @@
 """From commuting classes to explicit mutually unbiased bases.
 
-The common eigenbasis of a class is realised as d^N rank-1 joint
-eigenprojectors, built from the character sums of N commuting class
-members whose symplectic images span the generator.  Unbiasedness between
-two bases is read off the trace products tr(P Q), which are basis-free and
-avoid any eigenvector phase ambiguity.
+The common eigenbasis of a class is stored as the d^N x d^N unitary U of
+joint eigenvectors of N class members whose symplectic images span the
+generator.  Unbiasedness between two bases is read off the overlaps
+|U^H V|^2, the trace products tr(P Q) of the rank-1 projectors, which
+carry no eigenvector phase.
 """
 
 from __future__ import annotations
@@ -22,9 +22,14 @@ from .spread import PartialSpread
 
 
 @dataclass(frozen=True)
-class ProjectorBasis:
+class Eigenbasis:
     dim: int
-    projectors: tuple
+    unitary: np.ndarray
+
+    @property
+    def projectors(self) -> tuple:
+        """The rank-1 projectors u u^H, one per column, built on each read."""
+        return tuple(np.outer(u, u.conj()) for u in self.unitary.T)
 
 
 @dataclass(frozen=True)
@@ -37,56 +42,51 @@ class UMUBCertificate:
     valid: bool
 
 
-def eigenprojectors(c: CommutingClass, spec) -> ProjectorBasis:
-    """The d^N rank-1 joint eigenprojectors of a commuting class.
+def eigenprojectors(c: CommutingClass, spec) -> Eigenbasis:
+    """The common eigenbasis of a commuting class, as a unitary U.
 
-    Picks the N class members whose images are the rref basis rows of the
-    generator and, for each character chi of (Z_d)^N in lexicographic
-    order, multiplies the spectral projectors (1/d) sum_k omega^{-k chi_j}
-    G_j^k.
+    The N class members G_j whose images are the rref basis rows of the
+    generator each give d spectral projectors (1/d) sum_k omega^{-k x} G_j^k.
+    For chi in (Z_d)^N in lexicographic order, their product over j at
+    x = chi_j is u u^H; its largest column, normalised, is column chi of U.
+    Checked within 1e-9: G_j^d = I, G_j U = U diag(omega^{chi_j}) and U^H U = I,
+    which make each u u^H the joint eigenprojector for chi.
     """
     d = c.d
-    n = c.ops[0].num_systems
-    dim = d**n
+    dim = d ** c.ops[0].num_systems
     if dim > MAX_DENSE_DIM:
         raise ScaleExceeded(f"dense dimension {dim} exceeds {MAX_DENSE_DIM}")
     by_image = {op.symplectic_image(): op for op in c.ops}
     basis = algebra.rref(tuple(by_image), algebra.FieldSpec(d))
-    gens = [by_image[row] for row in basis]
-    w = _omega(d)
+    mats = [pauli_matrix(by_image[row], spec) for row in basis]
     identity = np.eye(dim, dtype=complex)
-    powers = []
-    for op in gens:
-        m = pauli_matrix(op, spec)
-        if np.max(np.abs(np.linalg.matrix_power(m, d) - identity)) > 1e-9:
-            raise NonDiagonalizable(
-                "class representative does not have order d; fix the phase convention"
-            )
-        pw = [identity]
-        for _ in range(d - 1):
-            pw.append(pw[-1] @ m)
-        powers.append(pw)
-    projectors = []
-    for chi in itertools.product(range(d), repeat=len(gens)):
-        p = identity
-        for j, pw in enumerate(powers):
-            s = sum(w ** (-(k * chi[j])) * pw[k] for k in range(d)) / d
-            p = p @ s
-        projectors.append(p)
-    return ProjectorBasis(dim, tuple(projectors))
+    phases = _omega(d) ** -np.outer(np.arange(d), np.arange(d)) / d
+    joint = identity[None]
+    for m in mats:
+        powers = [np.linalg.matrix_power(m, k) for k in range(d + 1)]
+        if np.max(np.abs(powers.pop() - identity)) > 1e-9:
+            raise NonDiagonalizable("class member lacks order d; fix the phase convention")
+        spectral = np.tensordot(phases, powers, axes=1)
+        joint = np.matmul(joint[:, None], spectral[None]).reshape(-1, dim, dim)
+    weight = np.sum(np.abs(joint) ** 2, axis=1)
+    rows, col = np.arange(dim), np.argmax(weight, axis=1)
+    unitary = (joint[rows, :, col] / np.sqrt(weight[rows, col])[:, None]).T
+    chars = np.array(list(itertools.product(range(d), repeat=len(mats))))
+    for m, chi in zip(mats, chars.T):
+        if not np.max(np.abs(m @ unitary - unitary * _omega(d) ** chi)) <= 1e-9:
+            raise NonDiagonalizable("a column is not a joint eigenvector of the class")
+    if not np.max(np.abs(unitary.conj().T @ unitary - identity)) <= 1e-9:
+        raise NonDiagonalizable("joint eigenvectors are not orthonormal")
+    unitary.setflags(write=False)
+    return Eigenbasis(dim, unitary)
 
 
-def unbiasedness(p: ProjectorBasis, q: ProjectorBasis) -> float:
-    """max over cross pairs of | tr(P_i Q_j) - 1/dim |."""
+def unbiasedness(p: Eigenbasis, q: Eigenbasis) -> float:
+    """max over cross pairs of | |<u_i|v_j>|^2 - 1/dim | = | tr(P_i Q_j) - 1/dim |."""
     if p.dim != q.dim:
         raise DimensionMismatch("bases act on different dimensions")
-    target = 1.0 / p.dim
-    worst = 0.0
-    for pi in p.projectors:
-        for qj in q.projectors:
-            dev = abs(np.trace(pi @ qj) - target)
-            worst = max(worst, float(dev))
-    return worst
+    overlaps = np.abs(p.unitary.conj().T @ q.unitary) ** 2
+    return float(np.max(np.abs(overlaps - 1.0 / p.dim)))
 
 
 def certify_weak_umub(ps: PartialSpread, tolerance: float = 1e-9) -> UMUBCertificate:

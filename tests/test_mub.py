@@ -240,5 +240,58 @@ def test_unbiasedness_matches_trace_products(sp, pairs):
 def test_projectors_match_character_sums_in_order(sp):
     for g in sp.generators:
         c = class_from_generator(g, sp)
-        got = np.array(mub.eigenprojectors(c, sp.field).projectors)
+        u = mub.eigenprojectors(c, sp.field).unitary
+        got = np.einsum("ik,jk->kij", u, u.conj())
         assert np.max(np.abs(got - character_sum_projectors(c, sp.field))) < TOL
+
+
+@pytest.mark.parametrize("sp", [W32, W33, W52], ids=["W_3(2)", "W_3(3)", "W_5(2)"])
+def test_overlaps_follow_meet_dimension_and_unbiasedness_is_disjointness(sp):
+    # Stabilizer-state overlap rule: for a meet of dimension k every entry of
+    # |U_g^H U_h|^2 is 0 or d^k/d^N, so bases are unbiased (k = 0) exactly
+    # when their generators are disjoint.
+    d, dim = sp.d, sp.d**sp.n
+    us = np.array([b.unitary for b in all_bases(sp)])
+    overlaps = np.abs(np.einsum("gai,haj->ghij", us.conj(), us)) ** 2
+    meet_dim = {(d**k - 1) // (d - 1): k for k in range(sp.n + 1)}
+    masks = [g.point_mask for g in sp.generators]
+    k = np.array([[meet_dim[bin(a & b).count("1")] for b in masks] for a in masks])
+    nonzero = (float(d) ** k / dim)[:, :, None, None]
+    assert np.max(np.minimum(overlaps, np.abs(overlaps - nonzero))) < TOL
+    unbiased = np.max(np.abs(overlaps - 1.0 / dim), axis=(2, 3)) < TOL
+    assert [sum(1 << int(h) for h in np.flatnonzero(row)) for row in unbiased] == list(
+        sp.disjoint_adjacency
+    )
+
+
+def patch_member_matrices(monkeypatch, change):
+    """Route every dense member matrix through change(call number, matrix)."""
+    calls = []
+
+    def patched(op, spec):
+        calls.append(op)
+        return change(len(calls), pauli.pauli_matrix(op, spec))
+
+    monkeypatch.setattr(mub, "pauli_matrix", patched)
+
+
+def test_noncommuting_member_raises_typed_error(monkeypatch):
+    # A unitary conjugate of the second member keeps order d but no longer
+    # commutes with the first, so the columns are not joint eigenvectors.
+    rng = np.random.default_rng(5)
+    v, _ = np.linalg.qr(rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
+    patch_member_matrices(monkeypatch, lambda i, m: v @ m @ v.conj().T if i == 2 else m)
+    c = class_from_generator(W33.generators[3], W33)
+    with pytest.raises(NonDiagonalizable, match="not a joint eigenvector"):
+        mub.eigenprojectors(c, W33.field)
+
+
+def test_nonunitary_eigenvectors_raise_typed_error(monkeypatch):
+    # A shared non-unitary similarity keeps order d and commutation, so the
+    # columns are joint eigenvectors, but they are no longer orthonormal.
+    s = np.eye(9) + 0.3 * np.random.default_rng(5).normal(size=(9, 9))
+    s_inv = np.linalg.inv(s)
+    patch_member_matrices(monkeypatch, lambda i, m: s @ m @ s_inv)
+    c = class_from_generator(W33.generators[3], W33)
+    with pytest.raises(NonDiagonalizable, match="orthonormal"):
+        mub.eigenprojectors(c, W33.field)
