@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -30,6 +31,13 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def get_space(d: int, n: int) -> PolarSpace:
@@ -317,7 +325,7 @@ def build_parser() -> _Parser:
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--out", help="write the report to this path")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tolerance", type=float, default=1e-9)
+        p.add_argument("--tolerance", type=_finite_float, default=1e-9)
 
     p = sub.add_parser("construct", help="build a partial spread")
     common(p)
@@ -391,22 +399,23 @@ def run(argv=None) -> int:
     }
     try:
         payload, ok = args.func(args)
+        envelope = {
+            "version": __version__,
+            "command": args.command,
+            "config": config,
+            "result": payload,
+        }
+        if args.format == "json":
+            # allow_nan=False: a NaN or infinity is not JSON; refuse it.
+            rendered = json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        else:
+            rendered = _render_text(envelope)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (PolarMubError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    envelope = {
-        "version": __version__,
-        "command": args.command,
-        "config": config,
-        "result": payload,
-    }
-    if args.format == "json":
-        rendered = json.dumps(envelope, sort_keys=True, indent=2) + "\n"
-    else:
-        rendered = _render_text(envelope)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(rendered)

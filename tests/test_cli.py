@@ -163,6 +163,22 @@ def test_mub_tolerance_outside_open_interval_is_refused(capsys, tolerance):
     assert captured.err.count("\n") == 1 and "tolerance" in captured.err
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf"])
+def test_nonfinite_tolerance_is_refused_by_every_subcommand(capsys, tolerance):
+    assert run(["construct", "--d", "2", "--n", "2", f"--tolerance={tolerance}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "tolerance" in captured.err
+
+
+def test_nan_in_a_payload_is_refused_not_rendered(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "cmd_construct", lambda args: ({"value": float("nan")}, True))
+    assert run(["construct", "--d", "2", "--n", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "JSON" in captured.err
+
+
 def test_usage_error_exit_code(capsys):
     assert run(["construct", "--d", "2"]) == 1
     assert run(["bogus"]) == 1
