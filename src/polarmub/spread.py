@@ -544,6 +544,9 @@ def search_maximal(
             continue
         if dfs([i], adj[i]):
             break
+    # dfs calls itself through its closure; break that cycle so that
+    # `results` is freed on return, not at the next full collection.
+    del dfs
     return [partial_spread(space, m) for m in results]
 
 

@@ -6,9 +6,11 @@ against the closed-form counts where those exist.
 """
 
 import ast
+import gc
 import itertools
 import pathlib
 import random
+import types
 
 import pytest
 
@@ -424,6 +426,23 @@ def test_package_has_no_uncalled_public_names():
     assert sorted(uncalled - set(UNCALLED_KEPT)) == []
     for name, reason in UNCALLED_KEPT.items():
         assert reason in " ".join(defined[name].split()), name
+
+
+def test_search_and_catalog_leave_no_closure_cycles():
+    # A recursive closure that refers to itself keeps its result list alive
+    # until the cyclic collector runs; DEBUG_SAVEALL keeps what it frees.
+    flags = gc.get_debug()
+    gc.collect()
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        spread.search_maximal(PolarSpace(3, 2), "exhaustive")
+        PolarSpace(2, 2).generators
+        gc.collect()
+        names = {o.__name__ for o in gc.garbage if isinstance(o, types.FunctionType)}
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert not names & {"dfs", "grow"}
 
 
 def test_search_scale_guard():
