@@ -1,14 +1,14 @@
 """From commuting classes to explicit mutually unbiased bases.
 
 The common eigenbasis of a class is stored as the d^N x d^N unitary U of
-joint eigenvectors of N class members whose symplectic images span the
-generator.  Unbiasedness between two bases is read off the overlaps
-|U^H V|^2, the trace products tr(P Q) of the rank-1 projectors, which
-carry no eigenvector phase.
+joint eigenvectors of N class members whose images span the generator.
+Unbiasedness between two bases is read off the overlaps |U^H V|^2, the
+trace products tr(P Q) of the rank-1 projectors, free of eigenvector phases.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -45,13 +45,12 @@ class UMUBCertificate:
 def eigenprojectors(c: CommutingClass, spec) -> Eigenbasis:
     """The common eigenbasis of a commuting class, as a unitary U.
 
-    The N class members G_j whose images are the rref basis rows of the
-    generator each give d spectral projectors (1/d) sum_k omega^{-k x} G_j^k.
+    Each of the N class members G_j whose images are the rref basis rows of
+    the generator gives d spectral projectors (1/d) sum_k omega^{-k x} G_j^k.
     For chi in (Z_d)^N in lexicographic order, their product over j at
-    x = chi_j is u u^H; its largest column, normalised, is column chi of U.
-    Checked within 1e-9: G_j^d = I, G_j U = U diag(omega^{chi_j}) and U^H U = I,
-    which make each u u^H the joint eigenprojector for chi.
-    """
+    x = chi_j is u u^H, and its largest column, normalised, is column chi.
+    G_j^d = I, G_j U = U diag(omega^{chi_j}) and U^H U = I are checked
+    within 1e-9; together they make u u^H the joint eigenprojector for chi."""
     d = c.d
     dim = d ** c.ops[0].num_systems
     if dim > MAX_DENSE_DIM:
@@ -60,24 +59,25 @@ def eigenprojectors(c: CommutingClass, spec) -> Eigenbasis:
     basis = algebra.rref(tuple(by_image), algebra.FieldSpec(d))
     mats = [pauli_matrix(by_image[row], spec) for row in basis]
     identity = np.eye(dim, dtype=complex)
-    phases = _omega(d) ** -np.outer(np.arange(d), np.arange(d)) / d
-    joint = identity[None]
+    roots = [_omega(d) ** k for k in range(d)]
+    spectral = []
     for m in mats:
-        powers = [np.linalg.matrix_power(m, k) for k in range(d + 1)]
-        if np.max(np.abs(powers.pop() - identity)) > 1e-9:
+        pw = [np.linalg.matrix_power(m, k) for k in range(d + 1)]
+        if np.max(np.abs(pw.pop() - identity)) > 1e-9:
             raise NonDiagonalizable("class member lacks order d; fix the phase convention")
-        spectral = np.tensordot(phases, powers, axes=1)
-        joint = np.matmul(joint[:, None], spectral[None]).reshape(-1, dim, dim)
-    weight = np.sum(np.abs(joint) ** 2, axis=1)
-    rows, col = np.arange(dim), np.argmax(weight, axis=1)
-    unitary = (joint[rows, :, col] / np.sqrt(weight[rows, col])[:, None]).T
+        spectral.append([sum(roots[-k * x % d] * pw[k] for k in range(d)) / d for x in range(d)])
+    columns = []
+    for chi in itertools.product(range(d), repeat=len(mats)):
+        p = functools.reduce(np.matmul, [s[x] for s, x in zip(spectral, chi)])
+        weight = p.diagonal().real.tolist()
+        columns.append(p[:, weight.index(max(weight))] / max(weight) ** 0.5)
+    unitary = np.array(columns).T
     chars = np.array(list(itertools.product(range(d), repeat=len(mats))))
     for m, chi in zip(mats, chars.T):
-        if not np.max(np.abs(m @ unitary - unitary * _omega(d) ** chi)) <= 1e-9:
+        if not np.max(np.abs(m @ unitary - unitary * np.array(roots)[chi])) <= 1e-9:
             raise NonDiagonalizable("a column is not a joint eigenvector of the class")
     if not np.max(np.abs(unitary.conj().T @ unitary - identity)) <= 1e-9:
         raise NonDiagonalizable("joint eigenvectors are not orthonormal")
-    unitary.setflags(write=False)
     return Eigenbasis(dim, unitary)
 
 
