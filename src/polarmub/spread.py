@@ -547,7 +547,10 @@ def search_maximal(
     # dfs calls itself through its closure; break that cycle so that
     # `results` is freed on return, not at the next full collection.
     del dfs
-    return [partial_spread(space, m) for m in results]
+    # Free each member tuple once its spread is built, so that the two
+    # lists (25 152 entries for the W_5(2) census) never peak together.
+    results.reverse()
+    return [partial_spread(space, results.pop()) for _ in range(len(results))]
 
 
 def classify_iso(
