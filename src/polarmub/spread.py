@@ -150,16 +150,11 @@ def _symplectic_basis(gram: Matrix, spec: algebra.FieldSpec) -> Matrix:
     return tuple(out)
 
 
-def construct_symplectic_spread(space: PolarSpace) -> PartialSpread:
-    """The regular spread of W_{2N-1}(d) by field reduction from F_{d^N}^2.
-
-    The trace form Tr(x1 y2 - x2 y1) on F_{d^N}^2 is a non-degenerate
-    alternating F_d-form whose isotropic F_{d^N}-lines are the d^N + 1
-    members; a hyperbolic basis change carries them onto canonical
-    coordinates.
-    """
-    d, n = space.d, space.n
-    spec = space.field
+def _trace_gram(f, d: int) -> Matrix:
+    """Gram matrix of the trace form Tr(x1 y2 - x2 y1) on F_{d^N}^2, where
+    F_{d^N} = F_d[t]/(f), in the basis (t^i, 0) then (0, t^j), i, j < N."""
+    n = len(f) - 1
+    spec = algebra.FieldSpec(d, n, f)
     t = tuple(1 if i == 1 else 0 for i in range(n)) if n > 1 else (1,)
     powers = [algebra.ext_pow(t, j, spec) for j in range(n)]
     trace = [[0] * n for _ in range(n)]
@@ -173,7 +168,22 @@ def construct_symplectic_spread(space: PolarSpace) -> PartialSpread:
         for j in range(n):
             gram[i][n + j] = trace[i][j]
             gram[n + i][j] = (-trace[i][j]) % d
-    gram = tuple(tuple(r) for r in gram)
+    return tuple(tuple(r) for r in gram)
+
+
+def construct_symplectic_spread(space: PolarSpace) -> PartialSpread:
+    """The regular spread of W_{2N-1}(d) by field reduction from F_{d^N}^2.
+
+    The trace form Tr(x1 y2 - x2 y1) on F_{d^N}^2 is a non-degenerate
+    alternating F_d-form whose isotropic F_{d^N}-lines are the d^N + 1
+    members; a hyperbolic basis change carries them onto canonical
+    coordinates.
+    """
+    d, n = space.d, space.n
+    spec = space.field
+    t = tuple(1 if i == 1 else 0 for i in range(n)) if n > 1 else (1,)
+    powers = [algebra.ext_pow(t, j, spec) for j in range(n)]
+    gram = _trace_gram(spec.ext_poly, d)
     P = _symplectic_basis(gram, spec)
     check = tuple(
         tuple(

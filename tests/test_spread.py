@@ -7,6 +7,7 @@ against the closed-form counts where those exist.
 
 import ast
 import gc
+import hashlib
 import itertools
 import pathlib
 import random
@@ -24,6 +25,7 @@ from polarmub.errors import (
     NotASpread,
     NotDisjoint,
     NotUnextendibleTriple,
+    PolarMubError,
     ScaleExceeded,
 )
 from polarmub.polar import PolarSpace
@@ -61,6 +63,97 @@ def test_classical_spread_sizes_and_coverage():
     w35 = PolarSpace(5, 2)
     s35 = spread.construct_symplectic_spread(w35)
     assert s35.size == 26 and s35.coverage == full_mask(w35)
+
+
+# -- field reduction, pinned bit for bit
+#
+# sha256 of repr(...) of each value, recorded from the polynomial-basis
+# arithmetic on F_{d^N} that first built the regular spread.
+
+SPREAD_PINS = {
+    (2, 2): "0e7a0e2c15867646f10b4df8d141113340b953f6083cb5e39ace05301dd6841e",
+    (3, 2): "0e15b40b89dc3ec283ef1b94bb0f7e7d235530853385be7e80382fee17d29578",
+    (5, 2): "284d5a529ff00b7611f2644a1da99b035d757388dab9105d4023a997a474978c",
+    (7, 2): "ecce9537d308fbdfb0307f99afefa70cb6fad0b32eb7a5e99ecf5c9c960ab1f0",
+    (11, 2): "84e7fa7842c63ac0b9941006e7f3fea2816204c3812f7d28975bca7a1cdf79b8",
+    (13, 2): "c8fccac3c3b62b3f95b670b366b364a8060b1dd719bdff03ef759220248d03a2",
+    (2, 3): "1650fde48939a70468e6e49d74b5bb29b4cc3d312963f5e55c5f86591b7a6f69",
+    (3, 3): "139ff2f9dc1c1567da8316d2bc68fbc53ea62f3a9b9d2e01fd69016e00864675",
+    (2, 4): "0beb437422b52b41a9ed08595c1da3fb230338c8f17857ddcea15715732bd767",
+}
+
+USET_PINS = {
+    (2, 2): "e54bdaba9a63f92bfd3297c1ee3b6c90d8a3861e742ab5406c9e0661285c5dad",
+    (3, 2): "a6fffcd9a89c59fb21f0e88d0e8b335c228727d7183edb8c75b5d4c9bdc1a949",
+    (5, 2): "da68686021073c755d062eaf2c957cce04c5aa86e08e89177abb25eeb4dd712e",
+    (2, 3): "2c9915ab5e485ad14ee373599f2aa4c2029584a20c73b07d820cb069923a2e9c",
+}
+
+TRACE_GRAM_PINS = {
+    (2, 1): "a0e10c7a00c7e25d546e124a2f6fbc687ecbbb1b2cb4a95dd2ec09a0d05e7461",
+    (2, 2): "f4be7a4e82f8d6e4f90a5dea506208091401b944b36d329136b2e74c3b737897",
+    (2, 3): "b858702943b1b8c2a09c8be33c7f53a1f2c36c0103d5ce1f71af46c6a21bf057",
+    (2, 4): "96462bc9ec99f89b73c7b11260ab26e36dd78b90ea39d25365b1474446ad4c71",
+    (2, 5): "b064fe9995e34847bd3f383658cc12dd0d019863d16edc04269ee85f167c8e8f",
+    (2, 6): "f433e59f6ec8dc5b2f4c8d710f5c3d51e59adf2b43b60ddd268f46026e106e39",
+    (2, 7): "2259d7b9a64fdd8f1da5e2e251333497a9452c0fb9b090591ed654632bedf5a2",
+    (2, 8): "096bda2597fce511d04f4b1ec096b3b9434bdcd8119b2566e626f8754ec848b0",
+    (3, 1): "d179efa8545bd9e7af662d2bf26ee3acd41f5d2a49fde92c0d8dab1651fecce0",
+    (3, 2): "eb212db70269ec5e2f7f2c9b0f44b109506d474a51e10c7e15713ba941658964",
+    (3, 3): "1a62aac6cd87ba4dda36245d2bb7623b12a2107d3d0645d6af48ea0df33d782b",
+    (3, 4): "81e2f527b32132693970040509e668306745025e35a19aafdbf90237dc309b28",
+    (3, 5): "eef6784bd605349533721cce2600ead4a7c8ba0d0d8734d5cf86dd531e305d06",
+    (5, 1): "7131abf837b7283a136716a384804c26363d7293313d55b8cc1a8f7e51982ed4",
+    (5, 2): "541e01e9a490aab231e114eb9a2383df8def51d1d5903a5c738757c34798568a",
+    (5, 3): "21d8f18f3ea651c1fee8344d2e3b3335a6ef7df2422af296d1029be9f0fe9711",
+    (5, 4): "3e91f8885dee7b594274e81eccf336d56e7e1ead5e0dca21a62a02606318e054",
+    (7, 1): "78477926141aa9df7276e7bc1721a41fd68e953ce843d2abe56b2b5589359cd8",
+    (7, 2): "3f1d3093df6fb96557f80579edfc832d454cdadfa0468dc0bcd14863ca849799",
+    (7, 3): "081e63c467dffd7118a0f4cb76e86252617582b270c6a7ec2ca2196a2c1cbc41",
+    (11, 1): "6c0f464ecb531f4b41b1472e6a94699e3a4fe815b541ce965ece0af3978e4f95",
+    (11, 2): "80b12a21322ddfdb17e3985cb78b965a82b2efa5a139c7e2b9c0ad5ca2b93a29",
+    (13, 1): "f903a04683632804309c48ccd767d709b1fb7044ea7b809ff8fd1827c6ee8809",
+    (13, 2): "b156b7c91d9de7b6b59d35cc4df55d88d6f6967797a7a19c16d6cff62160a04e",
+}
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("d, n", sorted(SPREAD_PINS))
+def test_regular_spread_members_are_pinned(d, n):
+    s = spread.construct_symplectic_spread(PolarSpace(d, n))
+    assert _digest(s.members) == SPREAD_PINS[d, n]
+
+
+@pytest.mark.parametrize("d, n", sorted(USET_PINS))
+def test_uset_outcome_of_every_carrier_is_pinned(d, n):
+    space = PolarSpace(d, n)
+    s = spread.construct_symplectic_spread(space)
+    outcomes = []
+    for g in space.generators:
+        if g.gen_index in s.members:
+            continue
+        try:
+            outcome = spread.construct_U_set(s, g).members.members
+        except PolarMubError as exc:
+            outcome = type(exc).__name__
+        outcomes.append((g.gen_index, outcome))
+    assert _digest(outcomes) == USET_PINS[d, n]
+
+
+def test_trace_gram_is_pinned_for_every_accepted_space():
+    accepted = {
+        (d, n)
+        for d in algebra.SUPPORTED_PRIMES
+        for n in range(1, 9)
+        if polar.point_count(d, n) <= polar.POINT_LIMIT
+    }
+    assert accepted == set(TRACE_GRAM_PINS)
+    for d, n in sorted(accepted):
+        gram = spread._trace_gram(algebra.find_irreducible(d, n), d)
+        assert _digest(gram) == TRACE_GRAM_PINS[d, n], (d, n)
 
 
 # -- completeness and coverage
