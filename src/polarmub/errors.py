@@ -5,10 +5,6 @@ class PolarMubError(Exception):
     """Base class for all library errors."""
 
 
-class NotInBaseField(PolarMubError):
-    """A value that must lie in the prime field F_d does not."""
-
-
 class DimensionMismatch(PolarMubError):
     """Operands live in different ambient spaces."""
 

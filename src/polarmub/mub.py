@@ -52,11 +52,13 @@ def eigenprojectors(c: CommutingClass, spec) -> Eigenbasis:
     G_j^d = I, G_j U = U diag(omega^{chi_j}) and U^H U = I are checked
     within 1e-9; together they make u u^H the joint eigenprojector for chi."""
     d = c.d
+    if spec.d != d:
+        raise DimensionMismatch("field order does not match the class")
     dim = d ** c.ops[0].num_systems
     if dim > MAX_DENSE_DIM:
         raise ScaleExceeded(f"dense dimension {dim} exceeds {MAX_DENSE_DIM}")
     by_image = {op.symplectic_image(): op for op in c.ops}
-    basis = algebra.rref(tuple(by_image), algebra.FieldSpec(d))
+    basis = algebra.rref(tuple(by_image), spec)
     mats = [pauli_matrix(by_image[row], spec) for row in basis]
     identity = np.eye(dim, dtype=complex)
     roots = [_omega(d) ** k for k in range(d)]

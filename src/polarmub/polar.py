@@ -67,10 +67,10 @@ class PolarSpace:
     def __init__(self, d: int, n: int):
         if n < 1:
             raise ValueError("rank n must be at least 1")
-        # Refuse before FieldSpec, whose irreducible search grows with d^n.
+        # Refuse before building anything: the points scan all d^{2n} vectors.
         if point_count(d, n) > POINT_LIMIT:
             raise ScaleExceeded(f"too many points for W_{2*n-1}({d})")
-        self.field = FieldSpec(d, n)
+        self.field = FieldSpec(d)
         self.d = d
         self.n = n
         self.dim = 2 * n

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import algebra, polar
-from .algebra import Matrix
+from .algebra import Matrix, Vector
 from .errors import (
     AmbiguousPartner,
     BadK,
@@ -150,40 +150,45 @@ def _symplectic_basis(gram: Matrix, spec: algebra.FieldSpec) -> Matrix:
     return tuple(out)
 
 
-def _trace_gram(f, d: int) -> Matrix:
+def _times_t(v: Vector, count: int, f: Vector, d: int) -> list[Vector]:
+    """v, v·t, ..., v·t^(count-1) in F_d[t]/(f), for f monic of degree N.
+    Each step shifts and reduces: v·t = (0, v_0, ..., v_{N-2}) - v_{N-1}·f.
+    With count = N these are the rows of the multiplication matrix of v."""
+    rows = [tuple(v)]
+    while len(rows) < count:
+        *head, c = rows[-1]
+        rows.append(tuple((a - c * b) % d for a, b in zip((0, *head), f)))
+    return rows
+
+
+def _trace_gram(f: Vector, d: int) -> Matrix:
     """Gram matrix of the trace form Tr(x1 y2 - x2 y1) on F_{d^N}^2, where
-    F_{d^N} = F_d[t]/(f), in the basis (t^i, 0) then (0, t^j), i, j < N."""
+    F_{d^N} = F_d[t]/(f), in the basis (t^i, 0) then (0, t^j), i, j < N.
+    Tr(t^k) is the trace of multiplication by t^k, the sum over j of the
+    t^j coefficient of t^(j+k), so it lies in F_d by construction."""
     n = len(f) - 1
-    spec = algebra.FieldSpec(d, n, f)
-    t = tuple(1 if i == 1 else 0 for i in range(n)) if n > 1 else (1,)
-    powers = [algebra.ext_pow(t, j, spec) for j in range(n)]
-    trace = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            trace[i][j] = algebra.ext_trace(
-                algebra.ext_mul(powers[i], powers[j], spec), spec
-            )
-    gram = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            gram[i][n + j] = trace[i][j]
-            gram[n + i][j] = (-trace[i][j]) % d
-    return tuple(tuple(r) for r in gram)
+    powers = _times_t((1,) + (0,) * (n - 1), 3 * n - 2, f, d)
+    trace = [sum(powers[j + k][j] for j in range(n)) % d for k in range(2 * n - 1)]
+    zero = (0,) * n
+    top = [zero + tuple(trace[i + j] for j in range(n)) for i in range(n)]
+    bottom = [tuple(-trace[i + j] % d for j in range(n)) + zero for i in range(n)]
+    return tuple(top + bottom)
 
 
 def construct_symplectic_spread(space: PolarSpace) -> PartialSpread:
     """The regular spread of W_{2N-1}(d) by field reduction from F_{d^N}^2.
 
+    F_{d^N} is F_d[t]/(f) for f = `algebra.find_irreducible(d, N)`, and an
+    element y enters only through its multiplication matrix M_y over F_d.
     The trace form Tr(x1 y2 - x2 y1) on F_{d^N}^2 is a non-degenerate
     alternating F_d-form whose isotropic F_{d^N}-lines are the d^N + 1
-    members; a hyperbolic basis change carries them onto canonical
-    coordinates.
+    members: the row spaces of [I | M_y], one per y, and of [0 | I].  A
+    hyperbolic basis change P carries them onto canonical coordinates.
     """
     d, n = space.d, space.n
     spec = space.field
-    t = tuple(1 if i == 1 else 0 for i in range(n)) if n > 1 else (1,)
-    powers = [algebra.ext_pow(t, j, spec) for j in range(n)]
-    gram = _trace_gram(spec.ext_poly, d)
+    f = algebra.find_irreducible(d, n)
+    gram = _trace_gram(f, d)
     P = _symplectic_basis(gram, spec)
     check = tuple(
         tuple(
@@ -196,20 +201,13 @@ def construct_symplectic_spread(space: PolarSpace) -> PartialSpread:
         raise NotSymplecticBasis("hyperbolic basis change failed")
     Pinv = algebra.invert_matrix(P, spec)
 
-    one = algebra.ext_one(spec)
-    zero = (0,) * n
-    reps = [(one, y) for y in algebra.ext_elements(spec)]
-    reps.append((zero, one))
+    identity = _times_t((1,) + (0,) * (n - 1), n, f, d)
+    blocks = [(identity, _times_t(y, n, f, d)) for y in itertools.product(range(d), repeat=n)]
+    blocks.append((((0,) * n,) * n, identity))
     members = []
-    for x, y in reps:
-        rows = []
-        for j in range(n):
-            xj = algebra.ext_mul(powers[j], x, spec)
-            yj = algebra.ext_mul(powers[j], y, spec)
-            rows.append(tuple(xj) + tuple(yj))
-        new_rows = tuple(algebra.vec_mat(r, Pinv, spec) for r in rows)
-        basis = algebra.rref(new_rows, spec)
-        members.append(space.generator_by_basis(basis).gen_index)
+    for left, right in blocks:
+        rows = tuple(algebra.vec_mat(a + b, Pinv, spec) for a, b in zip(left, right))
+        members.append(space.generator_by_basis(algebra.rref(rows, spec)).gen_index)
     ps = partial_spread(space, members)
     if not ps.is_spread:
         raise NotASpread(f"field reduction gave {ps.size} members, not a spread")
@@ -426,12 +424,14 @@ def construct_U_set(s: PartialSpread, chi=None) -> USet:
     chi = space.generator(_gen_index(chi))
     if chi.gen_index in s.members:
         raise NoSuitableChi("carrier must lie outside the spread")
-    spec = space.field
     r_chi = members_meeting(s, chi)
+    # Two generators meet in an (N-2)-space exactly when they share its
+    # (d^{N-1} - 1)/(d - 1) points.
+    deep_points = (space.d ** (space.n - 1) - 1) // (space.d - 1)
     deep = []
     for m in r_chi:
-        meet = algebra.subspace_meet(chi.basis, space.generator(m).basis, spec)
-        if len(meet) == space.n - 1:
+        meet = chi.point_mask & space.generator(m).point_mask
+        if bin(meet).count("1") == deep_points:
             deep.append((m, meet))
     if space.n == 2:
         if not deep:
@@ -440,7 +440,8 @@ def construct_U_set(s: PartialSpread, chi=None) -> USet:
         raise NoSuitableChi(
             f"carrier meets {len(deep)} members in an (N-2)-space, need exactly 1"
         )
-    alpha, tau = deep[0]
+    alpha, meet = deep[0]
+    tau = algebra.rref(tuple(space.points[p] for p in space.point_indices(meet)), space.field)
     rest = [m for m in r_chi if m != alpha]
     rest_mask = 0
     for m in rest:

@@ -81,6 +81,13 @@ def test_bad_phase_raises_nondiagonalizable():
         mub.eigenprojectors(twisted, W32.field)
 
 
+def test_eigenbasis_over_another_field_is_refused():
+    c = class_from_generator(W33.generators[7], W33)
+    for d in (2, 5):
+        with pytest.raises(DimensionMismatch):
+            mub.eigenprojectors(c, FieldSpec(d))
+
+
 def test_self_overlap_is_maximally_biased():
     basis = mub.eigenprojectors(
         class_from_generator(W32.generators[0], W32), W32.field

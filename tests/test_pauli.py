@@ -39,23 +39,23 @@ def nonidentity_reps(space):
 
 
 def test_identity_matrix():
-    m = pauli.pauli_matrix(PauliOp(2, (0, 0), (0, 0)), FieldSpec(2, 2))
+    m = pauli.pauli_matrix(PauliOp(2, (0, 0), (0, 0)), FieldSpec(2))
     assert np.allclose(m, np.eye(4))
 
 
 def test_bit_flip_matrix():
-    m = pauli.pauli_matrix(PauliOp(2, (1,), (0,)), FieldSpec(2, 1))
+    m = pauli.pauli_matrix(PauliOp(2, (1,), (0,)), FieldSpec(2))
     assert np.allclose(m, np.array([[0, 1], [1, 0]]))
 
 
 def test_qutrit_clock_matrix():
     w = np.exp(2j * np.pi / 3)
-    m = pauli.pauli_matrix(PauliOp(3, (0,), (1,)), FieldSpec(3, 1))
+    m = pauli.pauli_matrix(PauliOp(3, (0,), (1,)), FieldSpec(3))
     assert np.allclose(m, np.diag([1, w, w**2]))
 
 
 def test_matrices_unitary_traceless():
-    spec = FieldSpec(3, 2)
+    spec = FieldSpec(3)
     rng = random.Random(5)
     for _ in range(20):
         a = tuple(rng.randrange(3) for _ in range(2))
@@ -68,16 +68,16 @@ def test_matrices_unitary_traceless():
 
 def test_matrix_scale_guard():
     with pytest.raises(ScaleExceeded):
-        pauli.pauli_matrix(PauliOp(2, (0,) * 6, (0,) * 6), FieldSpec(2, 6))
+        pauli.pauli_matrix(PauliOp(2, (0,) * 6, (0,) * 6), FieldSpec(2))
 
 
 def test_canonical_rep_order():
     # Odd d: representatives have order d.  d = 2: they square to identity.
-    spec = FieldSpec(3, 2)
+    spec = FieldSpec(3)
     for op in nonidentity_reps(W33)[:20]:
         m = pauli.pauli_matrix(op, spec)
         assert np.allclose(np.linalg.matrix_power(m, 3), np.eye(9), atol=TOL)
-    spec2 = FieldSpec(2, 2)
+    spec2 = FieldSpec(2)
     for op in nonidentity_reps(W32):
         m = pauli.pauli_matrix(op, spec2)
         assert np.allclose(m @ m, np.eye(4), atol=TOL)
@@ -95,7 +95,7 @@ def test_x_and_z_do_not_commute():
 
 
 def test_commutes_matches_matrix_oracle_exhaustive_w32():
-    spec = FieldSpec(2, 2)
+    spec = FieldSpec(2)
     reps = nonidentity_reps(W32)
     mats = [pauli.pauli_matrix(op, spec) for op in reps]
     for (i, p), (j, q) in itertools.combinations(enumerate(reps), 2):
@@ -104,7 +104,7 @@ def test_commutes_matches_matrix_oracle_exhaustive_w32():
 
 
 def test_commutes_matches_matrix_oracle_sampled_w33():
-    spec = FieldSpec(3, 2)
+    spec = FieldSpec(3)
     reps = nonidentity_reps(W33)
     rng = random.Random(13)
     for _ in range(300):
@@ -131,7 +131,7 @@ def test_class_sizes():
 
 
 def test_class_ops_commute_as_matrices():
-    spec = FieldSpec(3, 2)
+    spec = FieldSpec(3)
     c = class_from_generator(W33.generators[7], W33)
     mats = [pauli.pauli_matrix(op, spec) for op in c.ops]
     for m1, m2 in itertools.combinations(mats, 2):
@@ -139,7 +139,7 @@ def test_class_ops_commute_as_matrices():
 
 
 def test_class_is_hilbert_schmidt_orthogonal():
-    spec = FieldSpec(2, 2)
+    spec = FieldSpec(2)
     for g in W32.generators:
         c = class_from_generator(g, W32)
         mats = [pauli.pauli_matrix(op, spec) for op in c.ops]

@@ -86,7 +86,7 @@ def _line_oracle(space, i, j):
     line = algebra.rref((space.points[i], space.points[j]), space.field)
     mask = 0
     for p, v in enumerate(space.points):
-        if algebra.row_space_contains(line, v, space.field):
+        if algebra.rref(line + (v,), space.field) == line:
             mask |= 1 << p
     return mask
 
@@ -173,8 +173,8 @@ def test_scale_guard():
 
 
 def test_oversized_space_is_refused_before_the_field(monkeypatch):
-    # FieldSpec's irreducible search grows with d^n; the point count is
-    # checked first, so an oversized space is refused at once.
+    # The point count is checked before the field or the d^{2n} candidate
+    # points are built, so an oversized space is refused at once.
     def refuse(*args):
         raise AssertionError("FieldSpec built for an oversized space")
 
