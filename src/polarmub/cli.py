@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import __version__, algebra, counting, mub, pauli, spread
-from .errors import PolarMubError
+from .errors import PolarMubError, ScaleExceeded
 from .polar import PolarSpace, symplectic_group
 from .spread import PartialSpread
 
@@ -74,13 +74,23 @@ def serialize_spread(ps: PartialSpread, fmt: str = "json") -> bytes:
     raise UsageError(f"unknown format {fmt!r}")
 
 
+def _json_int(x) -> int:
+    # int() would silently round a float and read a bool as 0 or 1.
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
 def deserialize_spread(data: bytes, fmt: str = "json") -> PartialSpread:
     try:
         text = data.decode()
         if fmt == "json":
             obj = json.loads(text)
-            d, n = int(obj["d"]), int(obj["n"])
-            bases = [tuple(tuple(int(x) for x in row) for row in gen) for gen in obj["generators"]]
+            d, n = _json_int(obj["d"]), _json_int(obj["n"])
+            bases = [
+                tuple(tuple(_json_int(x) for x in row) for row in gen)
+                for gen in obj["generators"]
+            ]
         elif fmt == "text":
             lines = [ln for ln in text.splitlines() if ln.strip()]
             head = dict(part.split("=") for part in lines[0].split())
@@ -94,6 +104,8 @@ def deserialize_spread(data: bytes, fmt: str = "json") -> PartialSpread:
     except (ValueError, KeyError, TypeError, IndexError) as exc:
         raise UsageError(f"not a {fmt} spread file with d, n and generators: {exc!r}") from None
     space = get_space(d, n)
+    if any(not 0 <= x < d for b in bases for row in b for x in row):
+        raise UsageError(f"generator entries must be residues in [0, {d})")
     members = []
     for b in bases:
         canonical = algebra.rref(b, space.field)
@@ -242,6 +254,9 @@ def cmd_search(args) -> tuple[dict, bool]:
 
 
 def cmd_conjecture(args) -> tuple[dict, bool]:
+    # Refuse before the space and its catalog are built.
+    if args.brute_force and (args.d, args.n) not in counting.BRUTE_FORCE_SPACES:
+        raise ScaleExceeded("full sweeps supported for W_3(2), W_5(2), W_3(3)")
     report = counting.conjecture_counts(args.d, args.n)
     payload = {
         "d": report.d,
@@ -282,6 +297,10 @@ def cmd_classify(args) -> tuple[dict, bool]:
 
 
 def cmd_mub(args) -> tuple[dict, bool]:
+    # Refuse before the space and its catalog are built; n < 1 is refused
+    # by the space itself.
+    if args.n >= 1 and args.d**args.n > pauli.MAX_DENSE_DIM:
+        raise ScaleExceeded(f"dense dimension {args.d**args.n} exceeds {pauli.MAX_DENSE_DIM}")
     space = get_space(args.d, args.n)
     if args.from_file:
         ps = _read_spread(args.from_file, args)
@@ -410,16 +429,16 @@ def run(argv=None) -> int:
             rendered = json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False) + "\n"
         else:
             rendered = _render_text(envelope)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(rendered)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (PolarMubError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(rendered)
-    else:
+    if not args.out:
         sys.stdout.write(rendered)
     print(f"elapsed: {time.monotonic() - start:.3f}s", file=sys.stderr)
     return 0 if ok else 2

@@ -393,7 +393,11 @@ def _partitionable_with(space: PolarSpace, omega: int, chi: Generator) -> bool:
                     return True
         return False
 
-    return cover(chi.point_mask)
+    found = cover(chi.point_mask)
+    # cover calls itself through its closure; break that cycle so that its
+    # lists are freed on return, not at the next full collection.
+    del cover
+    return found
 
 
 def construct_U_set(s: PartialSpread, chi=None) -> USet:

@@ -226,6 +226,38 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert json.loads(path.read_text())["result"]["size"] == 5
 
 
+def test_out_to_a_missing_directory_is_refused(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    assert run(["construct", "--d", "2", "--n", "2", "--out", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: FileNotFoundError:")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mub", "--d", "3", "--n", "4"], "dense dimension 81 exceeds 32"),
+        (
+            ["conjecture", "--d", "3", "--n", "3", "--brute-force"],
+            "full sweeps supported for W_3(2), W_5(2), W_3(3)",
+        ),
+    ],
+    ids=["mub-dense-dimension", "conjecture-brute-force"],
+)
+def test_scale_limits_are_refused_before_the_catalog(capsys, monkeypatch, argv, message):
+    def refuse(self):
+        raise AssertionError("generator catalog built for a refused request")
+
+    monkeypatch.setattr(cli, "_SPACE_CACHE", {})
+    monkeypatch.setattr(polar.PolarSpace, "_enumerate_generators", refuse)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ScaleExceeded: {message}\n"
+
+
 def test_text_format_renders(capsys):
     code, out = run_capture(
         capsys, ["construct", "--d", "2", "--n", "2", "--format", "text"]
@@ -297,6 +329,39 @@ def test_verify_rejects_malformed_spread_file(tmp_path, capsys, content):
         path.write_text(content)
     argv = ["verify", "--d", "2", "--n", "2", "--check", "complete", "--in", str(path)]
     assert_usage_error(capsys, argv, "not a json spread file")
+
+
+W32_SPREAD_JSON = (
+    '{"d": 2, "n": 2, "generators": [[[0, 1, 0, 0], [0, 0, 0, 1]], '
+    '[[1, 0, 0, 0], [0, 0, 1, 0]], [[1, 0, 0, 1], [0, 1, 1, 1]], '
+    '[[1, 0, 1, 1], [0, 1, 1, 0]], [[1, 1, 0, 0], [0, 0, 1, 1]]]}'
+)
+
+
+@pytest.mark.parametrize(
+    "fmt, content, needle",
+    [
+        ("json", W32_SPREAD_JSON.replace('"d": 2', '"d": 2.9'), "2.9"),
+        ("json", W32_SPREAD_JSON.replace('"n": 2', '"n": 2.0'), "2.0"),
+        ("json", W32_SPREAD_JSON.replace('"d": 2', '"d": true'), "True"),
+        ("json", W32_SPREAD_JSON.replace("0, 1", "0, true"), "True"),
+        ("json", W32_SPREAD_JSON.replace("0", "0.5").replace("1,", "1.5,"), "0.5"),
+        ("json", W32_SPREAD_JSON.replace("0", "2").replace("1", "3"), "[0, 2)"),
+        ("json", W32_SPREAD_JSON.replace("[0, 1, 0, 0]", "[0, -1, 0, 0]"), "[0, 2)"),
+        ("text", "d=2 n=2\n1,0,0,0|0,0,3,0\n", "[0, 2)"),
+        ("text", "d=2 n=2\n1,0,0,0|0,0,-1,0\n", "[0, 2)"),
+    ],
+    ids=[
+        "float-d", "float-n", "bool-d", "bool-entry", "float-entries",
+        "entries-2-and-3", "negative-entry", "text-entry-3", "text-negative-entry",
+    ],
+)
+def test_spread_file_values_must_be_residues(tmp_path, capsys, fmt, content, needle):
+    assert deserialize_spread(W32_SPREAD_JSON.encode()).is_spread
+    path = tmp_path / "spread"
+    path.write_text(content)
+    argv = ["verify", "--d", "2", "--n", "2", "--check", "complete", "--in", str(path)]
+    assert_usage_error(capsys, argv + ["--format", fmt], needle)
 
 
 def test_spread_file_must_match_space_flags(tmp_path, capsys):
