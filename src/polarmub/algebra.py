@@ -135,13 +135,6 @@ def rref(m: Matrix, spec: FieldSpec) -> Matrix:
     return tuple(tuple(r) for r in rows[:pivot])
 
 
-def _pivot_col(row: Vector) -> int:
-    for i, x in enumerate(row):
-        if x:
-            return i
-    return -1
-
-
 def vec_mat(v: Vector, m: Matrix, spec: FieldSpec) -> Vector:
     d = spec.d
     width = len(m[0])
@@ -157,7 +150,8 @@ def invert_matrix(m: Matrix, spec: FieldSpec) -> Matrix:
         tuple(m[i]) + tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
     )
     red = rref(aug, spec)
-    if len(red) != n or any(_pivot_col(red[i]) != i for i in range(n)):
+    # [m | I] has rank n, and m is invertible iff each pivot is diagonal.
+    if any(row[i] != 1 for i, row in enumerate(red)):
         raise ValueError("matrix is singular")
     return tuple(row[n:] for row in red)
 

@@ -432,14 +432,14 @@ def run(argv=None) -> int:
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(rendered)
+        else:
+            sys.stdout.write(rendered)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (PolarMubError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    if not args.out:
-        sys.stdout.write(rendered)
     print(f"elapsed: {time.monotonic() - start:.3f}s", file=sys.stderr)
     return 0 if ok else 2
 

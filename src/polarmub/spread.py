@@ -122,8 +122,9 @@ def extend_to_maximal(ps: PartialSpread) -> PartialSpread:
 # --------------------------------------------------------------------------
 
 
-def _symplectic_basis(gram: Matrix, spec: algebra.FieldSpec) -> Matrix:
-    """Rows e1, f1, e2, f2, ... hyperbolic for the given Gram matrix."""
+def _symplectic_basis(gram: Matrix, target: Matrix, spec: algebra.FieldSpec) -> Matrix:
+    """Rows e1, f1, e2, f2, ... hyperbolic for the given Gram matrix: the
+    basis change P with P·gram·Pᵀ = target, the canonical form, checked."""
     d = spec.d
     width = len(gram)
 
@@ -147,6 +148,8 @@ def _symplectic_basis(gram: Matrix, spec: algebra.FieldSpec) -> Matrix:
             u2 = tuple((u[t] - cv * v[t] + cw * w[t]) % d for t in range(width))
             projected.append(u2)
         rem = list(algebra.rref(tuple(projected), spec))
+    if tuple(tuple(form(u, v) for v in out) for u in out) != target:
+        raise NotSymplecticBasis("hyperbolic basis change failed")
     return tuple(out)
 
 
@@ -183,23 +186,14 @@ def construct_symplectic_spread(space: PolarSpace) -> PartialSpread:
     The trace form Tr(x1 y2 - x2 y1) on F_{d^N}^2 is a non-degenerate
     alternating F_d-form whose isotropic F_{d^N}-lines are the d^N + 1
     members: the row spaces of [I | M_y], one per y, and of [0 | I].  A
-    hyperbolic basis change P carries them onto canonical coordinates.
+    hyperbolic basis change P carries them onto canonical coordinates, as
+    the rows of [I | M_y]·P⁻¹ and [0 | I]·P⁻¹.
     """
     d, n = space.d, space.n
     spec = space.field
     f = algebra.find_irreducible(d, n)
     gram = _trace_gram(f, d)
-    P = _symplectic_basis(gram, spec)
-    check = tuple(
-        tuple(
-            sum(P[a][i] * gram[i][j] * P[b][j] for i in range(2 * n) for j in range(2 * n)) % d
-            for b in range(2 * n)
-        )
-        for a in range(2 * n)
-    )
-    if check != space.form:
-        raise NotSymplecticBasis("hyperbolic basis change failed")
-    Pinv = algebra.invert_matrix(P, spec)
+    Pinv = algebra.invert_matrix(_symplectic_basis(gram, space.form, spec), spec)
 
     identity = _times_t((1,) + (0,) * (n - 1), n, f, d)
     blocks = [(identity, _times_t(y, n, f, d)) for y in itertools.product(range(d), repeat=n)]

@@ -106,6 +106,8 @@ def test_invert_matrix_round_trip():
     while found < 20:
         m = random_matrix(rng, 3, 3, 5)
         if len(algebra.rref(m, spec)) < 3:
+            with pytest.raises(ValueError):
+                algebra.invert_matrix(m, spec)
             continue
         inv = algebra.invert_matrix(m, spec)
         assert tuple(algebra.vec_mat(r, inv, spec) for r in m) == identity
