@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarmub import algebra
+from polarmub import algebra, polar
 from polarmub.algebra import FieldSpec
 
 
@@ -118,10 +118,46 @@ def test_invert_matrix_round_trip():
 # -- the modulus of F_{d^N}, and the prime field
 
 
+# The least monic irreducible of each degree, little-endian (index i holds
+# the coefficient of t^i), for every (d, N) that `PolarSpace` accepts.
+MODULUS_PINS = {
+    (2, 1): (0, 1),
+    (2, 2): (1, 1, 1),  # t^2 + t + 1
+    (2, 3): (1, 1, 0, 1),  # t^3 + t + 1
+    (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1),
+    (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
+    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (3, 1): (0, 1),
+    (3, 2): (1, 0, 1),  # t^2 + 1
+    (3, 3): (1, 2, 0, 1),
+    (3, 4): (2, 1, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1),
+    (5, 1): (0, 1),
+    (5, 2): (2, 0, 1),
+    (5, 3): (1, 1, 0, 1),
+    (5, 4): (2, 0, 0, 0, 1),
+    (7, 1): (0, 1),
+    (7, 2): (1, 0, 1),
+    (7, 3): (2, 0, 0, 1),
+    (11, 1): (0, 1),
+    (11, 2): (1, 0, 1),
+    (13, 1): (0, 1),
+    (13, 2): (2, 0, 1),
+}
+
+
 def test_irreducible_poly_choices():
-    assert algebra.find_irreducible(2, 2) == (1, 1, 1)  # t^2 + t + 1
-    assert algebra.find_irreducible(2, 3) == (1, 1, 0, 1)  # t^3 + t + 1
-    assert algebra.find_irreducible(3, 2) == (1, 0, 1)  # t^2 + 1
+    accepted = {
+        (d, n)
+        for d in algebra.SUPPORTED_PRIMES
+        for n in range(1, 9)
+        if polar.point_count(d, n) <= polar.POINT_LIMIT
+    }
+    assert accepted == set(MODULUS_PINS)
+    for (d, n), f in MODULUS_PINS.items():
+        assert algebra.find_irreducible(d, n) == f, (d, n)
 
 
 def test_field_spec_validation():

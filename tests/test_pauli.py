@@ -1,5 +1,6 @@
 """Tests for the symbolic Pauli layer against the dense-matrix oracle."""
 
+import hashlib
 import itertools
 import random
 
@@ -158,6 +159,27 @@ def test_class_closure_modulo_center():
         for u, v in itertools.combinations(images, 2):
             s = tuple((x + y) % space.d for x, y in zip(u, v))
             assert s in images
+
+
+# sha256 of repr(...) of every generator's class images, in catalog order,
+# recorded from the span enumeration that first built the classes.
+CLASS_IMAGE_PINS = {
+    (2, 2): "a7deaec4e13e423644422c8fcf3b3319d324e0ce43cf1eef0efb54a9f084e632",
+    (3, 2): "7fe88a3267dafa47047a7606eb5c52b7844fef53b31094e3b16aa29643ff2b52",
+    (2, 3): "d54bf5ca630d4762b0eb3a1d88fa2ff55a181e498d4e8156cb2361a310acb9da",
+    (5, 2): "6d6cf3806fe1907785a4601f38268e9c76063234ab5b6f359f76e10d9b23c2c4",
+}
+
+
+@pytest.mark.parametrize("d, n", sorted(CLASS_IMAGE_PINS))
+def test_class_images_are_pinned(d, n):
+    space = PolarSpace(d, n)
+    images = [
+        tuple(op.symplectic_image() for op in class_from_generator(g, space).ops)
+        for g in space.generators
+    ]
+    digest = hashlib.sha256(repr(images).encode()).hexdigest()
+    assert digest == CLASS_IMAGE_PINS[d, n]
 
 
 def test_round_trip_all_generators():
