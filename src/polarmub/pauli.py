@@ -116,9 +116,12 @@ def class_from_generator(g: Generator, space: PolarSpace) -> CommutingClass:
 
     One operator per nonzero vector of the underlying rank-N subspace, in
     lexicographic vector order; commuting is inherited from total isotropy.
+    Those vectors are the nonzero multiples of the generator's points.
     """
-    vecs = sorted(v for v in space.span_vectors(g.basis) if any(v))
-    ops = tuple(op_from_image(v, space.d) for v in vecs)
+    d = space.d
+    points = (space.points[p] for p in space.point_indices(g.point_mask))
+    vecs = sorted(tuple(c * x % d for x in v) for v in points for c in range(1, d))
+    ops = tuple(op_from_image(v, d) for v in vecs)
     return CommutingClass(space.d, ops, g.gen_index)
 
 

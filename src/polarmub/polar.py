@@ -121,20 +121,6 @@ class PolarSpace:
             total += u[i] * v[i + 1] - u[i + 1] * v[i]
         return total % self.d
 
-    def span_vectors(self, basis: Matrix) -> list[Vector]:
-        """All d^k vectors of the row space, zero included."""
-        d = self.d
-        vectors = [(0,) * self.dim] if not basis else [(0,) * len(basis[0])]
-        for row in basis:
-            scaled = [row]
-            for c in range(2, d):
-                scaled.append(tuple((c * x) % d for x in row))
-            new = list(vectors)
-            for s in scaled:
-                new.extend(tuple((a + b) % d for a, b in zip(v, s)) for v in vectors)
-            vectors = new
-        return vectors
-
     def point_indices(self, mask: int) -> list[int]:
         out = []
         while mask:

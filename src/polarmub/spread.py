@@ -10,6 +10,7 @@ check rather than a citation.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import algebra, polar
@@ -122,9 +123,13 @@ def extend_to_maximal(ps: PartialSpread) -> PartialSpread:
 # --------------------------------------------------------------------------
 
 
-def _symplectic_basis(gram: Matrix, target: Matrix, spec: algebra.FieldSpec) -> Matrix:
-    """Rows e1, f1, e2, f2, ... hyperbolic for the given Gram matrix: the
-    basis change P with P·gram·Pᵀ = target, the canonical form, checked."""
+def _symplectic_coordinates(
+    gram: Matrix, target: Matrix, spec: algebra.FieldSpec
+) -> Callable[[Vector], Vector]:
+    """a ↦ a·P⁻¹, for P the rows e1, f1, e2, f2, ... hyperbolic for the form
+    B of the given Gram matrix, with P·gram·Pᵀ = target, the canonical form,
+    checked.  Since target·targetᵀ = I, P⁻¹ = gram·Pᵀ·targetᵀ, which sends a
+    to (B(a, f1), -B(a, e1), B(a, f2), -B(a, e2), ...)."""
     d = spec.d
     width = len(gram)
 
@@ -150,7 +155,13 @@ def _symplectic_basis(gram: Matrix, target: Matrix, spec: algebra.FieldSpec) -> 
         rem = list(algebra.rref(tuple(projected), spec))
     if tuple(tuple(form(u, v) for v in out) for u in out) != target:
         raise NotSymplecticBasis("hyperbolic basis change failed")
-    return tuple(out)
+    # The columns gram·f1ᵀ, -gram·e1ᵀ, ..., so that a·column = ±B(a, ·).
+    columns = [
+        tuple(sign * sum(g * x for g, x in zip(row, v)) % d for row in gram)
+        for e, f in zip(out[::2], out[1::2])
+        for v, sign in ((f, 1), (e, -1))
+    ]
+    return lambda a: tuple(sum(x * c for x, c in zip(a, col)) % d for col in columns)
 
 
 def _times_t(v: Vector, count: int, f: Vector, d: int) -> list[Vector]:
@@ -162,6 +173,28 @@ def _times_t(v: Vector, count: int, f: Vector, d: int) -> list[Vector]:
         *head, c = rows[-1]
         rows.append(tuple((a - c * b) % d for a, b in zip((0, *head), f)))
     return rows
+
+
+def _field_modulus(d: int, n: int) -> Vector:
+    """The least monic irreducible f of degree N over F_d, little-endian.
+
+    Candidates are scanned in ascending order of the base-d value of their
+    lower coefficients, constant term least significant.  f is reducible
+    exactly when it has a monic factor y of degree at most N/2, and such a y
+    is a zero divisor of F_d[t]/(f), since y·(f/y) = f = 0 there with f/y of
+    degree below N.  So f is irreducible iff the multiplication matrix of
+    every monic y of degree 1..⌊N/2⌋ has full rank N."""
+    spec = algebra.FieldSpec(d)
+    monic = [
+        tail + (1,) + (0,) * (n - k - 1)
+        for k in range(1, n // 2 + 1)
+        for tail in itertools.product(range(d), repeat=k)
+    ]
+    for value in range(d**n):
+        f = tuple(value // d**i % d for i in range(n)) + (1,)
+        if all(len(algebra.rref(_times_t(y, n, f, d), spec)) == n for y in monic):
+            return f
+    raise ValueError(f"no irreducible polynomial of degree {n} over F_{d}")
 
 
 def _trace_gram(f: Vector, d: int) -> Matrix:
@@ -181,26 +214,25 @@ def _trace_gram(f: Vector, d: int) -> Matrix:
 def construct_symplectic_spread(space: PolarSpace) -> PartialSpread:
     """The regular spread of W_{2N-1}(d) by field reduction from F_{d^N}^2.
 
-    F_{d^N} is F_d[t]/(f) for f = `algebra.find_irreducible(d, N)`, and an
+    F_{d^N} is F_d[t]/(f) for the modulus f = `_field_modulus(d, N)`, and an
     element y enters only through its multiplication matrix M_y over F_d.
     The trace form Tr(x1 y2 - x2 y1) on F_{d^N}^2 is a non-degenerate
     alternating F_d-form whose isotropic F_{d^N}-lines are the d^N + 1
     members: the row spaces of [I | M_y], one per y, and of [0 | I].  A
-    hyperbolic basis change P carries them onto canonical coordinates, as
-    the rows of [I | M_y]·P⁻¹ and [0 | I]·P⁻¹.
+    hyperbolic basis change carries them onto canonical coordinates, read
+    off the trace form row by row by `_symplectic_coordinates`.
     """
     d, n = space.d, space.n
     spec = space.field
-    f = algebra.find_irreducible(d, n)
-    gram = _trace_gram(f, d)
-    Pinv = algebra.invert_matrix(_symplectic_basis(gram, space.form, spec), spec)
+    f = _field_modulus(d, n)
+    coordinates = _symplectic_coordinates(_trace_gram(f, d), space.form, spec)
 
     identity = _times_t((1,) + (0,) * (n - 1), n, f, d)
     blocks = [(identity, _times_t(y, n, f, d)) for y in itertools.product(range(d), repeat=n)]
     blocks.append((((0,) * n,) * n, identity))
     members = []
     for left, right in blocks:
-        rows = tuple(algebra.vec_mat(a + b, Pinv, spec) for a, b in zip(left, right))
+        rows = tuple(coordinates(a + b) for a, b in zip(left, right))
         members.append(space.generator_by_basis(algebra.rref(rows, spec)).gen_index)
     ps = partial_spread(space, members)
     if not ps.is_spread:

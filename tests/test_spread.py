@@ -152,7 +152,7 @@ def test_trace_gram_is_pinned_for_every_accepted_space():
     }
     assert accepted == set(TRACE_GRAM_PINS)
     for d, n in sorted(accepted):
-        gram = spread._trace_gram(algebra.find_irreducible(d, n), d)
+        gram = spread._trace_gram(spread._field_modulus(d, n), d)
         assert _digest(gram) == TRACE_GRAM_PINS[d, n], (d, n)
 
 
