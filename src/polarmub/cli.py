@@ -297,11 +297,11 @@ def cmd_classify(args) -> tuple[dict, bool]:
 
 
 def cmd_mub(args) -> tuple[dict, bool]:
-    # Refuse before the space and its catalog are built; n < 1 is refused
-    # by the space itself.
-    if args.n >= 1 and args.d**args.n > pauli.MAX_DENSE_DIM:
-        raise ScaleExceeded(f"dense dimension {args.d**args.n} exceeds {pauli.MAX_DENSE_DIM}")
+    # The space refuses a bad d or n at once; refuse d^N above the dense
+    # limit before its catalog is built.
     space = get_space(args.d, args.n)
+    if space.d**space.n > pauli.MAX_DENSE_DIM:
+        raise ScaleExceeded(f"dense dimension {space.d**space.n} exceeds {pauli.MAX_DENSE_DIM}")
     if args.from_file:
         ps = _read_spread(args.from_file, args)
     else:

@@ -68,7 +68,9 @@ class PolarSpace:
         if n < 1:
             raise ValueError("rank n must be at least 1")
         # Refuse before building anything: the points scan all d^{2n} vectors.
-        if point_count(d, n) > POINT_LIMIT:
+        # For d >= 2 there are over 2^{2n-1} points, so a rank above the
+        # limit's bit length is refused before any power of d is formed.
+        if n > POINT_LIMIT.bit_length() or point_count(d, n) > POINT_LIMIT:
             raise ScaleExceeded(f"too many points for W_{2*n-1}({d})")
         self.field = FieldSpec(d)
         self.d = d

@@ -579,10 +579,6 @@ def search_maximal(
         return False
 
     for i in range(count):
-        if adj[i] == 0:
-            if mode == "exhaustive":
-                results.append((i,))
-            continue
         if dfs([i], adj[i]):
             break
     # dfs calls itself through its closure; break that cycle so that

@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -213,6 +214,62 @@ def test_oversized_space_is_refused_before_the_field(capsys, monkeypatch):
     assert run(["search", "--d", "2", "--n", "40", "--mode", "exhaustive"]) == 1
     captured = capsys.readouterr()
     assert captured.err.count("\n") == 1 and "ScaleExceeded" in captured.err
+
+
+SUBCOMMAND_ARGS = {
+    "construct": [],
+    "verify": ["--check", "complete"],
+    "search": ["--mode", "exhaustive"],
+    "conjecture": [],
+    "classify": [],
+    "mub": [],
+}
+
+
+def run_within_a_second(argv):
+    """run(argv), failing instead of hanging when it takes over a second."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"{argv} ran for over a second")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        return run(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "d, n, error",
+    [
+        ("4", "2", "ValueError"),
+        ("1", "2", "ValueError"),
+        ("2", "0", "ValueError"),
+        ("2", "300000", "ScaleExceeded"),
+    ],
+    ids=["d-4", "d-1", "n-0", "n-300000"],
+)
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
+def test_bad_order_or_rank_is_refused_at_once(capsys, monkeypatch, command, d, n, error):
+    monkeypatch.setattr(cli, "_SPACE_CACHE", {})
+    argv = [command, "--d", d, "--n", n] + SUBCOMMAND_ARGS[command]
+    assert run_within_a_second(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.err.startswith(f"error: {error}:")
+
+
+def test_spread_file_with_a_huge_rank_is_refused_at_once(tmp_path, capsys):
+    path = tmp_path / "spread.json"
+    path.write_text('{"d": 2, "n": 300000, "generators": []}')
+    argv = ["verify", "--d", "2", "--n", "2", "--check", "complete", "--in", str(path)]
+    assert run_within_a_second(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ScaleExceeded: too many points for W_599999(2)\n"
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

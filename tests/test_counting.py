@@ -73,6 +73,17 @@ def test_asymptotic_gate_monotone():
         assert fired
 
 
+def test_conjecture_counts_refuses_outside_its_domain():
+    for d, n in ((4, 2), (1, 2), (2, 0), (13, -1)):
+        with pytest.raises(ValueError):
+            counting.conjecture_counts(d, n)
+    limit = counting.CONJECTURE_RANK_LIMIT
+    for d in (2, 3, 5, 7, 11, 13):
+        str(counting.conjecture_counts(d, limit).rhs)  # printable
+        with pytest.raises(ScaleExceeded):
+            counting.conjecture_counts(d, limit + 1)
+
+
 def test_asymptotic_gate_implies_violated():
     for d in (2, 3, 5, 7, 11, 13):
         for m in range(2, 9):
