@@ -252,8 +252,7 @@ def run_within_a_second(argv):
     ids=["d-4", "d-1", "n-0", "n-300000"],
 )
 @pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
-def test_bad_order_or_rank_is_refused_at_once(capsys, monkeypatch, command, d, n, error):
-    monkeypatch.setattr(cli, "_SPACE_CACHE", {})
+def test_bad_order_or_rank_is_refused_at_once(capsys, command, d, n, error):
     argv = [command, "--d", d, "--n", n] + SUBCOMMAND_ARGS[command]
     assert run_within_a_second(argv) == 1
     captured = capsys.readouterr()
