@@ -144,6 +144,11 @@ CATALOG_DIGESTS = {
     (3, 2): "77ef0aa83f48eaa40b3110fbfb8a480b84512e93d469908a8328fbf183626149",
     (2, 3): "8e2c3f2235b68059bba58927c4f780b162a2aa908de202df29b3f6e3e4a66b72",
     (5, 2): "a925d91fcc6dc400f3d19c89cee646546b0040ec5757487646cc3011be3b9152",
+    (2, 4): "2b55a46a11623aeed22912e6ddcdd61c04cea2963ee64ab796ee9be2040a8894",
+    (3, 3): "a616d6f7da5a936d0bd73a9cc705ff16eb1f092a60b1c68e548ac579ec16d0a4",
+    (7, 2): "1c5f36a14d82af1b624e1b2d1fd54c692c0be46ee03e35ea9886f6eaa8116cf8",
+    (11, 2): "3cfa82463eb7c3c6f78ef497a5cae3ee8f001d027ccf4267de2872de78a0d7af",
+    (13, 2): "edca4a36f832c102d39ef0bc281b390932c3dec1264fa912d78b73e6617073f3",
 }
 
 
