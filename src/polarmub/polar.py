@@ -7,8 +7,12 @@ indices, so disjointness and coverage tests are single AND/OR operations.
 Incidence comes from two point-mask primitives: the perp mask of each point,
 read off the Gram matrix, and the mask of the line through two points.
 Generators (maximal totally isotropic subspaces) are enumerated once each
-by depth-first search over their greedy point bases: candidates come from
-AND-ed perp masks, spans grow by OR-ing line masks, and the last point
+by depth-first search over their greedy point bases, each point the least
+of the generator outside the span S of those before it.  A point x outside
+S is the least point of span(S, x) outside S exactly when x is 0 at the
+leading coordinate of every point of the basis, and such an x is never in
+S.  The points that are 0 at coordinate c are the perp of the unit point
+e_{c xor 1}, so the search needs only AND-ed perp masks, and the last point
 closes the generator as its own perp.  They are indexed in lexicographic
 order of their rref basis.  The symplectic group acts only on these
 indices: `transvections` gives its generating set as permutations.
@@ -162,10 +166,19 @@ class PolarSpace:
     def disjoint_adjacency(self) -> list[int]:
         """Bit j of entry i is set iff generators i and j share no point."""
         if self._disjoint_adj is None:
-            masks = [g.point_mask for g in self.generators]
-            self._disjoint_adj = [
-                sum(1 << j for j, h in enumerate(masks) if not g & h) for g in masks
-            ]
+            gen_points = [self.point_indices(g.point_mask) for g in self.generators]
+            through = [0] * self.num_points
+            for i, pts in enumerate(gen_points):
+                for p in pts:
+                    through[p] |= 1 << i
+            full = (1 << len(gen_points)) - 1
+            adj = []
+            for pts in gen_points:
+                meets = 0
+                for p in pts:
+                    meets |= through[p]
+                adj.append(full & ~meets)
+            self._disjoint_adj = adj
         return self._disjoint_adj
 
     # -- generators
@@ -196,37 +209,33 @@ class PolarSpace:
                 f"W_{2*n-1}({d}) has {expected} generators; enumeration refused"
             )
         perp = self.perp_masks
+        # F(y, e_{c xor 1}) = ±y_c, and a normalised point leads with a 1.
+        unit = [tuple(int(i == c) for i in range(self.dim)) for c in range(self.dim)]
+        vanish_at = [perp[self.point_index[unit[c ^ 1]]] for c in range(self.dim)]
+        vanish = [vanish_at[v.index(1)] for v in self.points]
         found: list[tuple[Matrix, int]] = []
 
-        def grow(basis: list[int], span: int, common: int) -> None:
+        def grow(basis: list[int], allowed: int, common: int) -> None:
             # A greedy basis point is the least point of the generator outside
-            # the span of those before it, so x comes after basis[-1] and the
-            # span may gain no point below x: each generator is reached once.
+            # the span S of those before it.  A point x outside S is the least
+            # point of span(S, x) outside S exactly when x is 0 at the leading
+            # coordinate of every basis point, which `allowed` holds, and such
+            # an x is never in S.  With x after basis[-1], each generator is
+            # reached once.
             if len(basis) == n:
                 rows = tuple(self.points[x] for x in basis)
-                found.append((algebra.rref(rows, self.field), span))
+                # A generator is its own perp.
+                found.append((algebra.rref(rows, self.field), common))
                 return
-            cand = common & ~span & -(2 << basis[-1])
-            span_points = self.point_indices(span)
+            cand = common & allowed & -(2 << basis[-1])
             while cand:
                 low = cand & -cand
                 cand ^= low
                 x = low.bit_length() - 1
-                barred = (low - 1) & ~span
-                if len(basis) == n - 1:
-                    # x completes a generator, and a generator is its own perp.
-                    grown = common & perp[x]
-                else:
-                    grown = span | low
-                    for s in span_points:
-                        grown |= self.line_mask(s, x)
-                        if grown & barred:
-                            break
-                if not grown & barred:
-                    grow(basis + [x], grown, common & perp[x])
+                grow(basis + [x], allowed & vanish[x], common & perp[x])
 
         for p in range(self.num_points):
-            grow([p], 1 << p, perp[p])
+            grow([p], vanish[p], perp[p])
         # grow calls itself through its closure; break that cycle so that
         # `found` is freed on return, not at the next full collection.
         del grow

@@ -4,10 +4,12 @@ The small spaces here are fully enumerable, so most checks are exhaustive
 rather than sampled: the brute-force side is the oracle.
 """
 
+import functools
 import hashlib
 import itertools
 import json
 import math
+import operator
 import random
 
 import pytest
@@ -165,6 +167,73 @@ def test_catalog_is_pinned(d, n):
         h.update(f"{g.gen_index}|{g.basis}|{g.point_mask}\n".encode())
     assert space.num_generators == polar.generator_count(d, n)
     assert h.hexdigest() == CATALOG_DIGESTS[(d, n)]
+
+
+# The catalog search keeps x as the next greedy basis point after a prefix
+# with span S exactly when x is 0 at the leading coordinate of every basis
+# point.  These tests check that rule against spans grown from line masks.
+
+
+def _greedy_children(space, basis, span):
+    """Check the rule at every x in S^⊥ \\ S; return the extended prefixes."""
+    leads = [next(c for c, t in enumerate(space.points[b]) if t) for b in basis]
+    common = functools.reduce(operator.and_, (space.perp_masks[b] for b in basis))
+    children = []
+    for x in space.point_indices(common & ~span):
+        vanishes = all(space.points[x][c] == 0 for c in leads)
+        barred = ((1 << x) - 1) & ~span
+        grown = span | 1 << x
+        for s in space.point_indices(span):
+            grown |= space.line_mask(s, x)
+            if grown & barred:
+                break
+        assert vanishes == (not grown & barred), (basis, x)
+        if vanishes and x > basis[-1]:
+            children.append((basis + [x], grown))
+    return children
+
+
+@pytest.mark.parametrize("d,n", [(2, 3), (3, 3)])
+def test_greedy_basis_rule_on_every_prefix(d, n):
+    space = PolarSpace(d, n)
+    stack = [([p], 1 << p) for p in range(space.num_points)]
+    generators = 0
+    while stack:
+        basis, span = stack.pop()
+        if len(basis) == n:
+            generators += 1
+        else:
+            stack.extend(_greedy_children(space, basis, span))
+    assert generators == polar.generator_count(d, n)
+
+
+def test_greedy_basis_rule_on_sampled_prefixes():
+    space = PolarSpace(2, 4)
+    rng = random.Random(19)
+    for _ in range(200):
+        p = rng.randrange(space.num_points)
+        prefix = ([p], 1 << p)
+        while len(prefix[0]) < space.n:
+            children = _greedy_children(space, *prefix)
+            if not children:
+                break
+            prefix = rng.choice(children)
+
+
+@pytest.mark.parametrize("d,n", [(2, 3), (3, 3)])
+def test_catalog_grows_no_spans(monkeypatch, d, n):
+    def refuse(*args):
+        raise AssertionError("line_mask called while building the catalog")
+
+    monkeypatch.setattr(PolarSpace, "line_mask", refuse)
+    assert PolarSpace(d, n).num_generators == polar.generator_count(d, n)
+
+
+@pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (2, 3), (5, 2), (3, 3)])
+def test_disjoint_adjacency_matches_pairwise_and(d, n):
+    masks = [g.point_mask for g in PolarSpace(d, n).generators]
+    pairwise = [sum(1 << j for j, h in enumerate(masks) if not g & h) for g in masks]
+    assert PolarSpace(d, n).disjoint_adjacency == pairwise
 
 
 def test_generator_order_is_lexicographic():
