@@ -209,19 +209,19 @@ class PolarSpace:
                 f"W_{2*n-1}({d}) has {expected} generators; enumeration refused"
             )
         perp = self.perp_masks
-        # F(y, e_{c xor 1}) = ±y_c, and a normalised point leads with a 1.
+        # vanish[x] holds the points that are 0 at the leading coordinate c of
+        # x: the perp of e_{c xor 1}, since F(y, e_{c xor 1}) = ±y_c.  A
+        # normalised point leads with a 1.
         unit = [tuple(int(i == c) for i in range(self.dim)) for c in range(self.dim)]
         vanish_at = [perp[self.point_index[unit[c ^ 1]]] for c in range(self.dim)]
         vanish = [vanish_at[v.index(1)] for v in self.points]
         found: list[tuple[Matrix, int]] = []
 
         def grow(basis: list[int], allowed: int, common: int) -> None:
-            # A greedy basis point is the least point of the generator outside
-            # the span S of those before it.  A point x outside S is the least
-            # point of span(S, x) outside S exactly when x is 0 at the leading
-            # coordinate of every basis point, which `allowed` holds, and such
-            # an x is never in S.  With x after basis[-1], each generator is
-            # reached once.
+            # x outside the span S of basis is least in span(S, x) outside S
+            # exactly when x is 0 at every leading coordinate of basis, that
+            # is, in `allowed`.  With x after basis[-1], each generator is
+            # reached once, by its greedy basis.
             if len(basis) == n:
                 rows = tuple(self.points[x] for x in basis)
                 # A generator is its own perp.

@@ -231,9 +231,10 @@ def test_catalog_grows_no_spans(monkeypatch, d, n):
 
 @pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (2, 3), (5, 2), (3, 3)])
 def test_disjoint_adjacency_matches_pairwise_and(d, n):
-    masks = [g.point_mask for g in PolarSpace(d, n).generators]
+    space = PolarSpace(d, n)
+    masks = [g.point_mask for g in space.generators]
     pairwise = [sum(1 << j for j, h in enumerate(masks) if not g & h) for g in masks]
-    assert PolarSpace(d, n).disjoint_adjacency == pairwise
+    assert space.disjoint_adjacency == pairwise
 
 
 def test_generator_order_is_lexicographic():
