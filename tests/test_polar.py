@@ -25,6 +25,8 @@ from polarmub.errors import (
 )
 from polarmub.polar import PolarSpace
 
+from oracles import line_mask
+
 
 W32 = PolarSpace(2, 2)
 W33 = PolarSpace(3, 2)
@@ -101,8 +103,8 @@ def test_line_mask_matches_rref_membership():
             i, j = rng.sample(range(space.num_points), 2)
             pairs.append((space, i, j))
     for space, i, j in pairs:
-        mask = space.line_mask(i, j)
-        assert mask == _line_oracle(space, i, j)
+        mask = line_mask(space, i, j)
+        assert mask == space.line_mask(i, j) == _line_oracle(space, i, j)
         assert bin(mask).count("1") == space.d + 1
 
 
@@ -453,6 +455,8 @@ TRANSVECTION_DIGESTS = {
     (3, 2): "d52705a9803f3bac337783669e609ae676d73db3df5db6ddcb6ebc68a8ba7c25",
     (2, 3): "aac1b6fcf4475076d19b896c3d90a9f8b189ee7dbc1df3f7b26ed6986f5a9360",
     (5, 2): "d0135ed81a79825bb4e4974d185561eb183d05e3ff17a843f0c1dfcb41c9b77a",
+    (7, 2): "1c36cb82a55f57649e8c5c7597e418e09a2d42823ff99f8aaf2d559f58dcdc11",
+    (2, 4): "c26d9321e1a6559aa76f2bd55cab2c1360698b4c818472b4bf20c36c7478cf40",
 }
 
 

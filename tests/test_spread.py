@@ -30,6 +30,8 @@ from polarmub.errors import (
 )
 from polarmub.polar import PolarSpace
 
+from oracles import regulus_closure
+
 W32 = PolarSpace(2, 2)
 W33 = PolarSpace(3, 2)
 W52 = PolarSpace(2, 3)
@@ -214,6 +216,26 @@ def test_classical_spreads_are_regular():
     assert spread.check_regularity(S33) is True
     assert spread.check_regularity(S32) is True  # vacuous in order 2
     assert spread.check_regularity(spread.construct_symplectic_spread(PolarSpace(5, 2)))
+
+
+def test_regulus_oracle_matches_check_regularity():
+    # Every triple of a regular spread is regulus-closed.
+    for space in (W33, PolarSpace(5, 2)):
+        s = spread.construct_symplectic_spread(space)
+        closure = regulus_closure(s)
+        assert len(closure) == len(list(itertools.combinations(s.members, 3)))
+        assert all(closure.values()) and spread.check_regularity(s)
+
+
+def test_regulus_oracle_on_block_swap_completion():
+    # The size-22 complete block swap of the W_3(5) regular spread is no
+    # spread, and 940 of its 1540 member triples are not regulus-closed.
+    s = spread.construct_symplectic_spread(PolarSpace(5, 2))
+    sr = spread.construct_SR(s, s.members[0], s.members[1], 0)
+    assert sr.size == 22 and not sr.is_spread and spread.is_complete(sr).complete
+    closure = regulus_closure(sr)
+    assert len(closure) == 1540
+    assert sum(not closed for closed in closure.values()) == 940
 
 
 def test_regular_triples_have_d_plus_one_transversals():
