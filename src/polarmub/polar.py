@@ -81,16 +81,19 @@ class PolarSpace:
         self.n = n
         self.dim = 2 * n
         self.form: Matrix = self._build_form()
-        self.points: tuple[Vector, ...] = tuple(
-            v
-            for v in itertools.product(range(d), repeat=self.dim)
-            if any(v) and v[next(i for i, x in enumerate(v) if x)] == 1
-        )
-        self.point_index: dict[Vector, int] = {
-            v: i for i, v in enumerate(self.points)
-        }
-        if len(self.points) != point_count(d, n):
-            raise CatalogMismatch(f"W_{2*n-1}({d}) gave {len(self.points)} points")
+        # A vector's code is its base-d number, first coordinate most
+        # significant, so code order is lexicographic order.  The points
+        # leading at coordinate c are the codes d^k + r, k = 2n-1-c, r < d^k.
+        self.weights = d ** np.arange(self.dim - 1, -1, -1, dtype=np.int64)
+        codes = np.concatenate([np.arange(w, 2 * w) for w in self.weights[::-1]])
+        self.coords = codes[:, None] // self.weights % d
+        self.points: tuple[Vector, ...] = tuple(map(tuple, self.coords.tolist()))
+        # index_of[code] is the point that the vector lies on, -1 for zero.
+        self.index_of = np.full(d**self.dim, -1, dtype=np.int64)
+        for a in range(1, d):
+            self.index_of[a * self.coords % d @ self.weights] = np.arange(len(codes))
+        if np.count_nonzero(self.index_of < 0) != 1:
+            raise CatalogMismatch(f"W_{2*n-1}({d}) points miss some vectors")
         self._generators: tuple[Generator, ...] | None = None
         self._gen_lookup: dict[Matrix, int] | None = None
         self._perp_masks: tuple[int, ...] | None = None
@@ -111,13 +114,6 @@ class PolarSpace:
     @property
     def num_points(self) -> int:
         return len(self.points)
-
-    def normalize(self, v: Vector) -> Vector:
-        lead = next((x for x in v if x % self.d), None)
-        if lead is None:
-            raise ValueError("cannot normalize the zero vector")
-        inv = pow(lead % self.d, -1, self.d)
-        return tuple((x * inv) % self.d for x in v)
 
     def symp_form(self, u: Vector, v: Vector) -> int:
         if len(u) != self.dim or len(v) != self.dim:
@@ -141,26 +137,10 @@ class PolarSpace:
     def perp_masks(self) -> tuple[int, ...]:
         """Bit j of entry i is set iff F(point i, point j) = 0."""
         if self._perp_masks is None:
-            P = np.array(self.points, dtype=np.int64)
-            JPt = np.array(self.form, dtype=np.int64) @ P.T
-            bits = (np.packbits(p @ JPt % self.d == 0, bitorder="little") for p in P)
+            JPt = np.array(self.form, dtype=np.int64) @ self.coords.T
+            bits = (np.packbits(p @ JPt % self.d == 0, bitorder="little") for p in self.coords)
             self._perp_masks = tuple(int.from_bytes(b, "little") for b in bits)
         return self._perp_masks
-
-    def line_mask(self, i: int, j: int) -> int:
-        """The d + 1 points of the projective line through points i != j."""
-        d = self.d
-        x, y = self.points[i], self.points[j]
-        index = self.point_index
-        mask = 1 << i | 1 << j
-        for c in range(1, d):
-            v = [(a + c * b) % d for a, b in zip(x, y)]
-            lead = next(t for t in v if t)
-            if lead != 1:
-                inv = pow(lead, -1, d)
-                v = [t * inv % d for t in v]
-            mask |= 1 << index[tuple(v)]
-        return mask
 
     @property
     def disjoint_adjacency(self) -> list[int]:
@@ -212,8 +192,8 @@ class PolarSpace:
         # vanish[x] holds the points that are 0 at the leading coordinate c of
         # x: the perp of e_{c xor 1}, since F(y, e_{c xor 1}) = ±y_c.  A
         # normalised point leads with a 1.
-        unit = [tuple(int(i == c) for i in range(self.dim)) for c in range(self.dim)]
-        vanish_at = [perp[self.point_index[unit[c ^ 1]]] for c in range(self.dim)]
+        unit = self.index_of[self.weights]
+        vanish_at = [perp[unit[c ^ 1]] for c in range(self.dim)]
         vanish = [vanish_at[v.index(1)] for v in self.points]
         found: list[tuple[Matrix, int]] = []
 
@@ -269,9 +249,7 @@ def generators_through(s: Matrix, space: PolarSpace) -> list[Generator]:
     for u, v in itertools.combinations(basis, 2):
         if space.symp_form(u, v):
             raise NotIsotropic("subspace is not totally isotropic")
-    need = 0
-    for row in basis:
-        need |= 1 << space.point_index[row]
+    need = sum(1 << int(p) for p in space.index_of[np.array(basis) @ space.weights])
     out = [g for g in space.generators if g.point_mask & need == need]
     if len(out) != space.d + 1:
         raise CatalogMismatch(f"{len(out)} generators through {basis}, not d + 1")
@@ -310,17 +288,22 @@ def transvections(space: PolarSpace) -> tuple[tuple[int, ...], ...]:
     entry i is the image of generator i under x ↦ x + F(x, v)·v.  That map's
     k-th power has scalar k, so for prime d these generate the action of
     Sp(2N, d) on generators (O'Meara, *Symplectic Groups*, 1978)."""
-    d = space.d
-    index = {g.point_mask: g.gen_index for g in space.generators}
-    gen_points = [space.point_indices(g.point_mask) for g in space.generators]
+    d, P = space.d, space.coords
+    PJ = P @ np.array(space.form, dtype=np.int64)
+    # A generator's key is the bytes of its sorted point indices.
+    gen_points = np.array([space.point_indices(g.point_mask) for g in space.generators])
+    row = np.dtype((np.void, gen_points.itemsize * gen_points.shape[1]))
+    keys = gen_points.view(row).ravel()
+    order = np.argsort(keys)
     perms = []
-    for v in space.points:
-        bits = []
-        for x in space.points:
-            c = space.symp_form(x, v)
-            y = space.normalize(tuple((a + c * b) % d for a, b in zip(x, v)))
-            bits.append(1 << space.point_index[y])
-        perms.append(tuple(index[sum(bits[x] for x in xs)] for xs in gen_points))
+    for v in P:
+        image = space.index_of[(P + (PJ @ v % d)[:, None] * v) % d @ space.weights]
+        rows = np.sort(image[gen_points], axis=1)
+        # A row past every key wraps to index 0, and the check below refuses it.
+        at = order[np.searchsorted(keys, rows.view(row).ravel(), sorter=order) % len(order)]
+        if not np.array_equal(gen_points[at], rows):
+            raise CatalogMismatch("a transvection moved a generator off the catalog")
+        perms.append(tuple(at.tolist()))
     return tuple(perms)
 
 

@@ -10,8 +10,10 @@ check rather than a citation.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import algebra, polar
 from .algebra import Matrix, Vector
@@ -251,24 +253,37 @@ def check_regularity(s: PartialSpread) -> bool:
     vacuous truth in order 2."""
     if not s.is_spread:
         raise NotASpread("regularity is defined for spreads")
-    space = s.space
-    if space.d == 2:
+    if s.space.d == 2:
         return True
-    masks = [g.point_mask for g in s.member_generators()]
-    for ia, ib in itertools.combinations(range(len(masks)), 2):
-        # A line meeting two disjoint members meets each in one point, so
-        # the ambient transversals of a, b, c join a point of a to one of b.
-        pair_lines = [
-            space.line_mask(x, y)
-            for x in space.point_indices(masks[ia])
-            for y in space.point_indices(masks[ib])
-        ]
-        for ic in range(ib + 1, len(masks)):
-            lines = [line for line in pair_lines if line & masks[ic]]
-            # a, b and c meet every transversal, and so must d - 2 others.
-            if sum(all(m & line for line in lines) for m in masks) != space.d + 1:
-                return False
-    return True
+    return next(_unclosed_triples(s), None) is None
+
+
+def _unclosed_triples(s: PartialSpread) -> Iterator[tuple[int, int, int]]:
+    """The member positions a < b < c of the triples that are not
+    regulus-closed: d + 1 members do not meet every ambient line meeting a,
+    b and c.  A line meeting two disjoint members meets each in one point,
+    so those lines join a point of a to one of b."""
+    space = s.space
+    d, k = space.d, s.size
+    # member[p] is the position of the member on point p; k if none is.
+    member = np.full(space.num_points, k)
+    points = [space.point_indices(space.generator(m).point_mask) for m in s.members]
+    for i, pts in enumerate(points):
+        member[pts] = i
+    # The d + 1 points of the line through x and y: x + t·y for t in F_d, and y.
+    coef = np.array([(1, t) for t in range(d)] + [(0, 1)])[:, :, None]
+    for ia, ib in itertools.combinations(range(k), 2):
+        x = space.coords[points[ia]][:, None, None, :]
+        y = space.coords[points[ib]][None, :, None, :]
+        lines = space.index_of[(coef[:, 0] * x + coef[:, 1] * y) % d @ space.weights]
+        lines = lines.reshape(-1, d + 1)
+        # M: lines × members incidence; C[c, m] counts lines meeting c and m.
+        M = np.zeros((len(lines), k + 1), dtype=np.int64)
+        M[np.arange(len(lines))[:, None], member[lines]] = 1
+        C = M[:, :k].T @ M[:, :k]
+        closed = np.count_nonzero(C == C.diagonal()[:, None], axis=1) == d + 1
+        for ic in np.flatnonzero(~closed[ib + 1 :]) + ib + 1:
+            yield ia, ib, int(ic)
 
 
 # --------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from polarmub.errors import (
 )
 from polarmub.polar import PolarSpace
 
-from oracles import regulus_closure
+from oracles import line_mask, regulus_closure
 
 W32 = PolarSpace(2, 2)
 W33 = PolarSpace(3, 2)
@@ -216,6 +216,7 @@ def test_classical_spreads_are_regular():
     assert spread.check_regularity(S33) is True
     assert spread.check_regularity(S32) is True  # vacuous in order 2
     assert spread.check_regularity(spread.construct_symplectic_spread(PolarSpace(5, 2)))
+    assert spread.check_regularity(spread.construct_symplectic_spread(PolarSpace(7, 2))) is True
 
 
 def test_regulus_oracle_matches_check_regularity():
@@ -227,15 +228,19 @@ def test_regulus_oracle_matches_check_regularity():
         assert all(closure.values()) and spread.check_regularity(s)
 
 
-def test_regulus_oracle_on_block_swap_completion():
-    # The size-22 complete block swap of the W_3(5) regular spread is no
-    # spread, and 940 of its 1540 member triples are not regulus-closed.
-    s = spread.construct_symplectic_spread(PolarSpace(5, 2))
+@pytest.mark.parametrize("d,size,unclosed", [(3, 8, 32), (5, 22, 940)])
+def test_unclosed_triples_of_block_swap_completion(d, size, unclosed):
+    # The complete block swap of a regular spread is no spread.  At W_3(5),
+    # 940 of its 1540 member triples are not regulus-closed; the per-triple
+    # check finds the same triples as the plain-Python loop.
+    s = spread.construct_symplectic_spread(PolarSpace(d, 2))
     sr = spread.construct_SR(s, s.members[0], s.members[1], 0)
-    assert sr.size == 22 and not sr.is_spread and spread.is_complete(sr).complete
+    assert sr.size == size and not sr.is_spread and spread.is_complete(sr).complete
     closure = regulus_closure(sr)
-    assert len(closure) == 1540
-    assert sum(not closed for closed in closure.values()) == 940
+    assert len(closure) == len(list(itertools.combinations(sr.members, 3)))
+    expected = [triple for triple, closed in closure.items() if not closed]
+    assert list(spread._unclosed_triples(sr)) == expected
+    assert len(expected) == unclosed
 
 
 def test_regular_triples_have_d_plus_one_transversals():
@@ -250,7 +255,7 @@ def test_regular_triples_have_d_plus_one_transversals():
                 line
                 for x in space.point_indices(a)
                 for y in space.point_indices(b)
-                if (line := space.line_mask(x, y)) & c
+                if (line := line_mask(space, x, y)) & c
             ]
             assert len(lines) == space.d + 1
             assert sorted(
@@ -522,21 +527,44 @@ UNCALLED_KEPT = {
 }
 
 
+def _public_definitions(stmt):
+    """A top-level function or class, and the methods and properties of a
+    public class.  A private class's methods may be overrides, like
+    `_Parser.error`, which only the base class calls."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        yield stmt
+    if isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
+        yield from (node for node in stmt.body if isinstance(node, ast.FunctionDef))
+
+
+def _used_names(node, own=()):
+    """Every name or attribute read under node, except a definition's own
+    name inside its body."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        own = (*own, node.name)
+    name = getattr(node, "id", None) or getattr(node, "attr", None)
+    if name and name not in own:
+        yield name
+    for child in ast.iter_child_nodes(node):
+        yield from _used_names(child, own)
+
+
 def test_package_has_no_uncalled_public_names():
     package = pathlib.Path(spread.__file__).parent
     perfbench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
     defined = {}
     used = set()
-    for path in sorted(package.glob("*.py")) + sorted(perfbench.glob("*.py")):
-        for stmt in ast.parse(path.read_text()).body:
-            own = None
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and path.parent == package:
-                own = stmt.name
-                defined[own] = ast.get_docstring(stmt) or ""
-            for node in ast.walk(stmt):
-                name = getattr(node, "id", None) or getattr(node, "attr", None)
-                if name and name != own:
-                    used.add(name)
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used.update(_used_names(tree))
+        for stmt in tree.body:
+            for node in _public_definitions(stmt):
+                defined[node.name] = ast.get_docstring(node) or ""
+    # perfbench's calls to its own functions, like `workloads.normalize`,
+    # call nothing in the package.
+    bench = [ast.parse(path.read_text()) for path in sorted(perfbench.glob("*.py"))]
+    own = {n.name for tree in bench for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    used.update(name for tree in bench for name in _used_names(tree) if name not in own)
     uncalled = {n for n in defined if not n.startswith("_") and n not in used}
     assert sorted(uncalled - set(UNCALLED_KEPT)) == []
     for name, reason in UNCALLED_KEPT.items():
@@ -662,7 +690,7 @@ def test_spread_structure_through_sections():
         through = polar.generators_through(tau, space)
         others = [g for g in through if g.gen_index != alpha.gen_index]
         assert len(others) == space.d
-        tau_mask = 1 << space.point_index[tau[0]]  # tau is a point in W_3
+        tau_mask = 1 << int(space.index_of[tau[0] @ space.weights])  # a point in W_3
         off_tau = 0
         for g in others:
             off_tau |= g.point_mask & ~tau_mask
