@@ -4,8 +4,9 @@ Points are the projective points of PG(2N-1, d), normalised so the first
 nonzero coordinate is 1, indexed in lexicographic coordinate order.
 Point sets are held as arbitrary-precision integer bitmasks over point
 indices, so disjointness and coverage tests are single AND/OR operations.
-Incidence comes from two point-mask primitives: the perp mask of each point,
-read off the Gram matrix, and the mask of the line through two points.
+Incidence comes from the perp mask of each point, read off the Gram matrix,
+and a point-code table: `index_of` maps the base-d code of every nonzero
+vector to the point it lies on, so a point action is one array gather.
 Generators (maximal totally isotropic subspaces) are enumerated once each
 by depth-first search over their greedy point bases, each point the least
 of the generator outside the span S of those before it.  A point x outside
@@ -81,17 +82,18 @@ class PolarSpace:
         self.n = n
         self.dim = 2 * n
         self.form: Matrix = self._build_form()
-        # A vector's code is its base-d number, first coordinate most
-        # significant, so code order is lexicographic order.  The points
-        # leading at coordinate c are the codes d^k + r, k = 2n-1-c, r < d^k.
+        # Points lead with a 1; lexicographic order lists later leads first.
+        self.points: tuple[Vector, ...] = tuple(
+            (0,) * c + (1,) + rest for c in reversed(range(self.dim))
+            for rest in itertools.product(range(d), repeat=self.dim - 1 - c)
+        )
+        self.coords = np.array(self.points, dtype=np.int64)
         self.weights = d ** np.arange(self.dim - 1, -1, -1, dtype=np.int64)
-        codes = np.concatenate([np.arange(w, 2 * w) for w in self.weights[::-1]])
-        self.coords = codes[:, None] // self.weights % d
-        self.points: tuple[Vector, ...] = tuple(map(tuple, self.coords.tolist()))
-        # index_of[code] is the point that the vector lies on, -1 for zero.
+        # A vector's code is v @ weights, its base-d number; index_of[code] is
+        # the point that v lies on, and -1 for the zero vector.
         self.index_of = np.full(d**self.dim, -1, dtype=np.int64)
         for a in range(1, d):
-            self.index_of[a * self.coords % d @ self.weights] = np.arange(len(codes))
+            self.index_of[a * self.coords % d @ self.weights] = np.arange(len(self.points))
         if np.count_nonzero(self.index_of < 0) != 1:
             raise CatalogMismatch(f"W_{2*n-1}({d}) points miss some vectors")
         self._generators: tuple[Generator, ...] | None = None

@@ -6,20 +6,20 @@ loop built on it.  Both are slow and independent of the array layer in
 `polarmub.polar`, which is what makes them oracles for it.
 """
 
-import functools
 import itertools
+import weakref
 
-
-@functools.lru_cache(maxsize=None)
-def _point_index(space):
-    return {v: p for p, v in enumerate(space.points)}
+# Each space's points keyed by coordinates, dropped with the space.
+_point_index = weakref.WeakKeyDictionary()
 
 
 def line_mask(space, i, j):
     """The d + 1 points of the projective line through points i != j."""
     d = space.d
     x, y = space.points[i], space.points[j]
-    index = _point_index(space)
+    if space not in _point_index:
+        _point_index[space] = {v: p for p, v in enumerate(space.points)}
+    index = _point_index[space]
     mask = 1 << i | 1 << j
     for c in range(1, d):
         v = [(a + c * b) % d for a, b in zip(x, y)]
