@@ -4,9 +4,8 @@ Points are the projective points of PG(2N-1, d), normalised so the first
 nonzero coordinate is 1, indexed in lexicographic coordinate order.
 Point sets are held as arbitrary-precision integer bitmasks over point
 indices, so disjointness and coverage tests are single AND/OR operations.
-Incidence comes from the perp mask of each point, read off the Gram matrix,
-and a point-code table: `index_of` maps the base-d code of every nonzero
-vector to the point it lies on, so a point action is one array gather.
+Incidence comes from the perp mask of each point and from the point-code
+table `index_of`, which maps each nonzero vector's code to its point.
 Generators (maximal totally isotropic subspaces) are enumerated once each
 by depth-first search over their greedy point bases, each point the least
 of the generator outside the span S of those before it.  A point x outside
