@@ -12,6 +12,7 @@ import math
 import operator
 import random
 
+import numpy as np
 import pytest
 
 from polarmub import algebra, polar
@@ -177,8 +178,11 @@ def test_catalog_is_pinned(d, n):
     for i, g in enumerate(space.generators):
         assert g.gen_index == i
         assert len(algebra.rref(g.basis, space.field)) == n
+        assert algebra.rref(g.basis, space.field) == g.basis
         assert is_isotropic(space, g.basis)
         assert bin(g.point_mask).count("1") == per_gen
+        for row in g.basis:
+            assert g.point_mask >> int(space.index_of[np.array(row) @ space.weights]) & 1
         h.update(f"{g.gen_index}|{g.basis}|{g.point_mask}\n".encode())
     assert space.num_generators == polar.generator_count(d, n)
     assert h.hexdigest() == CATALOG_DIGESTS[(d, n)]

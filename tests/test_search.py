@@ -14,6 +14,7 @@ import networkx as nx
 import pytest
 
 from polarmub import spread
+from polarmub.errors import NotDisjoint
 from polarmub.polar import PolarSpace
 
 
@@ -44,6 +45,25 @@ SPACES = [(2, 2), (3, 2), (2, 3)]
 def test_exhaustive_equals_maximal_cliques_in_order(d, n):
     found = spread.search_maximal(space(d, n), "exhaustive")
     assert [p.members for p in found] == maximal_cliques(d, n)
+
+
+@pytest.mark.parametrize("d, n", SPACES)
+def test_exhaustive_results_are_partial_spreads_of_their_members(d, n):
+    for p in spread.search_maximal(space(d, n), "exhaustive"):
+        assert p == spread.partial_spread(space(d, n), p.members)
+
+
+def test_search_refuses_an_adjacency_that_lists_a_meeting_generator(monkeypatch):
+    # The search trusts the adjacency table for its candidates; a wrong
+    # entry must raise rather than return members that share a point.
+    w32 = PolarSpace(2, 2)
+    masks = [g.point_mask for g in w32.generators]
+    adj = list(w32.disjoint_adjacency)
+    meets = next(j for j in range(1, len(masks)) if masks[0] & masks[j])
+    adj[0] |= 1 << meets
+    monkeypatch.setattr(PolarSpace, "disjoint_adjacency", property(lambda self: adj))
+    with pytest.raises(NotDisjoint):
+        spread.search_maximal(w32, "exhaustive")
 
 
 @pytest.mark.parametrize("d, n", SPACES)
