@@ -13,7 +13,13 @@ S is the least point of span(S, x) outside S exactly when x is 0 at the
 leading coordinate of every point of the basis, and such an x is never in
 S.  The points that are 0 at coordinate c are the perp of the unit point
 e_{c xor 1}, so the search needs only AND-ed perp masks, and the last point
-closes the generator as its own perp.  They are indexed in lexicographic
+closes the generator as its own perp.  The leads of a greedy basis are
+distinct, so they are the pivots of the generator's rref basis, and the
+row at x's lead is the generator's one point that is 0 at every other lead
+(projection onto the leads is injective on the generator): its point mask
+AND-ed with the vanish masks of the other basis points.  Later leads come
+first in point order, so those rows in descending index order are the rref
+basis, and no row is reduced.  Generators are indexed in lexicographic
 order of their rref basis.  The symplectic group acts only on these
 indices: `transvections` gives its generating set as permutations.
 """
@@ -148,10 +154,13 @@ class PolarSpace:
         """Bit j of entry i is set iff generators i and j share no point."""
         if self._disjoint_adj is None:
             gen_points = [self.point_indices(g.point_mask) for g in self.generators]
-            through = [0] * self.num_points
+            # through[p] is the mask of the generators on point p, set bit by
+            # bit in a bytearray and converted once.
+            rows = [bytearray((len(gen_points) + 7) // 8) for _ in range(self.num_points)]
             for i, pts in enumerate(gen_points):
                 for p in pts:
-                    through[p] |= 1 << i
+                    rows[p][i >> 3] |= 1 << (i & 7)
+            through = [int.from_bytes(row, "little") for row in rows]
             full = (1 << len(gen_points)) - 1
             adj = []
             for pts in gen_points:
@@ -204,9 +213,20 @@ class PolarSpace:
             # is, in `allowed`.  With x after basis[-1], each generator is
             # reached once, by its greedy basis.
             if len(basis) == n:
-                rows = tuple(self.points[x] for x in basis)
-                # A generator is its own perp.
-                found.append((algebra.rref(rows, self.field), common))
+                # A generator is its own perp, so `common` is its point set.
+                # Its rref row at x's lead is its one point that is 0 at
+                # every other lead; descending indices are ascending pivots.
+                rows = []
+                for x in basis:
+                    row = common
+                    for y in basis:
+                        if y != x:
+                            row &= vanish[y]
+                    if row & (row - 1) or not row:
+                        raise CatalogMismatch(f"no single rref row at point {x}")
+                    rows.append(row.bit_length() - 1)
+                rows.sort(reverse=True)
+                found.append((tuple(self.points[r] for r in rows), common))
                 return
             cand = common & allowed & -(2 << basis[-1])
             while cand:

@@ -549,6 +549,13 @@ def search_maximal(
     leaf below reaches `cand == 0`, and the branch ends.  This maximality
     cut removes only subtrees that hold no result, so the output and its
     order, and the first hit of "first_of_size", are those of the full tree.
+    The parent tests each child against the cut and the size bound before
+    it descends, so a cut child is never visited, and each descent checks
+    that the new member is disjoint from the points already covered.
+
+    The d^N + 1 members of a spread cover all (d^{2N} - 1)/(d - 1) points,
+    each member (d^N - 1)/(d - 1) of them, so no partial spread is larger
+    and "first_of_size" answers a larger size at once.
     """
     if mode not in ("exhaustive", "first_of_size"):
         raise ValueError(f"unknown search mode {mode!r}")
@@ -560,49 +567,49 @@ def search_maximal(
         raise ValueError(f"size must be at least 1, got {size}")
     if mode == "exhaustive" and (space.d, space.n) not in EXHAUSTIVE_SPACES:
         raise ScaleExceeded("exhaustive search supported for W_3(2), W_3(3), W_5(2)")
+    if mode == "first_of_size" and size > space.d**space.n + 1:
+        return []
     adj = space.disjoint_adjacency
-    count = len(space.generators)
-    results: list[tuple[int, ...]] = []
+    masks = [g.point_mask for g in space.generators]
+    exhaustive = mode == "exhaustive"
+    members: list[int] = []
+    results: list[PartialSpread] = []
 
-    def dfs(members: list[int], cand: int) -> bool:
-        if cand == 0:
-            if mode == "exhaustive":
-                results.append(tuple(members))
-                return False
-            if len(members) == size:
-                results.append(tuple(members))
-                return True
-            return False
-        if mode == "first_of_size":
-            if len(members) + bin(cand).count("1") < size:
-                return False
-            if len(members) >= size:
-                return False
-        above = cand >> (members[-1] + 1) << (members[-1] + 1)
-        skipped = cand ^ above
-        while skipped:
-            low = skipped & -skipped
-            if adj[low.bit_length() - 1] & above == above:
-                return False
-            skipped ^= low
+    def dfs(cand: int, above: int, cover: int) -> bool:
+        # Extend `members`, whose candidates are `cand` and points `cover`.
         while above:
             low = above & -above
+            above ^= low
             j = low.bit_length() - 1
-            if dfs(members + [j], cand & adj[j]):
-                return True
-            above &= above - 1
+            if cover & masks[j]:
+                raise NotDisjoint(f"member {j} meets an earlier member")
+            members.append(j)
+            child = cand & adj[j]
+            if not child:
+                if exhaustive or len(members) == size:
+                    results.append(PartialSpread(space, tuple(members), cover | masks[j]))
+                    if not exhaustive:
+                        return True
+            elif exhaustive or len(members) < size <= len(members) + bin(child).count("1"):
+                higher = child >> (j + 1) << (j + 1)
+                skipped = child ^ higher
+                while skipped:
+                    bit = skipped & -skipped
+                    if adj[bit.bit_length() - 1] & higher == higher:
+                        break
+                    skipped ^= bit
+                else:
+                    if dfs(child, higher, cover | masks[j]):
+                        return True
+            members.pop()
         return False
 
-    for i in range(count):
-        if dfs([i], adj[i]):
-            break
+    every = (1 << len(masks)) - 1
+    dfs(every, every, 0)
     # dfs calls itself through its closure; break that cycle so that
     # `results` is freed on return, not at the next full collection.
     del dfs
-    # Free each member tuple once its spread is built, so that the two
-    # lists (25 152 entries for the W_5(2) census) never peak together.
-    results.reverse()
-    return [partial_spread(space, results.pop()) for _ in range(len(results))]
+    return results
 
 
 def classify_iso(

@@ -115,6 +115,12 @@ def test_search_first_of_size_hit_and_miss(capsys):
     assert code == 2
 
 
+def test_search_size_beyond_a_spread_answers_at_once(capsys):
+    argv = ["search", "--d", "5", "--n", "2", "--mode", "first-of-size", "--size", "27"]
+    assert run_within_a_second(argv) == 2
+    assert json.loads(capsys.readouterr().out)["result"]["found"] is False
+
+
 def test_conjecture_brute_force(capsys):
     code, out = run_capture(
         capsys, ["conjecture", "--d", "2", "--n", "3", "--brute-force"]

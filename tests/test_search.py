@@ -86,3 +86,9 @@ def test_first_of_size_w35_pinned(size, members):
     found = spread.search_maximal(space(5, 2), "first_of_size", size=size)
     assert [p.members for p in found] == [members]
     assert spread.is_complete(found[0]).complete
+
+
+@pytest.mark.parametrize("size", [27, 40])
+def test_first_of_size_beyond_a_spread_is_empty(size):
+    # A spread of W_3(5) has 5^2 + 1 = 26 members, and no partial spread more.
+    assert spread.search_maximal(space(5, 2), "first_of_size", size=size) == []
