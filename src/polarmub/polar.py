@@ -14,14 +14,15 @@ leading coordinate of every point of the basis, and such an x is never in
 S.  The points that are 0 at coordinate c are the perp of the unit point
 e_{c xor 1}, so the search needs only AND-ed perp masks, and the last point
 closes the generator as its own perp.  The leads of a greedy basis are
-distinct, so they are the pivots of the generator's rref basis, and the
-row at x's lead is the generator's one point that is 0 at every other lead
-(projection onto the leads is injective on the generator): its point mask
-AND-ed with the vanish masks of the other basis points.  Later leads come
-first in point order, so those rows in descending index order are the rref
-basis, and no row is reduced.  Generators are indexed in lexicographic
-order of their rref basis.  The symplectic group acts only on these
-indices: `transvections` gives its generating set as permutations.
+distinct, so they are the pivots of the generator's rref basis.  The rref
+row at x's lead is the one point of the generator that is 0 at every other
+lead, since projection onto the leads is injective on the generator: its
+point mask AND-ed with the masks of the points 0 at those leads, so no row
+is reduced.  Later leads come first in point order, so these rows in
+descending index order are the rref basis.  Generators are indexed in
+lexicographic order of their rref basis.  The symplectic group acts only
+on these indices: `transvections` gives its generating set as
+permutations.
 """
 
 from __future__ import annotations

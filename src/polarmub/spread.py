@@ -553,9 +553,10 @@ def search_maximal(
     it descends, so a cut child is never visited, and each descent checks
     that the new member is disjoint from the points already covered.
 
-    The d^N + 1 members of a spread cover all (d^{2N} - 1)/(d - 1) points,
-    each member (d^N - 1)/(d - 1) of them, so no partial spread is larger
-    and "first_of_size" answers a larger size at once.
+    Members are pairwise disjoint with (d^N - 1)/(d - 1) points each, out
+    of (d^{2N} - 1)/(d - 1) = (d^N + 1)(d^N - 1)/(d - 1) points, so no
+    partial spread has more than d^N + 1 members, and "first_of_size"
+    answers a larger size with [] at once.
     """
     if mode not in ("exhaustive", "first_of_size"):
         raise ValueError(f"unknown search mode {mode!r}")

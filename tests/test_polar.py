@@ -177,7 +177,7 @@ def test_catalog_is_pinned(d, n):
     h = hashlib.sha256()
     for i, g in enumerate(space.generators):
         assert g.gen_index == i
-        assert len(algebra.rref(g.basis, space.field)) == n
+        assert len(g.basis) == n
         assert algebra.rref(g.basis, space.field) == g.basis
         assert is_isotropic(space, g.basis)
         assert bin(g.point_mask).count("1") == per_gen
