@@ -72,7 +72,8 @@ def eigenprojectors(c: CommutingClass, spec) -> Eigenbasis:
     for chi in itertools.product(range(d), repeat=len(mats)):
         p = functools.reduce(np.matmul, [s[x] for s, x in zip(spectral, chi)])
         weight = p.diagonal().real.tolist()
-        columns.append(p[:, weight.index(max(weight))] / max(weight) ** 0.5)
+        j = next((i for i, w in enumerate(weight) if w >= max(weight) / 2), 0)
+        columns.append(p[:, j] / weight[j] ** 0.5)
     unitary = np.array(columns).T
     chars = np.array(list(itertools.product(range(d), repeat=len(mats))))
     for m, chi in zip(mats, chars.T):

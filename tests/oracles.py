@@ -1,13 +1,24 @@
-"""Plain-Python incidence oracles shared by the tests.
+"""Plain-Python and per-factor oracles shared by the tests.
 
 `line_mask` normalises each point of a projective line by hand and looks it
 up by its coordinates; `regulus_closure` is the triple-by-triple regularity
 loop built on it.  Both are slow and independent of the array layer in
 `polarmub.polar`, which is what makes them oracles for it.
+
+`kron_pauli_matrix` builds a Pauli matrix as a Kronecker product of its
+single-system factors, and `joint_projectors` / `eigenbasis` multiply out
+the joint eigenprojectors one character at a time: the per-factor and
+per-character forms that the dense layer of `polarmub.pauli` and
+`polarmub.mub` replaces with index arithmetic and batched products.
 """
 
+import functools
 import itertools
 import weakref
+
+import numpy as np
+
+from polarmub import algebra
 
 # Each space's points keyed by coordinates, dropped with the space.
 _point_index = weakref.WeakKeyDictionary()
@@ -50,3 +61,53 @@ def regulus_closure(s):
             meeting_all = sum(all(m & line for line in lines) for m in masks)
             closed[ia, ib, ic] = meeting_all == space.d + 1
     return closed
+
+
+def kron_pauli_matrix(op, spec):
+    """X^a Z^b with its phase, as the Kronecker product over systems of
+    |s> -> omega^{b_j s} |s + a_j>, system 0 leftmost."""
+    d = spec.d
+    w = np.exp(2j * np.pi / d)
+    out = np.eye(1, dtype=complex)
+    for aj, bj in zip(op.a, op.b):
+        factor = np.zeros((d, d), dtype=complex)
+        for s in range(d):
+            factor[(s + aj) % d, s] = w ** (bj * s)
+        out = np.kron(out, factor)
+    return (1j**op.phase_exp if d == 2 else w**op.phase_exp) * out
+
+
+def joint_projectors(c, spec):
+    """The d^N joint eigenprojectors, chi in (Z_d)^N in lexicographic
+    order: the product over j of the spectral projectors
+    (1/d) sum_k omega^{-k chi_j} G_j^k of the N class members G_j whose
+    images are the rref basis rows of the generator."""
+    d = c.d
+    by_image = {op.symplectic_image(): op for op in c.ops}
+    rows = algebra.rref(tuple(by_image), spec)
+    mats = [kron_pauli_matrix(by_image[row], spec) for row in rows]
+    w = np.exp(2j * np.pi / d)
+    spectral = []
+    for m in mats:
+        powers = [np.linalg.matrix_power(m, k) for k in range(d)]
+        spectral.append(
+            [sum(w ** (-k * x) * powers[k] for k in range(d)) / d for x in range(d)]
+        )
+    return np.array(
+        [
+            functools.reduce(np.matmul, [s[x] for s, x in zip(spectral, chi)])
+            for chi in itertools.product(range(d), repeat=len(mats))
+        ]
+    )
+
+
+def eigenbasis(c, spec):
+    """The unitary whose column chi is column j of the chi-th joint
+    projector P, divided by sqrt(P_jj), j the first index whose diagonal
+    weight is at least half the largest."""
+    columns = []
+    for p in joint_projectors(c, spec):
+        weight = p.diagonal().real.tolist()
+        j = next(i for i, w in enumerate(weight) if w >= max(weight) / 2)
+        columns.append(p[:, j] / weight[j] ** 0.5)
+    return np.array(columns).T

@@ -4,9 +4,10 @@ import itertools
 import random
 
 import numpy as np
+import oracles
 import pytest
 
-from polarmub import algebra, mub, pauli, spread
+from polarmub import mub, pauli, spread
 from polarmub.algebra import FieldSpec
 from polarmub.errors import DimensionMismatch, NonDiagonalizable
 from polarmub.pauli import class_from_generator
@@ -171,33 +172,7 @@ def test_certificate_rejects_extendible_pair():
     assert cert.max_deviation < TOL  # unbiased, just not unextendible
 
 
-# -- pins of the trace-product definitions
-
-
-def character_sum_projectors(c, spec):
-    """Reference: the d^N joint eigenprojectors multiplied out from the
-    spectral projectors (1/d) sum_k omega^{-k chi_j} G_j^k of the N class
-    members whose images are the rref basis rows, chi in lexicographic
-    order."""
-    d = c.d
-    by_image = {op.symplectic_image(): op for op in c.ops}
-    rows = algebra.rref(tuple(by_image), spec)
-    mats = [pauli.pauli_matrix(by_image[row], spec) for row in rows]
-    dim = mats[0].shape[0]
-    w = np.exp(2j * np.pi / d)
-    spectral = []
-    for m in mats:
-        powers = [np.linalg.matrix_power(m, k) for k in range(d)]
-        spectral.append(
-            [sum(w ** (-k * x) * powers[k] for k in range(d)) / d for x in range(d)]
-        )
-    out = []
-    for chi in itertools.product(range(d), repeat=len(mats)):
-        p = np.eye(dim, dtype=complex)
-        for s, x in zip(spectral, chi):
-            p = p @ s[x]
-        out.append(p)
-    return np.array(out)
+# -- pins of the trace-product definitions against tests/oracles.py
 
 
 def trace_deviation(b1, b2):
@@ -249,7 +224,19 @@ def test_projectors_match_character_sums_in_order(sp):
         c = class_from_generator(g, sp)
         u = mub.eigenprojectors(c, sp.field).unitary
         got = np.einsum("ik,jk->kij", u, u.conj())
-        assert np.max(np.abs(got - character_sum_projectors(c, sp.field))) < TOL
+        assert np.max(np.abs(got - oracles.joint_projectors(c, sp.field))) < TOL
+
+
+@pytest.mark.parametrize(
+    "sp", [W32, W33, W52, W35], ids=["W_3(2)", "W_3(3)", "W_5(2)", "W_3(5)"]
+)
+def test_eigenbasis_matches_per_character_oracle(sp):
+    # Same columns, not only the same projectors: the half-max column rule
+    # does not depend on the last-ulp noise of the nonzero diagonal weights.
+    for g in sp.generators:
+        c = class_from_generator(g, sp)
+        got = mub.eigenprojectors(c, sp.field).unitary
+        assert np.max(np.abs(got - oracles.eigenbasis(c, sp.field))) < 1e-12
 
 
 @pytest.mark.parametrize("sp", [W32, W33, W52], ids=["W_3(2)", "W_3(3)", "W_5(2)"])

@@ -5,6 +5,7 @@ import itertools
 import random
 
 import numpy as np
+import oracles
 import pytest
 
 from polarmub import pauli, spread
@@ -16,6 +17,7 @@ from polarmub.polar import PolarSpace
 W32 = PolarSpace(2, 2)
 W33 = PolarSpace(3, 2)
 W52 = PolarSpace(2, 3)
+W35 = PolarSpace(5, 2)
 
 TOL = 1e-9
 
@@ -65,6 +67,18 @@ def test_matrices_unitary_traceless():
         assert np.allclose(m @ m.conj().T, np.eye(9), atol=TOL)
         if any(a) or any(b):
             assert abs(np.trace(m)) < TOL
+
+
+@pytest.mark.parametrize(
+    "sp", [W32, W33, W52, W35], ids=["W_3(2)", "W_3(3)", "W_5(2)", "W_3(5)"]
+)
+def test_matrices_match_kron_oracle_on_every_class_operator(sp):
+    # At d = 2 every canonical representative with a.b odd carries i^{a.b}.
+    ops = [op for g in sp.generators for op in class_from_generator(g, sp).ops]
+    assert sp.d != 2 or any(op.phase_exp for op in ops)
+    for op in ops:
+        got = pauli.pauli_matrix(op, sp.field)
+        assert np.max(np.abs(got - oracles.kron_pauli_matrix(op, sp.field))) < 1e-12
 
 
 def test_matrix_scale_guard():
