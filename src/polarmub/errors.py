@@ -84,5 +84,5 @@ class NotAClass(PolarMubError):
 
 class NonDiagonalizable(PolarMubError):
     """A class fails its eigenbasis certificate: a member lacks order d (the
-    phase convention is violated), or the joint eigenvectors found are not
-    orthonormal or not eigenvectors of the class."""
+    phase convention is violated), the joint eigenvectors found are not
+    orthonormal or not eigenvectors, or two bases' overlaps are not finite."""

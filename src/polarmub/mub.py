@@ -1,15 +1,18 @@
 """From commuting classes to explicit mutually unbiased bases.
 
 The common eigenbasis of a class is stored as the d^N x d^N unitary U of
-joint eigenvectors of N class members whose images span the generator.
+joint eigenvectors of N class members whose images span the generator,
+built in one batch per class; each column is taken at the first index of
+weight at least half the largest (the half-max rule), as the nonzero
+weights are all equal and an argmax would follow rounding noise.
 Unbiasedness between two bases is read off the overlaps |U^H V|^2, the
 trace products tr(P Q) of the rank-1 projectors, free of eigenvector phases.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +20,7 @@ import numpy as np
 from . import algebra
 from . import spread as spread_mod
 from .errors import DimensionMismatch, NonDiagonalizable, ScaleExceeded
-from .pauli import MAX_DENSE_DIM, CommutingClass, _omega, class_from_generator, pauli_matrix
+from .pauli import MAX_DENSE_DIM, CommutingClass, _roots, class_from_generator, pauli_matrix
 from .spread import PartialSpread
 
 
@@ -48,9 +51,10 @@ def eigenprojectors(c: CommutingClass, spec) -> Eigenbasis:
     Each of the N class members G_j whose images are the rref basis rows of
     the generator gives d spectral projectors (1/d) sum_k omega^{-k x} G_j^k.
     For chi in (Z_d)^N in lexicographic order, their product over j at
-    x = chi_j is u u^H, and its largest column, normalised, is column chi.
-    G_j^d = I, G_j U = U diag(omega^{chi_j}) and U^H U = I are checked
-    within 1e-9; together they make u u^H the joint eigenprojector for chi."""
+    x = chi_j is u u^H; column chi is its column at the half-max index,
+    normalised.  G_j^d = I, G_j U = U diag(omega^{chi_j}) and U^H U = I are
+    checked within 1e-9, NaN failing each; together they make u u^H the
+    joint eigenprojector for chi."""
     d = c.d
     if spec.d != d:
         raise DimensionMismatch("field order does not match the class")
@@ -59,26 +63,26 @@ def eigenprojectors(c: CommutingClass, spec) -> Eigenbasis:
         raise ScaleExceeded(f"dense dimension {dim} exceeds {MAX_DENSE_DIM}")
     by_image = {op.symplectic_image(): op for op in c.ops}
     basis = algebra.rref(tuple(by_image), spec)
-    mats = [pauli_matrix(by_image[row], spec) for row in basis]
+    mats = np.array([pauli_matrix(by_image[row], spec) for row in basis])
     identity = np.eye(dim, dtype=complex)
-    roots = [_omega(d) ** k for k in range(d)]
-    spectral = []
-    for m in mats:
-        pw = [np.linalg.matrix_power(m, k) for k in range(d + 1)]
-        if np.max(np.abs(pw.pop() - identity)) > 1e-9:
-            raise NonDiagonalizable("class member lacks order d; fix the phase convention")
-        spectral.append([sum(roots[-k * x % d] * pw[k] for k in range(d)) / d for x in range(d)])
-    columns = []
-    for chi in itertools.product(range(d), repeat=len(mats)):
-        p = functools.reduce(np.matmul, [s[x] for s, x in zip(spectral, chi)])
-        weight = p.diagonal().real.tolist()
-        j = next((i for i, w in enumerate(weight) if w >= max(weight) / 2), 0)
-        columns.append(p[:, j] / weight[j] ** 0.5)
-    unitary = np.array(columns).T
-    chars = np.array(list(itertools.product(range(d), repeat=len(mats))))
-    for m, chi in zip(mats, chars.T):
-        if not np.max(np.abs(m @ unitary - unitary * np.array(roots)[chi])) <= 1e-9:
-            raise NonDiagonalizable("a column is not a joint eigenvector of the class")
+    powers = [np.broadcast_to(identity, mats.shape), mats]
+    for _ in range(d - 1):
+        powers.append(powers[-1] @ mats)
+    if not np.max(np.abs(powers.pop() - identity)) <= 1e-9:
+        raise NonDiagonalizable("class member lacks order d; fix the phase convention")
+    roots = _roots(d)
+    table = roots[-np.outer(np.arange(d), np.arange(d)) % d] / d
+    spectral = (table @ np.array(powers).reshape(d, -1)).reshape(d, len(mats), dim, dim)
+    joint = spectral[:, 0]
+    for j in range(1, len(mats)):
+        joint = (joint[:, None] @ spectral[None, :, j]).reshape(-1, dim, dim)
+    chis = np.arange(len(joint))
+    weight = joint.diagonal(axis1=1, axis2=2).real
+    cols = np.argmax(np.minimum(weight, weight.max(axis=1, keepdims=True) / 2), axis=1)
+    unitary = (joint[chis, :, cols] / np.sqrt(weight[chis, cols])[:, None]).T
+    chars = np.indices((d,) * len(mats)).reshape(len(mats), -1)
+    if not np.max(np.abs(mats @ unitary - unitary * roots[chars][:, None, :])) <= 1e-9:
+        raise NonDiagonalizable("a column is not a joint eigenvector of the class")
     if not np.max(np.abs(unitary.conj().T @ unitary - identity)) <= 1e-9:
         raise NonDiagonalizable("joint eigenvectors are not orthonormal")
     return Eigenbasis(dim, unitary)
@@ -97,9 +101,9 @@ def certify_weak_umub(ps: PartialSpread, tolerance: float = 1e-9) -> UMUBCertifi
 
     Valid iff the partial spread is complete (no further class exists) and
     every cross pair of member eigenbases is unbiased within tolerance.
-    Failures are recorded in the certificate, never raised.  The tolerance
-    must lie strictly between 0 and 1/d^N: at 1/d^N an orthogonal overlap of
-    0 would pass as unbiased.
+    Failures are recorded in the certificate; a deviation that is not finite
+    raises.  The tolerance must lie strictly between 0 and 1/d^N: at 1/d^N
+    an orthogonal overlap of 0 would pass as unbiased.
     """
     space = ps.space
     target = 1.0 / space.d**space.n
@@ -110,9 +114,10 @@ def certify_weak_umub(ps: PartialSpread, tolerance: float = 1e-9) -> UMUBCertifi
         eigenprojectors(class_from_generator(space.generator(m), space), space.field)
         for m in ps.members
     ]
-    worst = 0.0
-    for b1, b2 in itertools.combinations(bases, 2):
-        worst = max(worst, unbiasedness(b1, b2))
+    pairs = itertools.combinations(bases, 2)
+    worst = float(np.max([unbiasedness(b1, b2) for b1, b2 in pairs], initial=0.0))
+    if not math.isfinite(worst):
+        raise NonDiagonalizable(f"overlap deviation {worst} between two eigenbases")
     return UMUBCertificate(
         classes=ps.members,
         order=ps.size,

@@ -5,8 +5,9 @@ tensor product of single-system factors X^{a_j} Z^{b_j}, together with a
 phase exponent (a power of omega = exp(2*pi*i/d) for odd d, a power of i
 for d = 2).  The symplectic image interleaves a and b one tensor factor at
 a time, so the canonical alternating form of the polar space is exactly
-the commutation pairing.  Dense matrices are built on demand for oracle
-checks and never cached on the operator.
+the commutation pairing.  Dense matrices are built on demand, never cached
+on the operator: X^a Z^b is a monomial matrix, written by index in one
+assignment, with no product over tensor factors.
 """
 
 from __future__ import annotations
@@ -80,34 +81,27 @@ def commutes(p: PauliOp, q: PauliOp, space: PolarSpace) -> bool:
     return space.symp_form(p.symplectic_image(), q.symplectic_image()) == 0
 
 
-def _omega(d: int) -> complex:
-    return np.exp(2j * np.pi / d)
-
-
-def _single_factor(d: int, a: int, b: int) -> np.ndarray:
-    """X^a Z^b on one system: |s> -> omega^{b s} |s + a>."""
-    w = _omega(d)
-    m = np.zeros((d, d), dtype=complex)
-    for s in range(d):
-        m[(s + a) % d, s] = w ** (b * s)
-    return m
+def _roots(m: int) -> np.ndarray:
+    """The m-th roots of unity exp(2 pi i k / m), k < m."""
+    return np.array([np.exp(2j * np.pi * k / m) for k in range(m)])
 
 
 def pauli_matrix(op: PauliOp, spec: FieldSpec) -> np.ndarray:
-    """Dense matrix of the operator, phase included."""
+    """Dense matrix of the operator, phase included: column s (base-d digits,
+    system 0 most significant) holds omega^{b.s} at row s + a, digitwise,
+    times i^{phase} at d = 2 and omega^{phase} at odd d."""
     d = spec.d
     if d != op.d:
         raise DimensionMismatch("field order does not match the operator")
-    dim = d**op.num_systems
+    n = op.num_systems
+    dim = d**n
     if dim > MAX_DENSE_DIM:
         raise ScaleExceeded(f"dense dimension {dim} exceeds {MAX_DENSE_DIM}")
-    out = np.eye(1, dtype=complex)
-    for aj, bj in zip(op.a, op.b):
-        out = np.kron(out, _single_factor(d, aj, bj))
-    if d == 2:
-        out = 1j**op.phase_exp * out
-    else:
-        out = _omega(d) ** op.phase_exp * out
+    digits = np.indices((d,) * n).reshape(n, dim).T
+    m = 4 if d == 2 else d
+    phases = _roots(m)[(m // d * (digits @ op.b) + op.phase_exp) % m]
+    out = np.zeros((dim, dim), dtype=complex)
+    out[(digits + op.a) % d @ d ** np.arange(n - 1, -1, -1), np.arange(dim)] = phases
     return out
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarmub import cli, polar, spread
+from polarmub import cli, mub, polar, spread
 from polarmub.cli import deserialize_spread, get_space, run, serialize_spread
 
 
@@ -159,6 +159,15 @@ def test_mub_from_spread(capsys):
     assert result["order"] == 5
     assert result["max_deviation"] < 1e-9
     assert result["target_overlap"] == 0.25
+
+
+def test_mub_nonfinite_deviation_exits_1_without_traceback(capsys, monkeypatch):
+    monkeypatch.setattr(mub, "unbiasedness", lambda p, q: float("nan"))
+    assert run(["mub", "--d", "2", "--n", "2", "--from-spread", "classical"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: NonDiagonalizable: overlap deviation nan")
 
 
 @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])

@@ -162,6 +162,21 @@ def test_certificate_default_and_near_bound_tolerance_pass():
     assert mub.certify_weak_umub(s, tolerance=0.2499).valid
 
 
+@pytest.mark.parametrize("deviation", [float("nan"), float("inf")])
+def test_certificate_raises_on_a_nonfinite_deviation(monkeypatch, deviation):
+    # max(0.0, nan) is 0.0: a NaN deviation dropped by max would certify.
+    unbiasedness, calls = mub.unbiasedness, []
+
+    def patched(p, q):
+        calls.append((p, q))
+        return deviation if len(calls) == 3 else unbiasedness(p, q)
+
+    monkeypatch.setattr(mub, "unbiasedness", patched)
+    s = spread.construct_symplectic_spread(W32)
+    with pytest.raises(NonDiagonalizable, match=f"overlap deviation {deviation}"):
+        mub.certify_weak_umub(s)
+
+
 def test_certificate_rejects_extendible_pair():
     s = spread.construct_symplectic_spread(W32)
     pair = spread.partial_spread(W32, s.members[:2])
@@ -288,4 +303,13 @@ def test_nonunitary_eigenvectors_raise_typed_error(monkeypatch):
     patch_member_matrices(monkeypatch, lambda i, m: s @ m @ s_inv)
     c = class_from_generator(W33.generators[3], W33)
     with pytest.raises(NonDiagonalizable, match="orthonormal"):
+        mub.eigenprojectors(c, W33.field)
+
+
+def test_nan_member_lacks_order_d(monkeypatch):
+    # Every comparison with NaN is false, so the order-d check must fail on
+    # a NaN member rather than hand it on to the eigenvector check.
+    patch_member_matrices(monkeypatch, lambda i, m: np.full_like(m, np.nan) if i == 2 else m)
+    c = class_from_generator(W33.generators[3], W33)
+    with pytest.raises(NonDiagonalizable, match="lacks order d"):
         mub.eigenprojectors(c, W33.field)
