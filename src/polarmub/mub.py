@@ -2,9 +2,9 @@
 
 The common eigenbasis of a class is stored as the d^N x d^N unitary U of
 joint eigenvectors of N class members whose images span the generator,
-built in one batch per class; each column is taken at the first index of
-weight at least half the largest (the half-max rule), as the nonzero
-weights are all equal and an argmax would follow rounding noise.
+built in one batch per class.  Each column is taken at the first index of
+weight at least half the largest, the argmax of min(weight, max / 2): the
+nonzero weights are all equal, so a plain argmax would follow rounding noise.
 Unbiasedness between two bases is read off the overlaps |U^H V|^2, the
 trace products tr(P Q) of the rank-1 projectors, free of eigenvector phases.
 """
@@ -51,10 +51,10 @@ def eigenprojectors(c: CommutingClass, spec) -> Eigenbasis:
     Each of the N class members G_j whose images are the rref basis rows of
     the generator gives d spectral projectors (1/d) sum_k omega^{-k x} G_j^k.
     For chi in (Z_d)^N in lexicographic order, their product over j at
-    x = chi_j is u u^H; column chi is its column at the half-max index,
-    normalised.  G_j^d = I, G_j U = U diag(omega^{chi_j}) and U^H U = I are
-    checked within 1e-9, NaN failing each; together they make u u^H the
-    joint eigenprojector for chi."""
+    x = chi_j is u u^H; column chi is its column at the first index of
+    weight at least half the largest, normalised.  G_j^d = I,
+    G_j U = U diag(omega^{chi_j}) and U^H U = I are checked within 1e-9, NaN
+    failing each; together they make u u^H the joint eigenprojector for chi."""
     d = c.d
     if spec.d != d:
         raise DimensionMismatch("field order does not match the class")

@@ -165,11 +165,10 @@ def test_certificate_default_and_near_bound_tolerance_pass():
 @pytest.mark.parametrize("deviation", [float("nan"), float("inf")])
 def test_certificate_raises_on_a_nonfinite_deviation(monkeypatch, deviation):
     # max(0.0, nan) is 0.0: a NaN deviation dropped by max would certify.
-    unbiasedness, calls = mub.unbiasedness, []
+    unbiasedness, calls = mub.unbiasedness, itertools.count(1)
 
     def patched(p, q):
-        calls.append((p, q))
-        return deviation if len(calls) == 3 else unbiasedness(p, q)
+        return deviation if next(calls) == 3 else unbiasedness(p, q)
 
     monkeypatch.setattr(mub, "unbiasedness", patched)
     s = spread.construct_symplectic_spread(W32)
