@@ -10,6 +10,11 @@ single-system factors, and `joint_projectors` / `eigenbasis` multiply out
 the joint eigenprojectors one character at a time: the per-factor and
 per-character forms that the dense layer of `polarmub.pauli` and
 `polarmub.mub` replaces with index arithmetic and batched products.
+
+`brute_force_conjecture` is the subset sweep: it builds every
+(d^{N-1} + 1)-subset of a spread and scans the whole catalog for the
+generators it covers (`covered_generators`).  It is exponential in the
+spread size, and independent of the meet-set count in `polarmub.counting`.
 """
 
 import functools
@@ -18,7 +23,7 @@ import weakref
 
 import numpy as np
 
-from polarmub import algebra
+from polarmub import algebra, counting, spread
 
 # Each space's points keyed by coordinates, dropped with the space.
 _point_index = weakref.WeakKeyDictionary()
@@ -111,3 +116,65 @@ def eigenbasis(c, spec):
         j = next(i for i, w in enumerate(weight) if w >= max(weight) / 2)
         columns.append(p[:, j] / weight[j] ** 0.5)
     return np.array(columns).T
+
+
+def covered_generators(ps):
+    """Generators outside ps whose point set lies inside the coverage."""
+    members = set(ps.members)
+    return [
+        g
+        for g in ps.space.generators
+        if g.gen_index not in members
+        and g.point_mask & ps.coverage == g.point_mask
+    ]
+
+
+def brute_force_conjecture(space, s):
+    """Sweep every subset of the spread of size d^{N-1} + 1.
+
+    Tallies how many subsets cover exactly one further generator versus at
+    least one, whether distinct subsets give distinct covered generators,
+    and whether trading the subset for its covered generator leaves a
+    complete partial spread of size d^N - d^{N-1} + 1."""
+    if not s.is_spread:
+        raise ValueError("brute force needs a full spread")
+    subset_size = space.d ** (space.n - 1) + 1
+    expected = space.d**space.n - space.d ** (space.n - 1) + 1
+    exactly_one = 0
+    at_least_one = 0
+    first_failure = None
+    covered_seen = {}
+    distinct = True
+    completions_ok = True
+    completion_size = None
+    total = 0
+    for subset in itertools.combinations(s.members, subset_size):
+        total += 1
+        covered = covered_generators(spread.partial_spread(space, subset))
+        if len(covered) >= 1:
+            at_least_one += 1
+        if len(covered) == 1:
+            exactly_one += 1
+            g = covered[0]
+            if g.gen_index in covered_seen and covered_seen[g.gen_index] != subset:
+                distinct = False
+            covered_seen[g.gen_index] = subset
+            traded = spread.partial_spread(
+                space,
+                [m for m in s.members if m not in subset] + [g.gen_index],
+            )
+            if traded.size != expected or not spread.is_complete(traded).complete:
+                completions_ok = False
+            completion_size = traded.size
+        elif first_failure is None:
+            first_failure = subset
+    return counting.BruteForceSummary(
+        subsets_total=total,
+        exactly_one=exactly_one,
+        at_least_one=at_least_one,
+        first_failure=first_failure,
+        distinct_covered=distinct,
+        completions_complete=completions_ok,
+        completion_size=completion_size,
+        expected_completion_size=expected,
+    )

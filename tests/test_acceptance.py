@@ -15,6 +15,8 @@ from polarmub import counting, mub, pauli, polar, spread
 from polarmub.pauli import class_from_generator
 from polarmub.polar import PolarSpace
 
+from oracles import covered_generators
+
 TOL = 1e-9
 
 _SPACES: dict[tuple[int, int], PolarSpace] = {}
@@ -91,7 +93,7 @@ def test_criterion_3_unextendible_triples_end_to_end():
     ok = len(spreads) > 0
     for s in spreads:
         for subset in itertools.combinations(s.members, 3):
-            covered = spread.covered_generators(spread.partial_spread(sp, subset))
+            covered = covered_generators(spread.partial_spread(sp, subset))
             if len(covered) != 1:
                 ok = False
                 continue

@@ -9,6 +9,8 @@ from polarmub import counting, spread
 from polarmub.errors import ScaleExceeded
 from polarmub.polar import PolarSpace
 
+import oracles
+
 
 def test_equality_at_2_2():
     r = counting.conjecture_counts(2, 2)
@@ -113,6 +115,14 @@ def test_brute_force_w33_exhibits_failure():
     assert summary.first_failure is not None
     # consistency with the counting verdict: equality fails at (3, 2)
     assert counting.conjecture_counts(3, 2).verdict == "Violated"
+
+
+@pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (3, 2)], ids=["W_3(2)", "W_5(2)", "W_3(3)"])
+def test_brute_force_matches_sweep_oracle(d, n):
+    space = PolarSpace(d, n)
+    s = spread.construct_symplectic_spread(space)
+    want = oracles.brute_force_conjecture(space, s).as_dict()
+    assert counting.brute_force_conjecture(space, s).as_dict() == want
 
 
 def test_brute_force_scale_guard():
