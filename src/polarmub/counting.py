@@ -6,6 +6,11 @@ arithmetic.  For grid corners where the binomial itself is astronomically
 large, the verdict is still exact: the prefix products binom(m + i, i) are
 integers and strictly increasing, so the comparison is decided the moment a
 prefix exceeds the right-hand side, without materialising the full value.
+
+`brute_force_conjecture` checks the claim on a spread S from meet sets: a
+generator g outside S is covered by a subset T of S exactly when M(g), the
+members g meets, lie inside T.  It builds only the supersets of meet sets,
+and refuses a space with more of them than `polar.GENERATOR_LIMIT`.
 """
 
 from __future__ import annotations
@@ -14,13 +19,12 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
+from . import polar
 from . import spread as spread_mod
 from .algebra import FieldSpec
-from .errors import ScaleExceeded
+from .errors import DimensionMismatch, ScaleExceeded
 from .polar import PolarSpace, generator_count
 from .spread import PartialSpread
-
-BRUTE_FORCE_SPACES = {(2, 2), (2, 3), (3, 2)}
 
 # The largest rank `conjecture_counts` reports on.  At rank 64 every
 # supported d reports in well under a millisecond, and the census of d = 13
@@ -123,55 +127,60 @@ def asymptotic_gate(d: int, m: int) -> bool:
 
 
 def brute_force_conjecture(space: PolarSpace, s: PartialSpread) -> BruteForceSummary:
-    """Sweep every subset of the spread of size d^{N-1} + 1.
-
-    Tallies how many subsets cover exactly one further generator versus at
-    least one (the strict and relaxed tiers of the claim), verifies that
-    distinct subsets give distinct covered generators, and that trading the
-    subset for its covered generator leaves a complete partial spread of
-    size d^N - d^{N-1} + 1.
+    """Tally the (d^{N-1} + 1)-subsets T of the spread S by the generators
+    outside S that they cover, from meet sets: T covers g exactly when M(g),
+    the positions of the members g meets, lies inside T.  Only the supersets
+    of each M(g) are built; more of them than `polar.GENERATOR_LIMIT` raises
+    ScaleExceeded before any is.  Also checks that distinct exactly-one
+    subsets cover distinct generators, and that trading each for its
+    generator leaves a complete partial spread of size d^N - d^{N-1} + 1.
     """
-    if (space.d, space.n) not in BRUTE_FORCE_SPACES:
-        raise ScaleExceeded("full sweeps supported for W_3(2), W_5(2), W_3(3)")
+    if (s.space.d, s.space.n) != (space.d, space.n):
+        raise DimensionMismatch(f"the spread lies in {s.space!r}, not in {space!r}")
     if not s.is_spread:
         raise ValueError("brute force needs a full spread")
-    subset_size = space.d ** (space.n - 1) + 1
+    k = space.d ** (space.n - 1) + 1
     expected = space.d**space.n - space.d ** (space.n - 1) + 1
-    exactly_one = 0
-    at_least_one = 0
-    first_failure = None
-    covered_seen: dict[int, tuple[int, ...]] = {}
-    distinct = True
+    member = [0] * space.num_points
+    for i, m in enumerate(s.members):
+        for p in space.point_indices(space.generator(m).point_mask):
+            member[p] = i
+    meet_sets = []
+    for g in space.generators:
+        meets = {member[p] for p in space.point_indices(g.point_mask)}
+        if 1 < len(meets) <= k:
+            meet_sets.append((g.gen_index, sorted(meets)))
+    supersets = sum(comb(s.size - len(m), k - len(m)) for _, m in meet_sets)
+    if supersets > polar.GENERATOR_LIMIT:
+        raise ScaleExceeded(
+            f"W_{2*space.n-1}({space.d}) meet sets expand to {supersets} subsets, "
+            f"above {polar.GENERATOR_LIMIT}"
+        )
+    covers: dict[tuple[int, ...], list[int]] = {}
+    for g, m in meet_sets:
+        rest = [i for i in range(s.size) if i not in m]
+        for extra in itertools.combinations(rest, k - len(m)):
+            covers.setdefault(tuple(sorted(m + list(extra))), []).append(g)
+    exact = sorted(t for t, gens in covers.items() if len(gens) == 1)
+    # The lex-least subset that does not cover exactly one generator.
+    lex = itertools.combinations(range(s.size), k)
+    failure = next((t for t, u in zip(lex, exact + [None]) if t != u), None)
+    traded_gens = [covers[t][0] for t in exact]
     completions_ok = True
     completion_size = None
-    total = 0
-    for subset in itertools.combinations(s.members, subset_size):
-        total += 1
-        sub = spread_mod.partial_spread(space, subset)
-        covered = spread_mod.covered_generators(sub)
-        if len(covered) >= 1:
-            at_least_one += 1
-        if len(covered) == 1:
-            exactly_one += 1
-            g = covered[0]
-            if g.gen_index in covered_seen and covered_seen[g.gen_index] != subset:
-                distinct = False
-            covered_seen[g.gen_index] = subset
-            traded = spread_mod.partial_spread(
-                space,
-                [m for m in s.members if m not in subset] + [g.gen_index],
-            )
-            if traded.size != expected or not spread_mod.is_complete(traded).complete:
-                completions_ok = False
-            completion_size = traded.size
-        elif first_failure is None:
-            first_failure = subset
+    for t, g in zip(exact, traded_gens):
+        traded = spread_mod.partial_spread(
+            space, [m for i, m in enumerate(s.members) if i not in t] + [g]
+        )
+        if traded.size != expected or not spread_mod.is_complete(traded).complete:
+            completions_ok = False
+        completion_size = traded.size
     return BruteForceSummary(
-        subsets_total=total,
-        exactly_one=exactly_one,
-        at_least_one=at_least_one,
-        first_failure=first_failure,
-        distinct_covered=distinct,
+        subsets_total=comb(s.size, k),
+        exactly_one=len(exact),
+        at_least_one=len(covers),
+        first_failure=None if failure is None else tuple(s.members[i] for i in failure),
+        distinct_covered=len(set(traded_gens)) == len(traded_gens),
         completions_complete=completions_ok,
         completion_size=completion_size,
         expected_completion_size=expected,

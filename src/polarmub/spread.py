@@ -88,7 +88,7 @@ def _gen_index(g) -> int:
 
 
 # --------------------------------------------------------------------------
-# Completeness and coverage.
+# Completeness.
 # --------------------------------------------------------------------------
 
 
@@ -98,17 +98,6 @@ def is_complete(ps: PartialSpread) -> CompletenessCert:
         if not g.point_mask & ps.coverage:
             return CompletenessCert(False, g.gen_index)
     return CompletenessCert(True, None)
-
-
-def covered_generators(ps: PartialSpread) -> list[Generator]:
-    """Generators outside ps whose point set lies inside the coverage."""
-    members = set(ps.members)
-    return [
-        g
-        for g in ps.space.generators
-        if g.gen_index not in members
-        and g.point_mask & ps.coverage == g.point_mask
-    ]
 
 
 def extend_to_maximal(ps: PartialSpread) -> PartialSpread:

@@ -132,6 +132,22 @@ def test_conjecture_brute_force(capsys):
     assert result["brute_force"]["exactly_one"] == 126
 
 
+@pytest.mark.parametrize(
+    "d, n, subsets, exactly_one, at_least_one",
+    [(2, 4, 24310, 12240, 22270), (3, 3, 13123110, 1092, 1092)],
+    ids=["W_7(2)", "W_5(3)"],
+)
+def test_conjecture_brute_force_beyond_the_sweep(capsys, d, n, subsets, exactly_one, at_least_one):
+    code, out = run_capture(
+        capsys, ["conjecture", "--d", str(d), "--n", str(n), "--brute-force"]
+    )
+    assert code == 0
+    summary = json.loads(out)["result"]["brute_force"]
+    assert summary["subsets_total"] == subsets
+    assert summary["exactly_one"] == exactly_one
+    assert summary["at_least_one"] == at_least_one
+
+
 def test_classify_w32(capsys):
     code, out = run_capture(capsys, ["classify", "--d", "2", "--n", "2"])
     assert code == 0
@@ -311,8 +327,8 @@ def test_out_to_a_missing_directory_is_refused(tmp_path, capsys):
     [
         (["mub", "--d", "3", "--n", "4"], "dense dimension 81 exceeds 32"),
         (
-            ["conjecture", "--d", "3", "--n", "3", "--brute-force"],
-            "full sweeps supported for W_3(2), W_5(2), W_3(3)",
+            ["conjecture", "--d", "2", "--n", "9", "--brute-force"],
+            "too many points for W_17(2)",
         ),
     ],
     ids=["mub-dense-dimension", "conjecture-brute-force"],

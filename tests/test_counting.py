@@ -5,8 +5,8 @@ from math import comb
 
 import pytest
 
-from polarmub import counting, spread
-from polarmub.errors import ScaleExceeded
+from polarmub import counting, polar, spread
+from polarmub.errors import DimensionMismatch, ScaleExceeded
 from polarmub.polar import PolarSpace
 
 import oracles
@@ -125,11 +125,52 @@ def test_brute_force_matches_sweep_oracle(d, n):
     assert counting.brute_force_conjecture(space, s).as_dict() == want
 
 
-def test_brute_force_scale_guard():
-    space = PolarSpace(5, 2)
+W72_SUMMARY = {
+    "subsets_total": 24310,
+    "exactly_one": 12240,
+    "at_least_one": 22270,
+    "first_failure": [0, 154, 284, 570, 637, 777, 853, 985, 1287],
+    "distinct_covered": False,
+    "completions_complete": False,
+    "completion_size": 9,
+    "expected_completion_size": 9,
+}
+
+
+def test_brute_force_w72_matches_the_sweep_literals(monkeypatch):
+    # The sweep oracle gave these literals; it takes seconds at W_7(2).  The
+    # meet sets there expand to exactly 35 530 subsets, so the count runs
+    # with the limit lowered to that sum.
+    space = PolarSpace(2, 4)
     s = spread.construct_symplectic_spread(space)
-    with pytest.raises(ScaleExceeded):
+    monkeypatch.setattr(polar, "GENERATOR_LIMIT", 35_530)
+    assert counting.brute_force_conjecture(space, s).as_dict() == W72_SUMMARY
+
+
+def test_brute_force_scale_guard(monkeypatch):
+    space = PolarSpace(2, 4)
+    s = spread.construct_symplectic_spread(space)
+    monkeypatch.setattr(polar, "GENERATOR_LIMIT", 35_529)
+    with pytest.raises(ScaleExceeded, match="expand to 35530 subsets"):
         counting.brute_force_conjecture(space, s)
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_brute_force_rank_two_meet_sets_are_partner_pairs(d):
+    # In rank 2 each line outside the spread meets d + 1 = k members, and
+    # at odd d it shares that meet set with its partner alone, so no subset
+    # covers exactly one line and d(d^2 + 1)/2 subsets cover two.
+    space = PolarSpace(d, 2)
+    s = spread.construct_symplectic_spread(space)
+    summary = counting.brute_force_conjecture(space, s)
+    assert summary.exactly_one == 0
+    assert summary.at_least_one == d * (d * d + 1) // 2
+
+
+def test_brute_force_refuses_a_spread_of_another_space():
+    s = spread.construct_symplectic_spread(PolarSpace(2, 2))
+    with pytest.raises(DimensionMismatch, match=r"PolarSpace\(d=2, n=2\).*PolarSpace\(d=2, n=3\)"):
+        counting.brute_force_conjecture(PolarSpace(2, 3), s)
 
 
 def test_brute_force_requires_spread():
