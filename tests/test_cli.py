@@ -1,5 +1,6 @@
 """CLI tests: exit codes, determinism, round-trip serialization."""
 
+import hashlib
 import json
 import os
 import signal
@@ -343,6 +344,37 @@ def test_scale_limits_are_refused_before_the_catalog(capsys, monkeypatch, argv, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: ScaleExceeded: {message}\n"
+
+
+# sha256 of stdout per command, pinned before the reports were read from
+# their result records, so any byte the JSON or text rendering changes shows.
+# The mub payloads carry a float deviation, so they pin its numerics too.
+STDOUT_PINS = {
+    "conjecture --d 3 --n 2":
+        (0, "00ca9e7b2f19652b5c508360a2aa3163bf3fe4efe1a134eb44b75b459e59d167"),
+    "conjecture --d 13 --n 40":
+        (0, "d18ba44a5f498d2ee282ee43bb8627c9132c09f6c83774d1d142b3ee0da9cfc6"),
+    "conjecture --d 3 --n 3 --brute-force --format text":
+        (0, "8bfdc01ea5dbdd99ba08cc069d03b8e5705738462a3834feb9ddd719db12379d"),
+    "mub --d 2 --n 2 --from-spread classical --format text":
+        (0, "b826b1477db1c0f8c71edd7c49542f702e1d702b814f88e1d8aba2cb7617d827"),
+    "mub --d 3 --n 2 --from-spread sr":
+        (0, "719526b6ffb8907d0c4aa37eb42c4f0d5a605cf12f8627a6305b5aefdf5133d8"),
+    "mub --d 2 --n 3 --from-spread uset":
+        (0, "9cef9aa4fd0ee9c835786c295214371f58da29bb92de7f5fb65fb7fa3a0b2494"),
+    "construct --d 3 --n 2 --method tu --format text":
+        (0, "bd84bbc73087e34f17e6fbf1d9cebc45b49fd8e7c9f6eee5743ce0ef5bd218b0"),
+    "construct --d 5 --n 2 --method uset --format text":
+        (0, "c00d92ab27d2fc62e70b9a9de29a85424195fb5b5eab1c3203b8dbcf7d62eca2"),
+    "verify --d 2 --n 2 --check complete --format text":
+        (0, "941174e325efbef4a18577c7bb0568cae251baf10938808e28988c50df4565da"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(STDOUT_PINS))
+def test_stdout_bytes_are_pinned(capsys, command):
+    code, out = run_capture(capsys, command.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == STDOUT_PINS[command]
 
 
 def test_text_format_renders(capsys):

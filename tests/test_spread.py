@@ -88,6 +88,7 @@ USET_PINS = {
     (2, 2): "e54bdaba9a63f92bfd3297c1ee3b6c90d8a3861e742ab5406c9e0661285c5dad",
     (3, 2): "a6fffcd9a89c59fb21f0e88d0e8b335c228727d7183edb8c75b5d4c9bdc1a949",
     (5, 2): "da68686021073c755d062eaf2c957cce04c5aa86e08e89177abb25eeb4dd712e",
+    (7, 2): "fb9b51518ef62b8a6da8586fce563a250aa3c7f02e19fc23280b3905eef303c8",
     (2, 3): "2c9915ab5e485ad14ee373599f2aa4c2029584a20c73b07d820cb069923a2e9c",
 }
 
