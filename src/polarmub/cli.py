@@ -11,6 +11,7 @@ or scale errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -123,10 +124,6 @@ def deserialize_spread(data: bytes, fmt: str = "json") -> PartialSpread:
 # --------------------------------------------------------------------------
 
 
-def _cert_dict(cert) -> dict:
-    return {"complete": cert.complete, "witness": cert.witness}
-
-
 def _read_spread(path: str, args) -> PartialSpread:
     with open(path, "rb") as fh:
         ps = deserialize_spread(fh.read(), args.format)
@@ -185,7 +182,7 @@ def cmd_construct(args) -> tuple[dict, bool]:
         "size": ps.size,
         "is_spread": ps.is_spread,
         "spread": spread_payload(ps),
-        **_cert_dict(cert),
+        **dataclasses.asdict(cert),
         **extra,
     }
     return payload, cert.complete
@@ -203,7 +200,7 @@ def cmd_verify(args) -> tuple[dict, bool]:
             "check": "complete",
             "members": list(ps.members),
             "size": ps.size,
-            **_cert_dict(cert),
+            **dataclasses.asdict(cert),
         }, cert.complete
     if args.check == "regularity":
         s = spread.construct_symplectic_spread(space)
@@ -255,16 +252,7 @@ def cmd_search(args) -> tuple[dict, bool]:
 
 def cmd_conjecture(args) -> tuple[dict, bool]:
     report = counting.conjecture_counts(args.d, args.n)
-    payload = {
-        "d": report.d,
-        "n": report.n,
-        "subset_size": report.subset_size,
-        "spread_size": report.spread_size,
-        "binom_term": report.binom_term,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "verdict": report.verdict,
-    }
+    payload = dataclasses.asdict(report)
     ok = True
     if args.brute_force:
         space = get_space(args.d, args.n)
@@ -314,13 +302,9 @@ def cmd_mub(args) -> tuple[dict, bool]:
         ps, _ = _construct_spread(ns, space)
     cert = mub.certify_weak_umub(ps, tolerance=args.tolerance)
     payload = {
+        **dataclasses.asdict(cert),
         "classes": list(cert.classes),
-        "order": cert.order,
-        "complete": cert.complete,
-        "witness": cert.witness,
-        "max_deviation": cert.max_deviation,
         "target_overlap": 1.0 / (space.d**space.n),
-        "valid": cert.valid,
     }
     return payload, cert.valid
 

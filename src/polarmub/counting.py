@@ -16,7 +16,7 @@ and refuses a space with more of them than `polar.GENERATOR_LIMIT`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb
 
 from . import polar
@@ -56,16 +56,8 @@ class BruteForceSummary:
     expected_completion_size: int
 
     def as_dict(self) -> dict:
-        return {
-            "subsets_total": self.subsets_total,
-            "exactly_one": self.exactly_one,
-            "at_least_one": self.at_least_one,
-            "first_failure": list(self.first_failure) if self.first_failure else None,
-            "distinct_covered": self.distinct_covered,
-            "completions_complete": self.completions_complete,
-            "completion_size": self.completion_size,
-            "expected_completion_size": self.expected_completion_size,
-        }
+        first = self.first_failure
+        return {**asdict(self), "first_failure": None if first is None else list(first)}
 
 
 # Binomials whose symmetric index is at most this many steps are always

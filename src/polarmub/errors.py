@@ -24,14 +24,6 @@ class NotDisjoint(PolarMubError):
     """Generators were required to be pairwise disjoint but are not."""
 
 
-class NotIsotropic(PolarMubError):
-    """Subspace is not totally isotropic for the alternating form."""
-
-
-class WrongRank(PolarMubError):
-    """Subspace has the wrong rank for this operation."""
-
-
 class NotRankTwo(PolarMubError):
     """Operation is only defined in the rank-2 space (N = 2)."""
 

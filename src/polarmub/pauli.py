@@ -122,6 +122,8 @@ def class_from_generator(g: Generator, space: PolarSpace) -> CommutingClass:
 def generator_from_class(c: CommutingClass, space: PolarSpace) -> Generator:
     """The generator spanned by the symplectic images of a class."""
     images = tuple(op.symplectic_image() for op in c.ops)
+    if not all(any(v) for v in images):
+        raise NotAClass("the identity, whose image is zero, is no class member")
     basis = algebra.rref(images, space.field)
     if len(basis) != space.n:
         raise NotAClass(f"images span rank {len(basis)}, expected {space.n}")

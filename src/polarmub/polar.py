@@ -32,16 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebra
 from .algebra import FieldSpec, Matrix, Vector
 from .errors import (
     CatalogMismatch,
     DimensionMismatch,
     NotDisjoint,
-    NotIsotropic,
     NotRankTwo,
     ScaleExceeded,
-    WrongRank,
 )
 
 POINT_LIMIT = 100_000
@@ -185,7 +182,10 @@ class PolarSpace:
         return len(self.generators)
 
     def generator(self, index: int) -> Generator:
-        return self.generators[index]
+        gens = self.generators
+        if not 0 <= index < len(gens):
+            raise ValueError(f"generator index {index} outside [0, {len(gens)})")
+        return gens[index]
 
     def generator_by_basis(self, basis: Matrix) -> Generator:
         if self._gen_lookup is None:
@@ -261,21 +261,6 @@ class PolarSpace:
 # --------------------------------------------------------------------------
 # Operations on a space.
 # --------------------------------------------------------------------------
-
-
-def generators_through(s: Matrix, space: PolarSpace) -> list[Generator]:
-    """The d + 1 generators containing a totally isotropic (N-2)-space."""
-    basis = algebra.rref(s, space.field)
-    if len(basis) != space.n - 1:
-        raise WrongRank(f"expected rank {space.n - 1}, got {len(basis)}")
-    for u, v in itertools.combinations(basis, 2):
-        if space.symp_form(u, v):
-            raise NotIsotropic("subspace is not totally isotropic")
-    need = sum(1 << int(p) for p in space.index_of[np.array(basis) @ space.weights])
-    out = [g for g in space.generators if g.point_mask & need == need]
-    if len(out) != space.d + 1:
-        raise CatalogMismatch(f"{len(out)} generators through {basis}, not d + 1")
-    return out
 
 
 def common_transversals(gens: list[Generator], space: PolarSpace) -> list[Generator]:

@@ -20,6 +20,7 @@ from .algebra import Matrix, Vector
 from .errors import (
     AmbiguousPartner,
     BadK,
+    CatalogMismatch,
     GeneratorInSpread,
     NoBeta,
     NoPartner,
@@ -238,12 +239,10 @@ def construct_symplectic_spread(space: PolarSpace) -> PartialSpread:
 
 def check_regularity(s: PartialSpread) -> bool:
     """Spread regularity: for any three members, exactly d - 2 further
-    members meet every ambient line that meets all three.  Degenerates to
-    vacuous truth in order 2."""
+    members meet every ambient line that meets all three.  In order 2 that
+    is none: the three members are the whole regulus."""
     if not s.is_spread:
         raise NotASpread("regularity is defined for spreads")
-    if s.space.d == 2:
-        return True
     return next(_unclosed_triples(s), None) is None
 
 
@@ -286,11 +285,8 @@ def construct_TU(s: PartialSpread, u) -> PartialSpread:
     u = space.generator(_gen_index(u))
     if u.gen_index in s.members:
         raise GeneratorInSpread("u already belongs to the spread")
-    keep = [
-        m
-        for m in s.members
-        if not space.generator(m).point_mask & u.point_mask
-    ]
+    meets = set(members_meeting(s, u))
+    keep = [m for m in s.members if m not in meets]
     return partial_spread(space, keep + [u.gen_index])
 
 
@@ -435,7 +431,9 @@ def construct_U_set(s: PartialSpread, chi=None) -> USet:
 
     The carrier chi meets one member alpha in an (N-2)-space; alpha is
     traded for a generator beta through chi ∩ alpha that avoids the other
-    members meeting chi.  The no-repartition property is then verified by
+    members meeting chi.  The generators through chi ∩ alpha are those whose
+    point mask contains its points, d + 1 of them in catalog order, a count
+    that is checked.  The no-repartition property is then verified by
     exhaustive exact-cover search, not assumed.  When the traded set fails
     that verification (which provably happens for every carrier in order 2,
     where the trade argument needs d >= 3), the untraded member set itself
@@ -475,14 +473,16 @@ def construct_U_set(s: PartialSpread, chi=None) -> USet:
             f"carrier meets {len(deep)} members in an (N-2)-space, need exactly 1"
         )
     alpha, meet = deep[0]
-    tau = algebra.rref(tuple(space.points[p] for p in space.point_indices(meet)), space.field)
+    through = [g for g in space.generators if g.point_mask & meet == meet]
+    if len(through) != space.d + 1:
+        raise CatalogMismatch(f"{len(through)} generators through chi ∩ alpha, not d + 1")
     rest = [m for m in r_chi if m != alpha]
     rest_mask = 0
     for m in rest:
         rest_mask |= space.generator(m).point_mask
     candidates = [
         g
-        for g in polar.generators_through(tau, space)
+        for g in through
         if g.gen_index not in (chi.gen_index, alpha)
         and not g.point_mask & rest_mask
     ]

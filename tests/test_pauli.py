@@ -233,3 +233,14 @@ def test_generator_from_class_rejects_corruption():
     with pytest.raises(NotAClass):
         generator_from_class(corrupted, W32)
 
+
+@pytest.mark.parametrize("space", [W32, W33])
+def test_generator_from_class_rejects_the_identity(space):
+    # The zero image spans nothing and differs from every member's image, so
+    # the count and rank checks alone take it for the member it replaces.
+    d, n = space.d, space.n
+    c = class_from_generator(space.generators[0], space)
+    identity = pauli.PauliOp(d, (0,) * n, (0,) * n)
+    with pytest.raises(NotAClass, match="identity"):
+        generator_from_class(pauli.CommutingClass(d, c.ops[:-1] + (identity,), 0), space)
+

@@ -19,10 +19,8 @@ from polarmub import algebra, polar
 from polarmub.errors import (
     DimensionMismatch,
     NotDisjoint,
-    NotIsotropic,
     NotRankTwo,
     ScaleExceeded,
-    WrongRank,
 )
 from polarmub.polar import PolarSpace
 
@@ -247,6 +245,13 @@ def test_disjoint_adjacency_matches_pairwise_and(d, n):
     assert space.disjoint_adjacency == pairwise
 
 
+@pytest.mark.parametrize("index", [-1, -15, 15, 16])
+def test_generator_index_outside_the_catalog_is_refused(index):
+    # A negative index would otherwise alias the generator counted from the end.
+    with pytest.raises(ValueError, match="outside"):
+        W32.generator(index)
+
+
 def test_generator_order_is_lexicographic():
     bases = [g.basis for g in W33.generators]
     assert bases == sorted(bases)
@@ -331,28 +336,22 @@ def _disjoint_pair(space):
 # -- generators through a subspace
 
 
-def test_generators_through_point():
+def test_d_plus_one_generators_contain_each_point_of_w3():
     for space, expect in ((W32, 3), (W33, 4)):
         v = space.points[5]
-        through = polar.generators_through((v,), space)
-        assert len(through) == expect
-        for g in through:
-            assert (g.point_mask >> space.index_of[v @ space.weights]) & 1
+        through = [g for g in space.generators if g.point_mask >> 5 & 1]
+        assert len(through) == expect == space.d + 1
+        assert all(is_isotropic(space, g.basis + (v,)) for g in through)
 
 
-def test_generators_through_isotropic_line_w52():
-    line = W52.generators[0].basis[:2]
-    through = polar.generators_through(algebra.rref(line, W52.field), W52)
-    assert len(through) == 3
-
-
-def test_generators_through_errors():
-    with pytest.raises(WrongRank):
-        polar.generators_through((W52.points[0],), W52)
-    bad = algebra.rref(((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)), W52.field)
-    assert W52.symp_form(bad[0], bad[1]) != 0
-    with pytest.raises(NotIsotropic):
-        polar.generators_through(bad, W52)
+def test_d_plus_one_generators_contain_each_isotropic_line_w52():
+    # Every line of a generator, an (N-2)-space of W_5(2), lies in d + 1
+    # generators: those whose point mask contains the line's.
+    for g in W52.generators[:5]:
+        for x, y in itertools.combinations(W52.point_indices(g.point_mask), 2):
+            line = line_mask(W52, x, y)
+            through = [h for h in W52.generators if h.point_mask & line == line]
+            assert len(through) == W52.d + 1
 
 
 # -- transversals, reguli, antiregularity

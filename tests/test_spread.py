@@ -215,14 +215,14 @@ def test_offspread_line_meets_exactly_d_plus_one_members():
 
 def test_classical_spreads_are_regular():
     assert spread.check_regularity(S33) is True
-    assert spread.check_regularity(S32) is True  # vacuous in order 2
+    assert spread.check_regularity(S32) is True  # each triple is a whole regulus
     assert spread.check_regularity(spread.construct_symplectic_spread(PolarSpace(5, 2)))
     assert spread.check_regularity(spread.construct_symplectic_spread(PolarSpace(7, 2))) is True
 
 
 def test_regulus_oracle_matches_check_regularity():
     # Every triple of a regular spread is regulus-closed.
-    for space in (W33, PolarSpace(5, 2)):
+    for space in (W32, W52, W33, PolarSpace(5, 2)):
         s = spread.construct_symplectic_spread(space)
         closure = regulus_closure(s)
         assert len(closure) == len(list(itertools.combinations(s.members, 3)))
@@ -687,11 +687,11 @@ def test_spread_structure_through_sections():
     # and their points off tau are covered exactly once in total.
     for space, s in ((W32, S32), (W33, S33)):
         alpha = space.generator(s.members[0])
-        tau = algebra.rref(alpha.basis[:1], space.field)
-        through = polar.generators_through(tau, space)
+        # tau, a hyperplane of alpha, is a point in W_3.
+        tau_mask = 1 << int(space.index_of[alpha.basis[0] @ space.weights])
+        through = [g for g in space.generators if g.point_mask & tau_mask]
         others = [g for g in through if g.gen_index != alpha.gen_index]
         assert len(others) == space.d
-        tau_mask = 1 << int(space.index_of[tau[0] @ space.weights])  # a point in W_3
         off_tau = 0
         for g in others:
             off_tau |= g.point_mask & ~tau_mask
