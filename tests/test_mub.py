@@ -1,6 +1,8 @@
 """Tests for eigenprojector bases and unbiasedness certificates."""
 
+import hashlib
 import itertools
+import math
 import random
 
 import numpy as np
@@ -176,6 +178,34 @@ def test_certificate_raises_on_a_nonfinite_deviation(monkeypatch, deviation):
         mub.certify_weak_umub(s)
 
 
+def nan_basis(basis, row, col):
+    u = basis.unitary.copy()
+    u[row, col] = np.nan
+    return mub.Eigenbasis(basis.dim, u)
+
+
+def test_nan_in_a_basis_gives_a_nonfinite_deviation(monkeypatch):
+    # One NaN entry spoils one row or column of the overlaps; a reduction
+    # that skips NaN (Python max, np.nanmax) would report the rest.
+    s = spread.construct_symplectic_spread(W32)
+    b1, b2 = (
+        mub.eigenprojectors(class_from_generator(W32.generator(m), W32), W32.field)
+        for m in s.members[:2]
+    )
+    for row, col in itertools.product(range(4), repeat=2):
+        assert not math.isfinite(mub.unbiasedness(nan_basis(b1, row, col), b2))
+        assert not math.isfinite(mub.unbiasedness(b1, nan_basis(b2, row, col)))
+    eigenprojectors, calls = mub.eigenprojectors, itertools.count(1)
+
+    def patched(c, spec):
+        basis = eigenprojectors(c, spec)
+        return nan_basis(basis, 3, 1) if next(calls) == 4 else basis
+
+    monkeypatch.setattr(mub, "eigenprojectors", patched)
+    with pytest.raises(NonDiagonalizable, match="overlap deviation nan"):
+        mub.certify_weak_umub(s)
+
+
 def test_certificate_rejects_extendible_pair():
     s = spread.construct_symplectic_spread(W32)
     pair = spread.partial_spread(W32, s.members[:2])
@@ -270,6 +300,26 @@ def test_overlaps_follow_meet_dimension_and_unbiasedness_is_disjointness(sp):
     assert [sum(1 << int(h) for h in np.flatnonzero(row)) for row in unbiased] == list(
         sp.disjoint_adjacency
     )
+
+
+# sha256 over every class's eigenbasis unitary, in catalog order.
+EIGENBASIS_DIGESTS = {
+    "W_3(2)": "32d682aa62f98311943fc37e40f6b71ae4e62ee2e04240ab2e8bf76095f5f8aa",
+    "W_3(3)": "959c3636d6ecc3ef702deb8ec2ca54b4f6a7abe80976fe2b2bacb67b9e41c04d",
+    "W_5(2)": "81eac1e389a5406e3adddfc806e96ba29dff0044e055bb3e0f16abbe762c97ac",
+    "W_3(5)": "73ca2d2266e7526a82df9a75886e19c4fe5090e6aaadf28511c4dfbf0420602f",
+}
+
+
+@pytest.mark.parametrize(
+    "sp, key", [(W32, "W_3(2)"), (W33, "W_3(3)"), (W52, "W_5(2)"), (W35, "W_3(5)")]
+)
+def test_eigenbases_are_pinned(sp, key):
+    digest = hashlib.sha256()
+    for g in sp.generators:
+        basis = mub.eigenprojectors(class_from_generator(g, sp), sp.field)
+        digest.update(basis.unitary.tobytes())
+    assert digest.hexdigest() == EIGENBASIS_DIGESTS[key]
 
 
 def patch_member_matrices(monkeypatch, change):
