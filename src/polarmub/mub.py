@@ -2,7 +2,9 @@
 
 The common eigenbasis of a class is stored as the d^N x d^N unitary U of
 joint eigenvectors of N class members whose images span the generator,
-built in one batch per class.  Each column is taken at the first index of
+built in one batch per class: the N member matrices come from one
+`pauli_matrices` write, and the identity, spectral table and character
+phases are cached, read-only, per (d, N).  Each column is taken at the first index of
 weight at least half the largest, the argmax of min(weight, max / 2): the
 nonzero weights are all equal, so a plain argmax would follow rounding noise.
 Unbiasedness between two bases is read off the overlaps |U^H V|^2, the
@@ -11,6 +13,7 @@ trace products tr(P Q) of the rank-1 projectors, free of eigenvector phases.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -20,7 +23,14 @@ import numpy as np
 from . import algebra
 from . import spread as spread_mod
 from .errors import DimensionMismatch, NonDiagonalizable, ScaleExceeded
-from .pauli import MAX_DENSE_DIM, CommutingClass, _roots, class_from_generator, pauli_matrix
+from .pauli import (
+    MAX_DENSE_DIM,
+    CommutingClass,
+    _read_only,
+    _roots,
+    class_from_generator,
+    pauli_matrices,
+)
 from .spread import PartialSpread
 
 
@@ -45,6 +55,18 @@ class UMUBCertificate:
     valid: bool
 
 
+@functools.cache
+def _character_tables(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per (d, N), cached and read-only: the d^N identity; the spectral table
+    omega^{-k x} / d, row x, column k; and the character phases
+    omega^{chi_j}, shape (N, 1, d^N), chi in lexicographic order."""
+    roots = _roots(d)
+    identity = np.eye(d**n, dtype=complex)
+    table = roots[-np.outer(np.arange(d), np.arange(d)) % d] / d
+    chars = roots[np.indices((d,) * n).reshape(n, 1, -1)]
+    return _read_only(identity), _read_only(table), _read_only(chars)
+
+
 def eigenprojectors(c: CommutingClass, spec) -> Eigenbasis:
     """The common eigenbasis of a commuting class, as a unitary U.
 
@@ -58,21 +80,22 @@ def eigenprojectors(c: CommutingClass, spec) -> Eigenbasis:
     d = c.d
     if spec.d != d:
         raise DimensionMismatch("field order does not match the class")
-    dim = d ** c.ops[0].num_systems
+    n = c.ops[0].num_systems
+    dim = d**n
     if dim > MAX_DENSE_DIM:
         raise ScaleExceeded(f"dense dimension {dim} exceeds {MAX_DENSE_DIM}")
     by_image = {op.symplectic_image(): op for op in c.ops}
     basis = algebra.rref(tuple(by_image), spec)
-    mats = np.array([pauli_matrix(by_image[row], spec) for row in basis])
-    identity = np.eye(dim, dtype=complex)
-    powers = [np.broadcast_to(identity, mats.shape), mats]
-    for _ in range(d - 1):
-        powers.append(powers[-1] @ mats)
-    if not np.max(np.abs(powers.pop() - identity)) <= 1e-9:
+    mats = pauli_matrices([by_image[row] for row in basis], spec)
+    identity, table, chars = _character_tables(d, n)
+    powers = np.empty((d, *mats.shape), dtype=complex)
+    powers[0] = identity
+    powers[1] = mats
+    for k in range(2, d):
+        np.matmul(powers[k - 1], mats, out=powers[k])
+    if not np.abs(powers[-1] @ mats - identity).max() <= 1e-9:
         raise NonDiagonalizable("class member lacks order d; fix the phase convention")
-    roots = _roots(d)
-    table = roots[-np.outer(np.arange(d), np.arange(d)) % d] / d
-    spectral = (table @ np.array(powers).reshape(d, -1)).reshape(d, len(mats), dim, dim)
+    spectral = (table @ powers.reshape(d, -1)).reshape(d, len(mats), dim, dim)
     joint = spectral[:, 0]
     for j in range(1, len(mats)):
         joint = (joint[:, None] @ spectral[None, :, j]).reshape(-1, dim, dim)
@@ -80,10 +103,9 @@ def eigenprojectors(c: CommutingClass, spec) -> Eigenbasis:
     weight = joint.diagonal(axis1=1, axis2=2).real
     cols = np.argmax(np.minimum(weight, weight.max(axis=1, keepdims=True) / 2), axis=1)
     unitary = (joint[chis, :, cols] / np.sqrt(weight[chis, cols])[:, None]).T
-    chars = np.indices((d,) * len(mats)).reshape(len(mats), -1)
-    if not np.max(np.abs(mats @ unitary - unitary * roots[chars][:, None, :])) <= 1e-9:
+    if not np.abs(mats @ unitary - unitary * chars).max() <= 1e-9:
         raise NonDiagonalizable("a column is not a joint eigenvector of the class")
-    if not np.max(np.abs(unitary.conj().T @ unitary - identity)) <= 1e-9:
+    if not np.abs(unitary.conj().T @ unitary - identity).max() <= 1e-9:
         raise NonDiagonalizable("joint eigenvectors are not orthonormal")
     return Eigenbasis(dim, unitary)
 
@@ -93,7 +115,7 @@ def unbiasedness(p: Eigenbasis, q: Eigenbasis) -> float:
     if p.dim != q.dim:
         raise DimensionMismatch("bases act on different dimensions")
     overlaps = np.abs(p.unitary.conj().T @ q.unitary) ** 2
-    return float(np.max(np.abs(overlaps - 1.0 / p.dim)))
+    return float(np.abs(overlaps - 1.0 / p.dim).max())
 
 
 def certify_weak_umub(ps: PartialSpread, tolerance: float = 1e-9) -> UMUBCertificate:
@@ -111,8 +133,8 @@ def certify_weak_umub(ps: PartialSpread, tolerance: float = 1e-9) -> UMUBCertifi
         raise ValueError(f"tolerance must lie in (0, {target}), got {tolerance}")
     cert = spread_mod.is_complete(ps)
     bases = [
-        eigenprojectors(class_from_generator(space.generator(m), space), space.field)
-        for m in ps.members
+        eigenprojectors(class_from_generator(g, space), space.field)
+        for g in ps.member_generators()
     ]
     pairs = itertools.combinations(bases, 2)
     worst = float(np.max([unbiasedness(b1, b2) for b1, b2 in pairs], initial=0.0))

@@ -6,13 +6,17 @@ phase exponent (a power of omega = exp(2*pi*i/d) for odd d, a power of i
 for d = 2).  The symplectic image interleaves a and b one tensor factor at
 a time, so the canonical alternating form of the polar space is exactly
 the commutation pairing.  Dense matrices are built on demand, never cached
-on the operator: X^a Z^b is a monomial matrix, written by index in one
-assignment, with no product over tensor factors.
+on the operator: X^a Z^b is a monomial matrix, and `pauli_matrices` writes
+the matrices of a whole batch of operators by index in one assignment, with
+no product over tensor factors.  The roots of unity and the digit and
+place-value tables it indexes by are cached, read-only, per (d, N).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,22 +37,21 @@ class PauliOp:
     phase_exp: int = 0
 
     def __post_init__(self):
+        d = self.d
         if len(self.a) != len(self.b):
             raise DimensionMismatch("a and b must have equal length")
-        object.__setattr__(self, "a", tuple(x % self.d for x in self.a))
-        object.__setattr__(self, "b", tuple(x % self.d for x in self.b))
-        modulus = 4 if self.d == 2 else self.d
-        object.__setattr__(self, "phase_exp", self.phase_exp % modulus)
+        object.__setattr__(self, "a", tuple([x % d for x in self.a]))
+        object.__setattr__(self, "b", tuple([x % d for x in self.b]))
+        object.__setattr__(self, "phase_exp", self.phase_exp % (4 if d == 2 else d))
 
     @property
     def num_systems(self) -> int:
         return len(self.a)
 
     def symplectic_image(self) -> Vector:
-        out = []
-        for aj, bj in zip(self.a, self.b):
-            out.append(aj)
-            out.append(bj)
+        out = [0] * (2 * len(self.a))
+        out[0::2] = self.a
+        out[1::2] = self.b
         return tuple(out)
 
 
@@ -81,27 +84,48 @@ def commutes(p: PauliOp, q: PauliOp, space: PolarSpace) -> bool:
     return space.symp_form(p.symplectic_image(), q.symplectic_image()) == 0
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.cache
 def _roots(m: int) -> np.ndarray:
-    """The m-th roots of unity exp(2 pi i k / m), k < m."""
-    return np.array([np.exp(2j * np.pi * k / m) for k in range(m)])
+    """The m-th roots of unity exp(2 pi i k / m), k < m; cached, read-only."""
+    return _read_only(np.array([np.exp(2j * np.pi * k / m) for k in range(m)]))
 
 
-def pauli_matrix(op: PauliOp, spec: FieldSpec) -> np.ndarray:
-    """Dense matrix of the operator, phase included: column s (base-d digits,
-    system 0 most significant) holds omega^{b.s} at row s + a, digitwise,
-    times i^{phase} at d = 2 and omega^{phase} at odd d."""
+@functools.cache
+def _digits(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The base-d digits of each basis index s < d^n, shape (d^n, n), system 0
+    most significant, and their place values d^{n-1}, ..., 1; cached, read-only."""
+    digits = np.indices((d,) * n).reshape(n, d**n).T
+    return _read_only(digits), _read_only(d ** np.arange(n - 1, -1, -1))
+
+
+def pauli_matrices(ops: Sequence[PauliOp], spec: FieldSpec) -> np.ndarray:
+    """Dense matrices of operators on the same N systems, phases included,
+    shape (len(ops), d^N, d^N), all written in one indexed assignment.
+
+    Column s (base-d digits) of X^a Z^b holds omega^{b.s} at row s + a,
+    digitwise, times i^{phase} at d = 2 and omega^{phase} at odd d."""
     d = spec.d
-    if d != op.d:
+    if any(op.d != d for op in ops):
         raise DimensionMismatch("field order does not match the operator")
-    n = op.num_systems
+    n = ops[0].num_systems
+    if any(op.num_systems != n for op in ops):
+        raise DimensionMismatch("operators act on different numbers of systems")
     dim = d**n
     if dim > MAX_DENSE_DIM:
         raise ScaleExceeded(f"dense dimension {dim} exceeds {MAX_DENSE_DIM}")
-    digits = np.indices((d,) * n).reshape(n, dim).T
+    digits, places = _digits(d, n)
+    a = np.array([op.a for op in ops]).reshape(len(ops), 1, n)
+    b = np.array([op.b for op in ops]).reshape(len(ops), n)
+    phase = np.array([op.phase_exp for op in ops]).reshape(len(ops), 1)
     m = 4 if d == 2 else d
-    phases = _roots(m)[(m // d * (digits @ op.b) + op.phase_exp) % m]
-    out = np.zeros((dim, dim), dtype=complex)
-    out[(digits + op.a) % d @ d ** np.arange(n - 1, -1, -1), np.arange(dim)] = phases
+    phases = _roots(m)[(m // d * (b @ digits.T) + phase) % m]
+    out = np.zeros((len(ops), dim, dim), dtype=complex)
+    out[np.arange(len(ops))[:, None], (digits + a) % d @ places, np.arange(dim)] = phases
     return out
 
 
@@ -114,7 +138,7 @@ def class_from_generator(g: Generator, space: PolarSpace) -> CommutingClass:
     """
     d = space.d
     points = (space.points[p] for p in space.point_indices(g.point_mask))
-    vecs = sorted(tuple(c * x % d for x in v) for v in points for c in range(1, d))
+    vecs = sorted([tuple([c * x % d for x in v]) for v in points for c in range(1, d)])
     ops = tuple(op_from_image(v, d) for v in vecs)
     return CommutingClass(space.d, ops, g.gen_index)
 

@@ -56,7 +56,7 @@ class PartialSpread:
         return full
 
     def member_generators(self) -> list[Generator]:
-        return [self.space.generator(i) for i in self.members]
+        return _generators_at(self.space, self.members)
 
 
 @dataclass(frozen=True)
@@ -72,16 +72,33 @@ class USet:
 
 
 def partial_spread(space: PolarSpace, members) -> PartialSpread:
-    idx = sorted(int(m) for m in members)
+    idx = sorted(_member_index(m) for m in members)
     if len(set(idx)) != len(idx):
         raise NotDisjoint("repeated member")
     coverage = 0
-    for i in idx:
-        mask = space.generator(i).point_mask
-        if coverage & mask:
+    for i, g in zip(idx, _generators_at(space, idx)):
+        if coverage & g.point_mask:
             raise NotDisjoint(f"member {i} meets an earlier member")
-        coverage |= mask
+        coverage |= g.point_mask
     return PartialSpread(space, tuple(idx), coverage)
+
+
+def _member_index(m) -> int:
+    # int() would truncate a float and read a bool as 0 or 1.
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+        raise TypeError(f"a member must be an integer generator index, got {m!r}")
+    return int(m)
+
+
+def _generators_at(space: PolarSpace, indices) -> list[Generator]:
+    """The generators at these catalog indices, from one catalog read."""
+    gens = space.generators
+    if indices:
+        # The extremes take `PolarSpace.generator`'s range check for all, so
+        # a negative index is refused rather than counted from the end.
+        space.generator(min(indices))
+        space.generator(max(indices))
+    return [gens[i] for i in indices]
 
 
 def _gen_index(g) -> int:
@@ -255,7 +272,7 @@ def _unclosed_triples(s: PartialSpread) -> Iterator[tuple[int, int, int]]:
     d, k = space.d, s.size
     # member[p] is the position of the member on point p; k if none is.
     member = np.full(space.num_points, k)
-    points = [space.point_indices(space.generator(m).point_mask) for m in s.members]
+    points = [space.point_indices(g.point_mask) for g in s.member_generators()]
     for i, pts in enumerate(points):
         member[pts] = i
     # The d + 1 points of the line through x and y: x + t·y for t in F_d, and y.
@@ -307,10 +324,8 @@ def complete_TU(tu: PartialSpread) -> tuple[PartialSpread, CompletenessCert]:
 
 
 def members_meeting(s: PartialSpread, g: Generator) -> list[int]:
-    space = s.space
-    return [
-        m for m in s.members if space.generator(m).point_mask & g.point_mask
-    ]
+    members = zip(s.members, s.member_generators())
+    return [m for m, h in members if h.point_mask & g.point_mask]
 
 
 def pair_partner(s: PartialSpread, x) -> Generator:
@@ -321,7 +336,7 @@ def pair_partner(s: PartialSpread, x) -> Generator:
     x = space.generator(_gen_index(x))
     if x.gen_index in s.members:
         raise GeneratorInSpread("x must lie outside the spread")
-    sx = [space.generator(m) for m in members_meeting(s, x)]
+    sx = _generators_at(space, members_meeting(s, x))
     trans = polar.common_transversals(sx, space)
     partners = [t for t in trans if t.gen_index != x.gen_index]
     if not partners:
@@ -461,8 +476,8 @@ def construct_U_set(s: PartialSpread, chi=None) -> USet:
     # (d^{N-1} - 1)/(d - 1) points.
     deep_points = (space.d ** (space.n - 1) - 1) // (space.d - 1)
     deep = []
-    for m in r_chi:
-        meet = chi.point_mask & space.generator(m).point_mask
+    for m, h in zip(r_chi, _generators_at(space, r_chi)):
+        meet = chi.point_mask & h.point_mask
         if bin(meet).count("1") == deep_points:
             deep.append((m, meet))
     if space.n == 2:
@@ -478,8 +493,8 @@ def construct_U_set(s: PartialSpread, chi=None) -> USet:
         raise CatalogMismatch(f"{len(through)} generators through chi ∩ alpha, not d + 1")
     rest = [m for m in r_chi if m != alpha]
     rest_mask = 0
-    for m in rest:
-        rest_mask |= space.generator(m).point_mask
+    for h in _generators_at(space, rest):
+        rest_mask |= h.point_mask
     candidates = [
         g
         for g in through

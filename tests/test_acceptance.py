@@ -62,7 +62,7 @@ def test_criterion_1_correspondence_oracle():
     for d, n in ((2, 2), (3, 2), (2, 3)):
         sp = space(d, n)
         reps = nonidentity_reps(sp)
-        mats = [pauli.pauli_matrix(op, sp.field) for op in reps]
+        mats = pauli.pauli_matrices(reps, sp.field)
         for (i, p), (j, q) in itertools.combinations(enumerate(reps), 2):
             comm = np.max(np.abs(mats[i] @ mats[j] - mats[j] @ mats[i]))
             form = sp.symp_form(p.symplectic_image(), q.symplectic_image())
@@ -244,7 +244,7 @@ def test_criterion_8_projector_suite():
             for p, q in itertools.combinations(basis.projectors, 2):
                 if np.max(np.abs(p @ q)) >= TOL:
                     ok = False
-            mats = [pauli.pauli_matrix(op, sp.field) for op in c.ops]
+            mats = pauli.pauli_matrices(c.ops, sp.field)
             for p in basis.projectors:
                 for m in mats:
                     if np.max(np.abs(p @ m - m @ p)) >= TOL:

@@ -64,10 +64,20 @@ def test_projectors_commute_with_class():
     g = W33.generators[5]
     c = class_from_generator(g, W33)
     basis = mub.eigenprojectors(c, W33.field)
-    mats = [pauli.pauli_matrix(op, W33.field) for op in c.ops]
+    mats = pauli.pauli_matrices(c.ops, W33.field)
     for p in basis.projectors:
         for m in mats:
             assert np.max(np.abs(p @ m - m @ p)) < TOL
+
+
+def test_cached_character_tables_are_read_only():
+    mub.eigenprojectors(class_from_generator(W33.generators[0], W33), W33.field)
+    tables = mub._character_tables(3, 2)
+    assert [t.shape for t in tables] == [(9, 9), (3, 3), (2, 1, 9)]
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+    assert mub._character_tables(3, 2) is tables
 
 
 def test_bad_phase_raises_nondiagonalizable():
@@ -323,14 +333,16 @@ def test_eigenbases_are_pinned(sp, key):
 
 
 def patch_member_matrices(monkeypatch, change):
-    """Route every dense member matrix through change(call number, matrix)."""
-    calls = []
+    """Route every dense member matrix through change(member number, matrix).
 
-    def patched(op, spec):
-        calls.append(op)
-        return change(len(calls), pauli.pauli_matrix(op, spec))
+    `eigenprojectors` writes its N member matrices in one `pauli_matrices`
+    batch; members are numbered from 1 across batches, in batch order."""
+    members = itertools.count(1)
 
-    monkeypatch.setattr(mub, "pauli_matrix", patched)
+    def patched(ops, spec):
+        return np.array([change(next(members), m) for m in pauli.pauli_matrices(ops, spec)])
+
+    monkeypatch.setattr(mub, "pauli_matrices", patched)
 
 
 def test_noncommuting_member_raises_typed_error(monkeypatch):

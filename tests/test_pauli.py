@@ -42,18 +42,18 @@ def nonidentity_reps(space):
 
 
 def test_identity_matrix():
-    m = pauli.pauli_matrix(PauliOp(2, (0, 0), (0, 0)), FieldSpec(2))
+    m = pauli.pauli_matrices([PauliOp(2, (0, 0), (0, 0))], FieldSpec(2))[0]
     assert np.allclose(m, np.eye(4))
 
 
 def test_bit_flip_matrix():
-    m = pauli.pauli_matrix(PauliOp(2, (1,), (0,)), FieldSpec(2))
+    m = pauli.pauli_matrices([PauliOp(2, (1,), (0,))], FieldSpec(2))[0]
     assert np.allclose(m, np.array([[0, 1], [1, 0]]))
 
 
 def test_qutrit_clock_matrix():
     w = np.exp(2j * np.pi / 3)
-    m = pauli.pauli_matrix(PauliOp(3, (0,), (1,)), FieldSpec(3))
+    m = pauli.pauli_matrices([PauliOp(3, (0,), (1,))], FieldSpec(3))[0]
     assert np.allclose(m, np.diag([1, w, w**2]))
 
 
@@ -63,7 +63,7 @@ def test_matrices_unitary_traceless():
     for _ in range(20):
         a = tuple(rng.randrange(3) for _ in range(2))
         b = tuple(rng.randrange(3) for _ in range(2))
-        m = pauli.pauli_matrix(PauliOp(3, a, b), spec)
+        m = pauli.pauli_matrices([PauliOp(3, a, b)], spec)[0]
         assert np.allclose(m @ m.conj().T, np.eye(9), atol=TOL)
         if any(a) or any(b):
             assert abs(np.trace(m)) < TOL
@@ -74,27 +74,48 @@ def test_matrices_unitary_traceless():
 )
 def test_matrices_match_kron_oracle_on_every_class_operator(sp):
     # At d = 2 every canonical representative with a.b odd carries i^{a.b}.
-    ops = [op for g in sp.generators for op in class_from_generator(g, sp).ops]
-    assert sp.d != 2 or any(op.phase_exp for op in ops)
-    for op in ops:
-        got = pauli.pauli_matrix(op, sp.field)
-        assert np.max(np.abs(got - oracles.kron_pauli_matrix(op, sp.field))) < 1e-12
+    classes = [class_from_generator(g, sp).ops for g in sp.generators]
+    assert sp.d != 2 or any(op.phase_exp for ops in classes for op in ops)
+    for ops in classes:
+        for op, got in zip(ops, pauli.pauli_matrices(ops, sp.field)):
+            assert np.max(np.abs(got - oracles.kron_pauli_matrix(op, sp.field))) < 1e-12
+
+
+def test_batch_refuses_operators_of_another_field_or_size():
+    ops = [PauliOp(3, (1, 0), (0, 1)), PauliOp(3, (0, 2), (1, 1))]
+    assert pauli.pauli_matrices(ops, FieldSpec(3)).shape == (2, 9, 9)
+    with pytest.raises(DimensionMismatch):
+        pauli.pauli_matrices(ops, FieldSpec(5))
+    with pytest.raises(DimensionMismatch):
+        pauli.pauli_matrices([*ops, PauliOp(5, (1, 0), (0, 1))], FieldSpec(3))
+    with pytest.raises(DimensionMismatch):
+        pauli.pauli_matrices([*ops, PauliOp(3, (1,), (0,))], FieldSpec(3))
+
+
+def test_cached_tables_are_read_only():
+    # The tables are shared by every caller, so a write must fail, not
+    # corrupt the next class.
+    tables = [pauli._roots(4), pauli._roots(3), *pauli._digits(3, 2)]
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+    assert pauli._roots(4) is tables[0]
 
 
 def test_matrix_scale_guard():
     with pytest.raises(ScaleExceeded):
-        pauli.pauli_matrix(PauliOp(2, (0,) * 6, (0,) * 6), FieldSpec(2))
+        pauli.pauli_matrices([PauliOp(2, (0,) * 6, (0,) * 6)], FieldSpec(2))
 
 
 def test_canonical_rep_order():
     # Odd d: representatives have order d.  d = 2: they square to identity.
     spec = FieldSpec(3)
     for op in nonidentity_reps(W33)[:20]:
-        m = pauli.pauli_matrix(op, spec)
+        m = pauli.pauli_matrices([op], spec)[0]
         assert np.allclose(np.linalg.matrix_power(m, 3), np.eye(9), atol=TOL)
     spec2 = FieldSpec(2)
     for op in nonidentity_reps(W32):
-        m = pauli.pauli_matrix(op, spec2)
+        m = pauli.pauli_matrices([op], spec2)[0]
         assert np.allclose(m @ m, np.eye(4), atol=TOL)
         assert np.allclose(m, m.conj().T, atol=TOL)
 
@@ -112,7 +133,7 @@ def test_x_and_z_do_not_commute():
 def test_commutes_matches_matrix_oracle_exhaustive_w32():
     spec = FieldSpec(2)
     reps = nonidentity_reps(W32)
-    mats = [pauli.pauli_matrix(op, spec) for op in reps]
+    mats = pauli.pauli_matrices(reps, spec)
     for (i, p), (j, q) in itertools.combinations(enumerate(reps), 2):
         matrix_commute = commutator_norm(mats[i], mats[j]) < TOL
         assert pauli.commutes(p, q, W32) == matrix_commute
@@ -124,8 +145,8 @@ def test_commutes_matches_matrix_oracle_sampled_w33():
     rng = random.Random(13)
     for _ in range(300):
         p, q = rng.choice(reps), rng.choice(reps)
-        m1 = pauli.pauli_matrix(p, spec)
-        m2 = pauli.pauli_matrix(q, spec)
+        m1 = pauli.pauli_matrices([p], spec)[0]
+        m2 = pauli.pauli_matrices([q], spec)[0]
         assert pauli.commutes(p, q, W33) == (commutator_norm(m1, m2) < TOL)
 
 
@@ -148,7 +169,7 @@ def test_class_sizes():
 def test_class_ops_commute_as_matrices():
     spec = FieldSpec(3)
     c = class_from_generator(W33.generators[7], W33)
-    mats = [pauli.pauli_matrix(op, spec) for op in c.ops]
+    mats = pauli.pauli_matrices(c.ops, spec)
     for m1, m2 in itertools.combinations(mats, 2):
         assert commutator_norm(m1, m2) < TOL
 
@@ -157,7 +178,7 @@ def test_class_is_hilbert_schmidt_orthogonal():
     spec = FieldSpec(2)
     for g in W32.generators:
         c = class_from_generator(g, W32)
-        mats = [pauli.pauli_matrix(op, spec) for op in c.ops]
+        mats = pauli.pauli_matrices(c.ops, spec)
         for m1, m2 in itertools.combinations(mats, 2):
             assert abs(np.trace(m1 @ m2.conj().T)) < TOL
 

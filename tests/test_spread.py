@@ -13,6 +13,7 @@ import pathlib
 import random
 import types
 
+import numpy as np
 import pytest
 
 from polarmub import algebra, polar, spread
@@ -55,6 +56,33 @@ def test_partial_spread_rejects_meeting_lines():
     )
     with pytest.raises(NotDisjoint):
         spread.partial_spread(W32, [g.gen_index, meeting.gen_index])
+
+
+@pytest.mark.parametrize("members", [[1.5, 7.9], [1.0], [True], [0, False], ["3"], [np.float64(2)]])
+def test_partial_spread_refuses_members_that_are_not_integers(members):
+    # int() would read 1.5 and 7.9 as members 1 and 7, and True as member 1.
+    with pytest.raises(TypeError, match="integer"):
+        spread.partial_spread(W32, members)
+
+
+def test_partial_spread_accepts_numpy_integers():
+    members = np.array(S32.members[:3], dtype=np.int64)
+    assert spread.partial_spread(W32, members) == spread.partial_spread(W32, S32.members[:3])
+    assert spread.partial_spread(W32, [np.int32(S32.members[0])]).members == S32.members[:1]
+
+
+@pytest.mark.parametrize("members", [[-1], [0, -15], [15], [S32.members[0], 16]])
+def test_partial_spread_refuses_indices_outside_the_catalog(members):
+    # A negative index would otherwise alias the generator counted from the end.
+    with pytest.raises(ValueError, match="outside"):
+        spread.partial_spread(W32, members)
+
+
+def test_member_generators_refuse_indices_outside_the_catalog():
+    for members in ((-1,), (0, 15)):
+        with pytest.raises(ValueError, match="outside"):
+            spread.PartialSpread(W32, members, 0).member_generators()
+    assert S32.member_generators() == [W32.generators[m] for m in S32.members]
 
 
 def test_classical_spread_sizes_and_coverage():
