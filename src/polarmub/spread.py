@@ -72,7 +72,7 @@ class USet:
 
 
 def partial_spread(space: PolarSpace, members) -> PartialSpread:
-    idx = sorted(_member_index(m) for m in members)
+    idx = sorted([m if type(m) is int else _member_index(m) for m in members])
     if len(set(idx)) != len(idx):
         raise NotDisjoint("repeated member")
     coverage = 0
@@ -84,8 +84,10 @@ def partial_spread(space: PolarSpace, members) -> PartialSpread:
 
 
 def _member_index(m) -> int:
-    # int() would truncate a float and read a bool as 0 or 1.
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+    """A member that is not a plain int: a numpy integer is read as one, and
+    anything else is refused, since int() would truncate a float and read a
+    bool as 0 or 1."""
+    if not isinstance(m, np.integer):
         raise TypeError(f"a member must be an integer generator index, got {m!r}")
     return int(m)
 
