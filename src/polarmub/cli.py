@@ -57,7 +57,9 @@ def spread_payload(ps: PartialSpread) -> dict:
     return {
         "d": ps.space.d,
         "n": ps.space.n,
-        "generators": [[list(row) for row in g.basis] for g in ps.member_generators()],
+        "generators": [
+            [list(row) for row in ps.space.generator(m).basis] for m in ps.members
+        ],
     }
 
 
@@ -66,8 +68,9 @@ def serialize_spread(ps: PartialSpread, fmt: str = "json") -> bytes:
         return (json.dumps(spread_payload(ps), sort_keys=True, indent=2) + "\n").encode()
     if fmt == "text":
         lines = [f"d={ps.space.d} n={ps.space.n}"]
-        for g in ps.member_generators():
-            lines.append("|".join(",".join(str(x) for x in row) for row in g.basis))
+        for m in ps.members:
+            basis = ps.space.generator(m).basis
+            lines.append("|".join(",".join(str(x) for x in row) for row in basis))
         return ("\n".join(lines) + "\n").encode()
     raise UsageError(f"unknown format {fmt!r}")
 

@@ -134,8 +134,8 @@ def brute_force_conjecture(space: PolarSpace, s: PartialSpread) -> BruteForceSum
     k = space.d ** (space.n - 1) + 1
     expected = space.d**space.n - space.d ** (space.n - 1) + 1
     member = [0] * space.num_points
-    for i, g in enumerate(s.member_generators()):
-        for p in space.point_indices(g.point_mask):
+    for i, m in enumerate(s.members):
+        for p in space.point_indices(space.generator(m).point_mask):
             member[p] = i
     meet_sets = []
     for g in space.generators:

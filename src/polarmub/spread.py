@@ -72,7 +72,7 @@ class USet:
 
 
 def partial_spread(space: PolarSpace, members) -> PartialSpread:
-    idx = sorted([m if type(m) is int else _member_index(m) for m in members])
+    idx = sorted(_member_index(m) for m in members)
     if len(set(idx)) != len(idx):
         raise NotDisjoint("repeated member")
     coverage = 0
@@ -84,10 +84,10 @@ def partial_spread(space: PolarSpace, members) -> PartialSpread:
 
 
 def _member_index(m) -> int:
-    """A member that is not a plain int: a numpy integer is read as one, and
-    anything else is refused, since int() would truncate a float and read a
-    bool as 0 or 1."""
-    if not isinstance(m, np.integer):
+    """A member as a generator index: an int or a numpy integer.  Anything
+    else is refused, since int() would truncate a float and read a bool as
+    0 or 1."""
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
         raise TypeError(f"a member must be an integer generator index, got {m!r}")
     return int(m)
 
@@ -274,7 +274,7 @@ def _unclosed_triples(s: PartialSpread) -> Iterator[tuple[int, int, int]]:
     d, k = space.d, s.size
     # member[p] is the position of the member on point p; k if none is.
     member = np.full(space.num_points, k)
-    points = [space.point_indices(g.point_mask) for g in s.member_generators()]
+    points = [space.point_indices(space.generator(m).point_mask) for m in s.members]
     for i, pts in enumerate(points):
         member[pts] = i
     # The d + 1 points of the line through x and y: x + t·y for t in F_d, and y.
@@ -326,8 +326,9 @@ def complete_TU(tu: PartialSpread) -> tuple[PartialSpread, CompletenessCert]:
 
 
 def members_meeting(s: PartialSpread, g: Generator) -> list[int]:
-    members = zip(s.members, s.member_generators())
-    return [m for m, h in members if h.point_mask & g.point_mask]
+    # The members were range-checked when the partial spread was built.
+    gens = s.space.generators
+    return [m for m in s.members if gens[m].point_mask & g.point_mask]
 
 
 def pair_partner(s: PartialSpread, x) -> Generator:
@@ -338,7 +339,7 @@ def pair_partner(s: PartialSpread, x) -> Generator:
     x = space.generator(_gen_index(x))
     if x.gen_index in s.members:
         raise GeneratorInSpread("x must lie outside the spread")
-    sx = _generators_at(space, members_meeting(s, x))
+    sx = [space.generator(m) for m in members_meeting(s, x)]
     trans = polar.common_transversals(sx, space)
     partners = [t for t in trans if t.gen_index != x.gen_index]
     if not partners:
@@ -478,8 +479,8 @@ def construct_U_set(s: PartialSpread, chi=None) -> USet:
     # (d^{N-1} - 1)/(d - 1) points.
     deep_points = (space.d ** (space.n - 1) - 1) // (space.d - 1)
     deep = []
-    for m, h in zip(r_chi, _generators_at(space, r_chi)):
-        meet = chi.point_mask & h.point_mask
+    for m in r_chi:
+        meet = chi.point_mask & space.generator(m).point_mask
         if bin(meet).count("1") == deep_points:
             deep.append((m, meet))
     if space.n == 2:
@@ -495,8 +496,8 @@ def construct_U_set(s: PartialSpread, chi=None) -> USet:
         raise CatalogMismatch(f"{len(through)} generators through chi ∩ alpha, not d + 1")
     rest = [m for m in r_chi if m != alpha]
     rest_mask = 0
-    for h in _generators_at(space, rest):
-        rest_mask |= h.point_mask
+    for m in rest:
+        rest_mask |= space.generator(m).point_mask
     candidates = [
         g
         for g in through
