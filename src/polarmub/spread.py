@@ -37,7 +37,8 @@ from .polar import Generator, PolarSpace
 EXHAUSTIVE_SPACES = {(2, 2), (3, 2), (2, 3)}
 
 
-@dataclass(frozen=True)
+# Slots: an exhaustive census holds tens of thousands of these at once.
+@dataclass(frozen=True, slots=True)
 class PartialSpread:
     space: PolarSpace
     members: tuple[int, ...]
