@@ -368,6 +368,8 @@ STDOUT_PINS = {
         (0, "c00d92ab27d2fc62e70b9a9de29a85424195fb5b5eab1c3203b8dbcf7d62eca2"),
     "verify --d 2 --n 2 --check complete --format text":
         (0, "941174e325efbef4a18577c7bb0568cae251baf10938808e28988c50df4565da"),
+    "classify --d 2 --n 2":
+        (0, "e5e92f0175b3a4b55ff8932e265b7b1909e9d733dbbebb128e11d202c98fc0f7"),
 }
 
 
