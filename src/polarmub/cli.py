@@ -19,7 +19,7 @@ import time
 
 from . import __version__, algebra, counting, mub, pauli, spread
 from .errors import PolarMubError, ScaleExceeded
-from .polar import PolarSpace, symplectic_group
+from .polar import PolarSpace, symplectic_group_order
 from .spread import PartialSpread
 
 _SPACE_CACHE: dict[tuple[int, int], PolarSpace] = {}
@@ -267,8 +267,7 @@ def cmd_conjecture(args) -> tuple[dict, bool]:
 
 def cmd_classify(args) -> tuple[dict, bool]:
     space = get_space(args.d, args.n)
-    group = symplectic_group(space)  # refuses all but W_3(2) before the census
-    found = spread.search_maximal(space, "exhaustive")
+    found = spread.search_maximal(space, "exhaustive")  # refuses beyond the census spaces
     triples = [p for p in found if not p.is_spread]
     orbits = spread.classify_iso(space, triples)
     payload = {
@@ -276,7 +275,7 @@ def cmd_classify(args) -> tuple[dict, bool]:
         "sizes": sorted({p.size for p in triples}),
         "orbits": len(orbits),
         "orbit_representatives": [list(p.members) for p in orbits],
-        "group_order": len(group),
+        "group_order": symplectic_group_order(space),
     }
     return payload, True
 

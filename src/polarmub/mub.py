@@ -22,7 +22,7 @@ import numpy as np
 
 from . import algebra
 from . import spread as spread_mod
-from .errors import DimensionMismatch, NonDiagonalizable, ScaleExceeded
+from .errors import DimensionMismatch, NonDiagonalizable, NotAClass, ScaleExceeded
 from .pauli import (
     MAX_DENSE_DIM,
     CommutingClass,
@@ -86,6 +86,8 @@ def eigenprojectors(c: CommutingClass, spec) -> Eigenbasis:
         raise ScaleExceeded(f"dense dimension {dim} exceeds {MAX_DENSE_DIM}")
     by_image = {op.symplectic_image(): op for op in c.ops}
     basis = algebra.rref(tuple(by_image), spec)
+    if len(basis) != n:
+        raise NotAClass(f"images span rank {len(basis)}, expected {n}")
     mats = pauli_matrices([by_image[row] for row in basis], spec)
     identity, table, chars = _character_tables(d, n)
     powers = np.empty((d, *mats.shape), dtype=complex)

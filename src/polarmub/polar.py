@@ -22,12 +22,17 @@ is reduced.  Later leads come first in point order, so these rows in
 descending index order are the rref basis.  Generators are indexed in
 lexicographic order of their rref basis.  The symplectic group acts only
 on these indices: `transvections` gives its generating set as
-permutations.
+permutations, and `symplectic_group_order` certifies the order of the
+group that 4N − 1 of them generate by a Schreier–Sims base and strong
+generating set, checked against the closed form |PSp(2N, d)|.  The group
+is never enumerated.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from operator import itemgetter
 from dataclasses import dataclass
 
 import numpy as np
@@ -324,16 +329,119 @@ def orbit(start, images) -> set:
     return seen
 
 
-def symplectic_group(space: PolarSpace) -> tuple[tuple[int, ...], ...]:
-    """The action of Sp(2N, d) on generator indices, sorted: the orbit of the
-    identity permutation under `transvections(space)`.  −I fixes every
-    generator, so this is PSp(2N, d).  Refused beyond W_3(2), whose group
-    has 720 elements: the closure enumerates, and PSp(4, 3) has 25 920."""
-    if (space.d, space.n) != (2, 2):
-        raise ScaleExceeded("symplectic group enumeration supported for W_3(2) only")
-    gens = transvections(space)
+def symplectic_group_order(space: PolarSpace) -> int:
+    """The order of the action of Sp(2N, d) on generator indices, certified.
 
-    def images(p):
-        return (tuple(t[i] for i in p) for t in gens)
+    The 4N − 1 transvections at e_c (c < 2N) and at e_c + e_{c+1}
+    (c < 2N − 1), as permutations from `transvections`, go through a
+    deterministic Schreier–Sims.  −I fixes every generator, so the action is
+    PSp(2N, d), and the order must equal |Sp(2N, d)| / gcd(2, d − 1) =
+    d^{N²} ∏(d^{2i} − 1) / gcd(2, d − 1); `CatalogMismatch` otherwise."""
+    d, n = space.d, space.n
+    w = space.weights.tolist()
+    codes = w + [w[c] + w[c + 1] for c in range(2 * n - 1)]
+    perms = transvections(space)
+    order = _schreier_sims_order([perms[space.index_of[code]] for code in codes])
+    expected = d ** (n * n) * math.prod(d ** (2 * i) - 1 for i in range(1, n + 1))
+    expected //= math.gcd(2, d - 1)
+    if order != expected:
+        raise CatalogMismatch(
+            f"transvections generate {order} elements, not |PSp({2*n}, {d})| = {expected}"
+        )
+    return order
 
-    return tuple(sorted(orbit(tuple(range(space.num_generators)), images)))
+
+def _schreier_sims_order(perms) -> int:
+    """The order of the group that permutations of range(m) generate, as the
+    product of the basic orbit lengths of a base and strong generating set:
+    the deterministic Schreier–Sims algorithm (Seress, *Permutation Group
+    Algorithms*, 2003).
+
+    Level i holds the strong generators that fix the first i base points,
+    and a transversal: for each point p of the orbit of base point i, a
+    coset representative u with u[base[i]] = p, never replaced once set.
+    A permutation p acts as x ↦ p[x], and p·q applies p first.  A
+    permutation is sifted from a level down; a residue that is not the
+    identity becomes a strong generator of the levels from there to where it
+    failed, adding a base point if it fixes them all.  Each Schreier
+    generator u_p·s·u_{s[p]}⁻¹ of a level is sifted from the level below,
+    and the work resumes where a residue was added.  A tested (point,
+    generator) pair stays tested, since sifting reads only representatives,
+    which never change."""
+    perms = [tuple(p) for p in perms]
+    identity = tuple(range(len(perms[0]))) if perms else ()
+    base: list[int] = []
+    strong: list[list[tuple[int, ...]]] = []
+    # reps[i][p] = (u, u⁻¹); orbit[i] lists the points in the order found.
+    reps: list[dict[int, tuple]] = []
+    orbit: list[list[int]] = []
+    tested: list[set[tuple[int, int]]] = []
+
+    def compose(p, q):
+        return itemgetter(*p)(q)
+
+    def inverse(p):
+        inv = [0] * len(p)
+        for x, y in enumerate(p):
+            inv[y] = x
+        return tuple(inv)
+
+    def add_strong(g, level):
+        strong[level].append(g)
+        # Every orbit point under every generator; old representatives stay.
+        seen, pts = reps[level], orbit[level]
+        k = 0
+        while k < len(pts):
+            u = seen[pts[k]][0]
+            for s in strong[level]:
+                q = s[pts[k]]
+                if q not in seen:
+                    v = compose(u, s)
+                    seen[q] = (v, inverse(v))
+                    pts.append(q)
+            k += 1
+
+    def extend(g, first):
+        """Sift g from level `first`, add its residue if it is not the
+        identity, and return the last level it went to, or None."""
+        for stop in range(first, len(base)):
+            rep = reps[stop].get(g[base[stop]])
+            if rep is None:
+                break
+            g = compose(g, rep[1])
+        else:
+            if g == identity:
+                return None
+            stop = len(base)
+            base.append(next(x for x, y in enumerate(g) if x != y))
+            strong.append([])
+            reps.append({base[-1]: (identity, identity)})
+            orbit.append([base[-1]])
+            tested.append(set())
+        for level in range(first, stop + 1):
+            add_strong(g, level)
+        return stop
+
+    def schreier_generators(level):
+        for p in orbit[level]:
+            u = reps[level][p][0]
+            for j, s in enumerate(strong[level]):
+                if (p, j) not in tested[level]:
+                    tested[level].add((p, j))
+                    us = compose(u, s)
+                    v, v_inv = reps[level][s[p]]
+                    if us != v:
+                        yield compose(us, v_inv)
+
+    for g in perms:
+        extend(g, 0)
+    level = len(base) - 1
+    while level >= 0:
+        for h in schreier_generators(level):
+            stop = extend(h, level + 1)
+            if stop is not None:
+                level = stop
+                break
+        else:
+            level -= 1
+    return math.prod(len(pts) for pts in orbit)

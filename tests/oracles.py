@@ -11,6 +11,11 @@ the joint eigenprojectors one character at a time: the per-factor and
 per-character forms that the dense layer of `polarmub.pauli` and
 `polarmub.mub` replaces with index arithmetic and batched products.
 
+`symplectic_group` enumerates the group that the transvection permutations
+of generator indices generate, by closing the identity under them: the
+count that `polarmub.polar.symplectic_group_order` certifies by
+Schreier–Sims instead.  It is feasible at W_3(2) only (720 elements).
+
 `brute_force_conjecture` is the subset sweep: it builds every
 (d^{N-1} + 1)-subset of a spread and scans the whole catalog for the
 generators it covers (`covered_generators`).  It is exponential in the
@@ -23,7 +28,7 @@ import weakref
 
 import numpy as np
 
-from polarmub import algebra, counting, spread
+from polarmub import algebra, counting, polar, spread
 
 # Each space's points keyed by coordinates, dropped with the space.
 _point_index = weakref.WeakKeyDictionary()
@@ -116,6 +121,26 @@ def eigenbasis(c, spec):
         j = next(i for i, w in enumerate(weight) if w >= max(weight) / 2)
         columns.append(p[:, j] / weight[j] ** 0.5)
     return np.array(columns).T
+
+
+def symplectic_group(space):
+    """Every permutation of generator indices in the group that
+    `polar.transvections(space)` generates, sorted: the closure of the
+    identity under composition with each transvection."""
+    gens = polar.transvections(space)
+    start = tuple(range(space.num_generators))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        step = []
+        for p in frontier:
+            for t in gens:
+                q = tuple(t[i] for i in p)
+                if q not in seen:
+                    seen.add(q)
+                    step.append(q)
+        frontier = step
+    return tuple(sorted(seen))
 
 
 def covered_generators(ps):

@@ -158,8 +158,37 @@ def test_classify_w32(capsys):
     assert result["complete_non_spreads"] == 20
 
 
-@pytest.mark.parametrize("d, n", [("3", "2"), ("2", "3")])
-def test_classify_refuses_beyond_w32(capsys, d, n):
+def test_classify_w33(capsys):
+    code, out = run_capture(capsys, ["classify", "--d", "3", "--n", "2"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result == {
+        "complete_non_spreads": 567,
+        "group_order": 25920,
+        "orbit_representatives": [[0, 5, 8, 12, 22, 28, 30, 35], [0, 5, 8, 12, 31], [0, 5, 8, 13, 22]],
+        "orbits": 3,
+        "sizes": [5, 8],
+    }
+
+
+def test_classify_imports_no_sympy():
+    # sympy's import alone takes about half a second and doubles peak RSS.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = (
+        "import sys; from polarmub import cli; "
+        "code = cli.run(['classify', '--d', '2', '--n', '2']); "
+        "print(code, 'sympy' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.splitlines()[-1] == "0 False"
+
+
+# Exhaustive search, and so the census that classify walks, stops at W_5(2).
+@pytest.mark.parametrize("d, n", [("5", "2"), ("2", "4")])
+def test_classify_refuses_beyond_the_census_spaces(capsys, d, n):
     assert run(["classify", "--d", d, "--n", n]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -11,7 +11,7 @@ import pytest
 
 from polarmub import mub, pauli, spread
 from polarmub.algebra import FieldSpec
-from polarmub.errors import DimensionMismatch, NonDiagonalizable
+from polarmub.errors import DimensionMismatch, NonDiagonalizable, NotAClass
 from polarmub.pauli import class_from_generator
 from polarmub.polar import PolarSpace
 
@@ -98,6 +98,19 @@ def test_eigenbasis_over_another_field_is_refused():
     for d in (2, 5):
         with pytest.raises(DimensionMismatch):
             mub.eigenprojectors(c, FieldSpec(d))
+
+
+@pytest.mark.parametrize("which", ["two-ops", "two-classes"])
+def test_images_of_the_wrong_rank_are_not_a_class(which):
+    # Two ops of one class span rank 1; two disjoint classes span rank 4.
+    c = class_from_generator(W33.generators[0], W33)
+    if which == "two-ops":
+        ops = c.ops[:2]
+    else:
+        far = next(g for g in W33.generators if not g.point_mask & W33.generators[0].point_mask)
+        ops = c.ops + class_from_generator(far, W33).ops
+    with pytest.raises(NotAClass, match="span rank"):
+        mub.eigenprojectors(pauli.CommutingClass(3, ops, c.generator_image), W33.field)
 
 
 def test_self_overlap_is_maximally_biased():

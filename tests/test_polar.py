@@ -13,10 +13,14 @@ import operator
 import random
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarmub import algebra, polar
 from polarmub.errors import (
+    CatalogMismatch,
     DimensionMismatch,
     NotDisjoint,
     NotRankTwo,
@@ -435,15 +439,71 @@ def preserves_disjointness(space, perm):
     )
 
 
-def test_symplectic_group_order():
+def closed_form_psp_order(d, n):
     # |Sp(2N, d)| = d^{N²} ∏(d^{2i} − 1); −I fixes every generator, so the
-    # action on generators has that order over |{±I}|: 720 at W_3(2).
-    group = polar.symplectic_group(W32)
-    d, n = W32.d, W32.n
-    order = d ** (n * n) * math.prod(d ** (2 * i) - 1 for i in range(1, n + 1))
-    assert len(set(group)) == len(group) == order // (1 if d == 2 else 2) == 720
+    # action on generators has that order over |{±I}|.
+    return d ** (n * n) * math.prod(d ** (2 * i) - 1 for i in range(1, n + 1)) // math.gcd(2, d - 1)
+
+
+def fixed_transvections(space, sums=True):
+    """The transvection permutations at e_c and, if sums, at e_c + e_{c+1},
+    each point found by its coordinates."""
+    m = space.dim
+    units = [tuple(int(i == c) for i in range(m)) for c in range(m)]
+    points = units + [tuple(int(i in (c, c + 1)) for i in range(m)) for c in range(m - 1)]
+    perms = polar.transvections(space)
+    return [perms[space.points.index(v)] for v in points[: len(points) if sums else m]]
+
+
+def test_symplectic_group_order():
+    # The certified order is the number of elements the closure enumerates.
+    group = oracles.symplectic_group(W32)
+    assert len(set(group)) == len(group) == closed_form_psp_order(2, 2) == 720
+    assert polar.symplectic_group_order(W32) == len(group)
     assert tuple(range(W32.num_generators)) in group
     assert all(preserves_disjointness(W32, p) for p in group)
+
+
+@pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (2, 3)])
+def test_symplectic_group_order_is_the_closed_form(d, n):
+    assert polar.symplectic_group_order(PolarSpace(d, n)) == closed_form_psp_order(d, n)
+
+
+@pytest.mark.parametrize("d,n", [(3, 2), (2, 3)])
+def test_symplectic_group_order_matches_sympy(d, n):
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    space = PolarSpace(d, n)
+    group = PermutationGroup([Permutation(list(p)) for p in fixed_transvections(space)])
+    assert polar.symplectic_group_order(space) == group.order()
+
+
+def test_unit_transvections_alone_generate_36_elements():
+    # The 2N transvections at e_c alone fall short of PSp(4, 2), so the
+    # comparison with the closed form can fail.
+    assert polar._schreier_sims_order(fixed_transvections(W32, sums=False)) == 36
+
+
+def test_symplectic_group_order_refuses_a_set_that_does_not_generate(monkeypatch):
+    real = polar.transvections(W32)
+    units = set(fixed_transvections(W32, sums=False))
+    identity = tuple(range(W32.num_generators))
+    monkeypatch.setattr(
+        polar, "transvections", lambda space: tuple(p if p in units else identity for p in real)
+    )
+    with pytest.raises(CatalogMismatch, match="generate 36 elements, not .* 720"):
+        polar.symplectic_group_order(W32)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda m: st.lists(st.permutations(range(m)), min_size=1, max_size=3)
+))
+def test_schreier_sims_matches_sympy_on_small_groups(perms):
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    group = PermutationGroup([Permutation(p) for p in perms])
+    assert polar._schreier_sims_order(perms) == group.order()
 
 
 @pytest.mark.parametrize("d,n", [(3, 2), (2, 3)])
