@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import itemgetter
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -338,6 +338,7 @@ def symplectic_group_order(space: PolarSpace) -> int:
     PSp(2N, d), and the order must equal |Sp(2N, d)| / gcd(2, d − 1) =
     d^{N²} ∏(d^{2i} − 1) / gcd(2, d − 1); `CatalogMismatch` otherwise."""
     d, n = space.d, space.n
+    # A vector's code is its dot product with the weights, so e_c's is w[c].
     w = space.weights.tolist()
     codes = w + [w[c] + w[c + 1] for c in range(2 * n - 1)]
     perms = transvections(space)

@@ -14,7 +14,7 @@ per-character forms that the dense layer of `polarmub.pauli` and
 `symplectic_group` enumerates the group that the transvection permutations
 of generator indices generate, by closing the identity under them: the
 count that `polarmub.polar.symplectic_group_order` certifies by
-Schreier–Sims instead.  It is feasible at W_3(2) only (720 elements).
+Schreier–Sims instead.  The tests enumerate it at W_3(2) (720 elements).
 
 `brute_force_conjecture` is the subset sweep: it builds every
 (d^{N-1} + 1)-subset of a spread and scans the whole catalog for the
