@@ -20,6 +20,10 @@ Schreier–Sims instead.  The tests enumerate it at W_3(2) (720 elements).
 (d^{N-1} + 1)-subset of a spread and scans the whole catalog for the
 generators it covers (`covered_generators`).  It is exponential in the
 spread size, and independent of the meet-set count in `polarmub.counting`.
+`exactly_one_trades` lists the subsets that cover exactly one generator,
+with that generator and its meet set, from point-mask ANDs alone: the
+trades whose completeness `counting` reads from meet sets, for the tests
+to certify with `spread.is_complete` one by one.
 """
 
 import functools
@@ -203,3 +207,24 @@ def brute_force_conjecture(space, s):
         completion_size=completion_size,
         expected_completion_size=expected,
     )
+
+
+def exactly_one_trades(space, s):
+    """(T, g, M) for each (d^{N-1} + 1)-subset T of the spread s that covers
+    exactly one generator g outside s, in lexicographic order of T: M is the
+    set of members g meets, found by ANDing point masks, and T covers g
+    when M lies inside T.  T and M are sorted tuples of member indices."""
+    k = space.d ** (space.n - 1) + 1
+    masks = {m: space.generator(m).point_mask for m in s.members}
+    covers = {}
+    for g in space.generators:
+        if g.gen_index in masks:
+            continue
+        meets = tuple(m for m, mask in masks.items() if mask & g.point_mask)
+        if len(meets) > k:
+            continue
+        rest = [m for m in s.members if m not in meets]
+        for extra in itertools.combinations(rest, k - len(meets)):
+            t = tuple(sorted(meets + extra))
+            covers.setdefault(t, []).append((g.gen_index, meets))
+    return [(t, *found[0]) for t, found in sorted(covers.items()) if len(found) == 1]

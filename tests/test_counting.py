@@ -147,6 +147,46 @@ def test_brute_force_w72_matches_the_sweep_literals(monkeypatch):
     assert counting.brute_force_conjecture(space, s).as_dict() == W72_SUMMARY
 
 
+# Taken from the count that certified every trade with `spread.is_complete`.
+W53_SUMMARY = {
+    "subsets_total": 13123110,
+    "exactly_one": 1092,
+    "at_least_one": 1092,
+    "first_failure": [0, 45, 83, 118, 217, 249, 313, 351, 375, 386],
+    "distinct_covered": True,
+    "completions_complete": True,
+    "completion_size": 19,
+    "expected_completion_size": 19,
+}
+
+
+def test_brute_force_w53_is_pinned():
+    space = PolarSpace(3, 3)
+    s = spread.construct_symplectic_spread(space)
+    assert counting.brute_force_conjecture(space, s).as_dict() == W53_SUMMARY
+
+
+@pytest.mark.parametrize(
+    "d, n", [(2, 2), (2, 3), (2, 4), (3, 3)], ids=["W_3(2)", "W_5(2)", "W_7(2)", "W_5(3)"]
+)
+def test_trade_is_complete_exactly_when_its_meet_set_is_the_subset(d, n):
+    # Each exactly-one trade, certified by a catalog scan, against the
+    # Lemma: (S \ T) + {g} is complete exactly when M(g) = T.
+    space = PolarSpace(d, n)
+    s = spread.construct_symplectic_spread(space)
+    summary = counting.brute_force_conjecture(space, s)
+    trades = oracles.exactly_one_trades(space, s)
+    verdicts = []
+    for t, g, meets in trades:
+        traded = spread.partial_spread(space, [m for m in s.members if m not in t] + [g])
+        assert traded.size == summary.expected_completion_size
+        verdicts.append(spread.is_complete(traded).complete)
+        assert verdicts[-1] == (meets == t)
+    assert len(trades) == summary.exactly_one > 0
+    assert all(verdicts) == summary.completions_complete
+    assert summary.completion_size == summary.expected_completion_size
+
+
 def test_brute_force_scale_guard(monkeypatch):
     space = PolarSpace(2, 4)
     s = spread.construct_symplectic_spread(space)
