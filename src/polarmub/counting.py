@@ -11,6 +11,12 @@ prefix exceeds the right-hand side, without materialising the full value.
 generator g outside S is covered by a subset T of S exactly when M(g), the
 members g meets, lie inside T.  It builds only the supersets of meet sets,
 and refuses a space with more of them than `polar.GENERATOR_LIMIT`.
+
+Trades are certified from meet sets too.  Lemma: let a k-subset T of S,
+k = d^{N-1} + 1, cover exactly one generator g outside S.  S covers every
+point, so a generator disjoint from S ∖ T lies in T's points: it is a
+member of T, or g.  So the trade (S ∖ T) + {g} is complete exactly when g
+meets every member of T: when M(g) = T, that is |M(g)| = k.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ from dataclasses import asdict, dataclass
 from math import comb
 
 from . import polar
-from . import spread as spread_mod
 from .algebra import FieldSpec
 from .errors import DimensionMismatch, ScaleExceeded
 from .polar import PolarSpace, generator_count
@@ -124,8 +129,9 @@ def brute_force_conjecture(space: PolarSpace, s: PartialSpread) -> BruteForceSum
     the positions of the members g meets, lies inside T.  Only the supersets
     of each M(g) are built; more of them than `polar.GENERATOR_LIMIT` raises
     ScaleExceeded before any is.  Also checks that distinct exactly-one
-    subsets cover distinct generators, and that trading each for its
-    generator leaves a complete partial spread of size d^N - d^{N-1} + 1.
+    subsets cover distinct generators, and whether each trade of T for its
+    g is complete: by the Lemma above, exactly when |M(g)| = k.  Each trade
+    has |S| - k + 1 = d^N - d^{N-1} + 1 members.
     """
     if (s.space.d, s.space.n) != (space.d, space.n):
         raise DimensionMismatch(f"the spread lies in {s.space!r}, not in {space!r}")
@@ -133,23 +139,20 @@ def brute_force_conjecture(space: PolarSpace, s: PartialSpread) -> BruteForceSum
         raise ValueError("brute force needs a full spread")
     k = space.d ** (space.n - 1) + 1
     expected = space.d**space.n - space.d ** (space.n - 1) + 1
-    member = [0] * space.num_points
-    for i, m in enumerate(s.members):
-        for p in space.point_indices(space.generator(m).point_mask):
-            member[p] = i
-    meet_sets = []
+    member = s.member_positions().tolist()
+    meet_sets: dict[int, list[int]] = {}
     for g in space.generators:
         meets = {member[p] for p in space.point_indices(g.point_mask)}
         if 1 < len(meets) <= k:
-            meet_sets.append((g.gen_index, sorted(meets)))
-    supersets = sum(comb(s.size - len(m), k - len(m)) for _, m in meet_sets)
+            meet_sets[g.gen_index] = sorted(meets)
+    supersets = sum(comb(s.size - len(m), k - len(m)) for m in meet_sets.values())
     if supersets > polar.GENERATOR_LIMIT:
         raise ScaleExceeded(
             f"W_{2*space.n-1}({space.d}) meet sets expand to {supersets} subsets, "
             f"above {polar.GENERATOR_LIMIT}"
         )
     covers: dict[tuple[int, ...], list[int]] = {}
-    for g, m in meet_sets:
+    for g, m in meet_sets.items():
         rest = [i for i in range(s.size) if i not in m]
         for extra in itertools.combinations(rest, k - len(m)):
             covers.setdefault(tuple(sorted(m + list(extra))), []).append(g)
@@ -158,22 +161,13 @@ def brute_force_conjecture(space: PolarSpace, s: PartialSpread) -> BruteForceSum
     lex = itertools.combinations(range(s.size), k)
     failure = next((t for t, u in zip(lex, exact + [None]) if t != u), None)
     traded_gens = [covers[t][0] for t in exact]
-    completions_ok = True
-    completion_size = None
-    for t, g in zip(exact, traded_gens):
-        traded = spread_mod.partial_spread(
-            space, [m for i, m in enumerate(s.members) if i not in t] + [g]
-        )
-        if traded.size != expected or not spread_mod.is_complete(traded).complete:
-            completions_ok = False
-        completion_size = traded.size
     return BruteForceSummary(
         subsets_total=comb(s.size, k),
         exactly_one=len(exact),
         at_least_one=len(covers),
         first_failure=None if failure is None else tuple(s.members[i] for i in failure),
         distinct_covered=len(set(traded_gens)) == len(traded_gens),
-        completions_complete=completions_ok,
-        completion_size=completion_size,
+        completions_complete=all(len(meet_sets[g]) == k for g in traded_gens),
+        completion_size=expected if exact else None,
         expected_completion_size=expected,
     )

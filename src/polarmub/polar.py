@@ -21,11 +21,11 @@ point mask AND-ed with the masks of the points 0 at those leads, so no row
 is reduced.  Later leads come first in point order, so these rows in
 descending index order are the rref basis.  Generators are indexed in
 lexicographic order of their rref basis.  The symplectic group acts only
-on these indices: `transvections` gives its generating set as
-permutations, and `symplectic_group_order` certifies the order of the
-group that 4N − 1 of them generate by a Schreier–Sims base and strong
-generating set, checked against the closed form |PSp(2N, d)|.  The group
-is never enumerated.
+on these indices: `transvections` gives one permutation per point,
+`symplectic_generators` picks 4N − 1 of them, and `symplectic_group_order`
+certifies the order of the group those generate by a Schreier–Sims base
+and strong generating set, checked against the closed form |PSp(2N, d)|.
+The group is never enumerated.
 """
 
 from __future__ import annotations
@@ -329,20 +329,26 @@ def orbit(start, images) -> set:
     return seen
 
 
+def symplectic_generators(space: PolarSpace) -> list[tuple[int, ...]]:
+    """The 4N − 1 transvections at e_c (c < 2N) and at e_c + e_{c+1}
+    (c < 2N − 1), from `transvections`: `symplectic_group_order` certifies
+    that they generate the whole group, PSp(2N, d)."""
+    # A vector's code is its dot product with the weights, so e_c's is w[c].
+    w = space.weights.tolist()
+    codes = w + [w[c] + w[c + 1] for c in range(2 * space.n - 1)]
+    perms = transvections(space)
+    return [perms[space.index_of[code]] for code in codes]
+
+
 def symplectic_group_order(space: PolarSpace) -> int:
     """The order of the action of Sp(2N, d) on generator indices, certified.
 
-    The 4N − 1 transvections at e_c (c < 2N) and at e_c + e_{c+1}
-    (c < 2N − 1), as permutations from `transvections`, go through a
+    The permutations from `symplectic_generators` go through a
     deterministic Schreier–Sims.  −I fixes every generator, so the action is
     PSp(2N, d), and the order must equal |Sp(2N, d)| / gcd(2, d − 1) =
     d^{N²} ∏(d^{2i} − 1) / gcd(2, d − 1); `CatalogMismatch` otherwise."""
     d, n = space.d, space.n
-    # A vector's code is its dot product with the weights, so e_c's is w[c].
-    w = space.weights.tolist()
-    codes = w + [w[c] + w[c + 1] for c in range(2 * n - 1)]
-    perms = transvections(space)
-    order = _schreier_sims_order([perms[space.index_of[code]] for code in codes])
+    order = _schreier_sims_order(symplectic_generators(space))
     expected = d ** (n * n) * math.prod(d ** (2 * i) - 1 for i in range(1, n + 1))
     expected //= math.gcd(2, d - 1)
     if order != expected:

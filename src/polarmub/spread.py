@@ -59,6 +59,14 @@ class PartialSpread:
     def member_generators(self) -> list[Generator]:
         return _generators_at(self.space, self.members)
 
+    def member_positions(self) -> np.ndarray:
+        """Entry p is the position of the member on point p, or `size` on a
+        point that no member covers."""
+        table = np.full(self.space.num_points, self.size)
+        for i, g in enumerate(self.member_generators()):
+            table[self.space.point_indices(g.point_mask)] = i
+        return table
+
 
 @dataclass(frozen=True)
 class CompletenessCert:
@@ -119,15 +127,6 @@ def is_complete(ps: PartialSpread) -> CompletenessCert:
         if not g.point_mask & ps.coverage:
             return CompletenessCert(False, g.gen_index)
     return CompletenessCert(True, None)
-
-
-def extend_to_maximal(ps: PartialSpread) -> PartialSpread:
-    """Greedy canonical completion: repeatedly add the lowest-index witness."""
-    while True:
-        cert = is_complete(ps)
-        if cert.complete:
-            return ps
-        ps = partial_spread(ps.space, ps.members + (cert.witness,))
 
 
 # --------------------------------------------------------------------------
@@ -273,11 +272,8 @@ def _unclosed_triples(s: PartialSpread) -> Iterator[tuple[int, int, int]]:
     so those lines join a point of a to one of b."""
     space = s.space
     d, k = space.d, s.size
-    # member[p] is the position of the member on point p; k if none is.
-    member = np.full(space.num_points, k)
-    points = [space.point_indices(space.generator(m).point_mask) for m in s.members]
-    for i, pts in enumerate(points):
-        member[pts] = i
+    member = s.member_positions()
+    points = [np.flatnonzero(member == i) for i in range(k)]
     # The d + 1 points of the line through x and y: x + t·y for t in F_d, and y.
     coef = np.array([(1, t) for t in range(d)] + [(0, 1)])[:, :, None]
     for ia, ib in itertools.combinations(range(k), 2):
@@ -522,17 +518,18 @@ def construct_U_set(s: PartialSpread, chi=None) -> USet:
 def unextendible_from_Uset(
     s: PartialSpread, u: USet
 ) -> tuple[PartialSpread, CompletenessCert]:
-    """Trade the members meeting the carrier for the carrier, then extend
-    canonically to maximality.  The U-set property forbids ever reaching a
-    spread, so the certified-complete result is a proper partial spread."""
+    """Trade the members meeting the carrier for the carrier, then add the
+    lowest-index `is_complete` witness until none is left.  The U-set property
+    forbids reaching a spread, so the result is a proper partial spread."""
     space = s.space
     chi = space.generator(u.carrier)
     r_chi = set(members_meeting(s, chi))
-    seed = [m for m in s.members if m not in r_chi] + [chi.gen_index]
-    final = extend_to_maximal(partial_spread(space, seed))
+    final = partial_spread(space, [m for m in s.members if m not in r_chi] + [chi.gen_index])
+    while not (cert := is_complete(final)).complete:
+        final = partial_spread(space, final.members + (cert.witness,))
     if final.is_spread:
         raise NoSuitableChi("completion reached a spread; the input is not a U-set")
-    return final, is_complete(final)
+    return final, cert
 
 
 # --------------------------------------------------------------------------
@@ -626,11 +623,11 @@ def classify_iso(
 ) -> list[PartialSpread]:
     """Orbit representatives of partial spreads under Sp(2N, d).
 
-    A spread's key, the least sorted member tuple in its orbit under
-    `polar.transvections`, is its least image over the whole group, which is
-    never enumerated.  The first input spread of each orbit represents it,
-    and the output is sorted by key."""
-    perms = polar.transvections(space)
+    A spread's key, the least sorted member tuple in its orbit under the
+    4N − 1 transvections of `polar.symplectic_generators`, is its least image
+    over the whole group, which is never enumerated.  The first input spread
+    of each orbit represents it, and the output is sorted by key."""
+    perms = polar.symplectic_generators(space)
 
     def images(members):
         return (tuple(sorted(perm[m] for m in members)) for perm in perms)

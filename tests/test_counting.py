@@ -171,7 +171,7 @@ def test_brute_force_w53_is_pinned():
 )
 def test_trade_is_complete_exactly_when_its_meet_set_is_the_subset(d, n):
     # Each exactly-one trade, certified by a catalog scan, against the
-    # Lemma: (S \ T) + {g} is complete exactly when M(g) = T.
+    # Lemma: (S ∖ T) + {g} is complete exactly when M(g) = T.
     space = PolarSpace(d, n)
     s = spread.construct_symplectic_spread(space)
     summary = counting.brute_force_conjecture(space, s)
@@ -185,6 +185,19 @@ def test_trade_is_complete_exactly_when_its_meet_set_is_the_subset(d, n):
     assert len(trades) == summary.exactly_one > 0
     assert all(verdicts) == summary.completions_complete
     assert summary.completion_size == summary.expected_completion_size
+
+
+def test_brute_force_builds_and_scans_no_trade(monkeypatch):
+    space = PolarSpace(2, 3)
+    s = spread.construct_symplectic_spread(space)
+
+    def refuse(*args):
+        raise AssertionError("a trade was built or scanned")
+
+    monkeypatch.setattr(spread, "is_complete", refuse)
+    monkeypatch.setattr(spread, "partial_spread", refuse)
+    summary = counting.brute_force_conjecture(space, s)
+    assert (summary.exactly_one, summary.completions_complete) == (126, True)
 
 
 def test_brute_force_scale_guard(monkeypatch):

@@ -455,6 +455,13 @@ def fixed_transvections(space, sums=True):
     return [perms[space.points.index(v)] for v in points[: len(points) if sums else m]]
 
 
+@pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (2, 3), (5, 2)])
+def test_symplectic_generators_are_the_fixed_transvections(d, n):
+    space = PolarSpace(d, n)
+    assert polar.symplectic_generators(space) == fixed_transvections(space)
+    assert len(fixed_transvections(space)) == 4 * n - 1
+
+
 def test_symplectic_group_order():
     # The certified order is the number of elements the closure enumerates.
     group = oracles.symplectic_group(W32)
