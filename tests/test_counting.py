@@ -180,8 +180,9 @@ def test_trade_is_complete_exactly_when_its_meet_set_is_the_subset(d, n):
     for t, g, meets in trades:
         traded = spread.partial_spread(space, [m for m in s.members if m not in t] + [g])
         assert traded.size == summary.expected_completion_size
-        verdicts.append(spread.is_complete(traded).complete)
-        assert verdicts[-1] == (meets == t)
+        complete = spread.is_complete(traded).complete
+        assert complete == (meets == t)
+        verdicts.append(complete)
     assert len(trades) == summary.exactly_one > 0
     assert all(verdicts) == summary.completions_complete
     assert summary.completion_size == summary.expected_completion_size
