@@ -408,6 +408,45 @@ def test_stdout_bytes_are_pinned(capsys, command):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == STDOUT_PINS[command]
 
 
+# sha256 of the help text at COLUMNS=80, pinned while every call built its
+# own parser and each subparser took the common options one by one.
+HELP_PINS = {
+    "--help": "558018e63b0bd680984c0d03bdf4eb813315629e9eb2e83339ecf8a17d96dc00",
+    "construct --help": "5f5d2b19d5a47ca001550b9aaa6f3ec1da5285f5cf377cfd29656d4cefef4139",
+    "verify --help": "c1735bab0a26f4c825c3c8c367d1bb250430c10988612ff806f99fd6c3100062",
+    "search --help": "281d0854e416b96a881d2c79791f7766db8b35550055065d78b4759f3da57fa4",
+    "conjecture --help": "11812faed7b483b7f47db9171b385211be0062c41589acdb40efe108dfc90260",
+    "classify --help": "102aa3df8eeba2cac3e5d5bc6040c84f588146576eea280ec38300024caa71f5",
+    "mub --help": "0fdba3b085deb95744e9e7f1cbcf2318912f54e8942d6ff2887bb5083cf1be4b",
+}
+
+USAGE_ERROR_PINS = {
+    "construct --d 2": "usage error: the following arguments are required: --n\n",
+    "bogus": (
+        "usage error: argument command: invalid choice: 'bogus' (choose from "
+        "'construct', 'verify', 'search', 'conjecture', 'classify', 'mub')\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_PINS))
+def test_help_bytes_are_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        run(command.split())
+    captured = capsys.readouterr()
+    assert exit_.value.code == 0 and captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == HELP_PINS[command]
+
+
+@pytest.mark.parametrize("command", sorted(USAGE_ERROR_PINS))
+def test_usage_error_bytes_are_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(command.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == USAGE_ERROR_PINS[command]
+
+
 def test_text_format_renders(capsys):
     code, out = run_capture(
         capsys, ["construct", "--d", "2", "--n", "2", "--format", "text"]

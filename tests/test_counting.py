@@ -166,6 +166,25 @@ def test_brute_force_w53_is_pinned():
     assert counting.brute_force_conjecture(space, s).as_dict() == W53_SUMMARY
 
 
+# Taken from the count that built each complement by a test on a list.
+W313_SUMMARY = {
+    "subsets_total": 111427207937609835960,
+    "exactly_one": 0,
+    "at_least_one": 1105,
+    "first_failure": [0, 15, 28, 41, 54, 67, 80, 93, 106, 119, 132, 145, 158, 171],
+    "distinct_covered": True,
+    "completions_complete": True,
+    "completion_size": None,
+    "expected_completion_size": 157,
+}
+
+
+def test_brute_force_w313_is_pinned():
+    space = PolarSpace(13, 2)
+    s = spread.construct_symplectic_spread(space)
+    assert counting.brute_force_conjecture(space, s).as_dict() == W313_SUMMARY
+
+
 @pytest.mark.parametrize(
     "d, n", [(2, 2), (2, 3), (2, 4), (3, 3)], ids=["W_3(2)", "W_5(2)", "W_7(2)", "W_5(3)"]
 )
