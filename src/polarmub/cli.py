@@ -6,12 +6,18 @@ byte-identical across runs for a fixed configuration (timing goes to
 stderr, never into the payload).  Exit codes: 0 for a successful run with
 all certificates valid, 2 for a clean run whose claim failed, 1 for usage
 or scale errors.
+
+The argparse parser is built on the first `run` and reused by every later
+call in the process; importing the module builds none.  Each subcommand
+takes the common options from one parent parser.  A command's function is
+looked up by its name when `run` dispatches, not bound into the parser.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -313,21 +319,21 @@ def cmd_mub(args) -> tuple[dict, bool]:
 # --------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    common = _Parser(add_help=False)
+    common.add_argument("--d", type=int, required=True, help="prime order")
+    common.add_argument("--n", type=int, required=True, help="rank N")
+    common.add_argument("--format", choices=("json", "text"), default="json")
+    common.add_argument("--out", help="write the report to this path")
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--tolerance", type=_finite_float, default=1e-9)
+
     parser = _Parser(prog="polarmub")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--d", type=int, required=True, help="prime order")
-        p.add_argument("--n", type=int, required=True, help="rank N")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--out", help="write the report to this path")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tolerance", type=_finite_float, default=1e-9)
-
-    p = sub.add_parser("construct", help="build a partial spread")
-    common(p)
+    p = sub.add_parser("construct", help="build a partial spread", parents=[common])
     p.add_argument(
         "--method", choices=("classical", "tu", "sr", "uset"), default="classical"
     )
@@ -336,37 +342,26 @@ def build_parser() -> _Parser:
     p.add_argument("--l-index", type=int, dest="l_index")
     p.add_argument("--m-index", type=int, dest="m_index")
     p.add_argument("--chi-index", type=int, dest="chi_index")
-    p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("verify", help="verify a spread property")
-    common(p)
+    p = sub.add_parser("verify", help="verify a spread property", parents=[common])
     p.add_argument(
         "--check", choices=("complete", "regularity", "class-roundtrip"), required=True
     )
     p.add_argument("--in", dest="infile")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("search", help="search for complete partial spreads")
-    common(p)
+    p = sub.add_parser("search", help="search for complete partial spreads", parents=[common])
     p.add_argument("--mode", choices=("exhaustive", "first-of-size"), required=True)
     p.add_argument("--size", type=int)
-    p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("conjecture", help="counting verdict for (d, N)")
-    common(p)
+    p = sub.add_parser("conjecture", help="counting verdict for (d, N)", parents=[common])
     p.add_argument("--brute-force", action="store_true", dest="brute_force")
-    p.set_defaults(func=cmd_conjecture)
 
-    p = sub.add_parser("classify", help="orbits of complete partial spreads")
-    common(p)
-    p.set_defaults(func=cmd_classify)
+    sub.add_parser("classify", help="orbits of complete partial spreads", parents=[common])
 
-    p = sub.add_parser("mub", help="weakly-unextendible MUB certificate")
-    common(p)
+    p = sub.add_parser("mub", help="weakly-unextendible MUB certificate", parents=[common])
     p.add_argument("--from-spread", choices=("classical", "tu", "sr", "uset"))
     p.add_argument("--from-file", dest="from_file")
     p.add_argument("--k", type=int, default=0)
-    p.set_defaults(func=cmd_mub)
 
     return parser
 
@@ -393,11 +388,18 @@ def run(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     start = time.monotonic()
-    config = {
-        k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None
-    }
+    config = {k: v for k, v in sorted(vars(args).items()) if v is not None}
     try:
-        payload, ok = args.func(args)
+        # Looked up on each call, not bound into the parser that calls share.
+        command = {
+            "construct": cmd_construct,
+            "verify": cmd_verify,
+            "search": cmd_search,
+            "conjecture": cmd_conjecture,
+            "classify": cmd_classify,
+            "mub": cmd_mub,
+        }[args.command]
+        payload, ok = command(args)
         envelope = {
             "version": __version__,
             "command": args.command,

@@ -153,7 +153,7 @@ def brute_force_conjecture(space: PolarSpace, s: PartialSpread) -> BruteForceSum
         )
     covers: dict[tuple[int, ...], list[int]] = {}
     for g, m in meet_sets.items():
-        rest = [i for i in range(s.size) if i not in m]
+        rest = sorted(set(range(s.size)).difference(m))
         for extra in itertools.combinations(rest, k - len(m)):
             covers.setdefault(tuple(sorted(m + list(extra))), []).append(g)
     exact = sorted(t for t, gens in covers.items() if len(gens) == 1)

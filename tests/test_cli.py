@@ -447,6 +447,75 @@ def test_usage_error_bytes_are_pinned(capsys, monkeypatch, command):
     assert captured.out == "" and captured.err == USAGE_ERROR_PINS[command]
 
 
+# -- one parser per process, reused by every run
+
+
+@pytest.mark.parametrize("errors_first", [True, False], ids=["errors-first", "pins-first"])
+def test_reused_parser_keeps_every_pin_between_usage_errors(capsys, errors_first):
+    errors = ["construct --d 2", "bogus", "search --d 2 --n 2 --mode first-of-size --size 0"]
+    for i, command in enumerate(sorted(STDOUT_PINS)):
+        error = errors[i % len(errors)]
+        for argv in (error, command) if errors_first else (command, error):
+            code = run(argv.split())
+            captured = capsys.readouterr()
+            if argv == error:
+                assert code == 1 and captured.out == ""
+                assert captured.err == USAGE_ERROR_PINS.get(error, captured.err)
+                assert captured.err.count("\n") == 1 and captured.err.startswith("usage error:")
+            else:
+                digest = hashlib.sha256(captured.out.encode()).hexdigest()
+                assert (code, digest) == STDOUT_PINS[command]
+
+
+def test_parser_is_built_on_the_first_run_and_reused():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+from polarmub import cli
+at_import = len(built)
+argvs = [["conjecture", "--d", "3", "--n", "2"], ["construct", "--d", "2", "--n", "2"], ["bogus"]]
+codes = [cli.run(argvs[0])]
+after_first = len(built)
+codes += [cli.run(argvs[i % 3]) for i in range(1, 20)]
+print(at_import, after_first == len(built) > 0, built.count("polarmub"), sorted(set(codes)))
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.splitlines()[-1] == "0 True 1 [0, 1]"
+
+
+# -- the README's CLI examples run as written
+
+
+def readme_cli_examples():
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme) as fh:
+        block = fh.read().split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    examples = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    return [" ".join(words[1:]) for words in examples if words and words[0] == "polarmub"]
+
+
+def test_readme_has_cli_examples():
+    assert len(readme_cli_examples()) == 12
+
+
+@pytest.mark.parametrize("command", readme_cli_examples(), ids=lambda c: "_".join(c.split()))
+def test_readme_cli_example_exits_0(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    s = spread.construct_symplectic_spread(get_space(2, 2))
+    (tmp_path / "spread.json").write_bytes(serialize_spread(s, "json"))
+    assert run(command.split()) == 0
+    assert capsys.readouterr().out.startswith("{")
+
+
 def test_text_format_renders(capsys):
     code, out = run_capture(
         capsys, ["construct", "--d", "2", "--n", "2", "--format", "text"]
