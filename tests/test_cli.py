@@ -633,6 +633,19 @@ def test_spread_file_must_match_space_flags(tmp_path, capsys):
         assert_usage_error(capsys, argv, "d=3 n=2, not d=2 n=2")
 
 
+def test_spread_file_rows_that_span_no_generator_are_refused(tmp_path, capsys):
+    # e1 and f1 span a hyperbolic line, not a generator.
+    path = tmp_path / "bad.json"
+    path.write_text('{"d": 2, "n": 2, "generators": [[[1, 0, 0, 0], [0, 1, 0, 0]]]}')
+    argv = ["verify", "--d", "2", "--n", "2", "--check", "complete", "--in", str(path)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "usage error: rows ((1, 0, 0, 0), (0, 1, 0, 0)) do not span a generator of W_3(2)\n"
+    )
+
+
 @pytest.mark.parametrize("value", ["-1", "999"])
 @pytest.mark.parametrize(
     "flag,method",
