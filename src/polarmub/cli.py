@@ -11,6 +11,7 @@ The argparse parser is built on the first `run` and reused by every later
 call in the process; importing the module builds none.  Each subcommand
 takes the common options from one parent parser.  A command's function is
 looked up by its name when `run` dispatches, not bound into the parser.
+Spaces, and the regular spread of each, are cached for the process too.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from . import __version__, algebra, counting, mub, pauli, spread
 from .errors import PolarMubError, ScaleExceeded
 from .polar import PolarSpace, symplectic_group_order
 from .spread import PartialSpread
-
-_SPACE_CACHE: dict[tuple[int, int], PolarSpace] = {}
 
 
 class UsageError(Exception):
@@ -47,11 +46,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+@functools.cache
 def get_space(d: int, n: int) -> PolarSpace:
-    key = (d, n)
-    if key not in _SPACE_CACHE:
-        _SPACE_CACHE[key] = PolarSpace(d, n)
-    return _SPACE_CACHE[key]
+    return PolarSpace(d, n)
+
+
+@functools.cache
+def _regular_spread(space: PolarSpace) -> PartialSpread:
+    return spread.construct_symplectic_spread(space)
 
 
 # --------------------------------------------------------------------------
@@ -118,7 +120,7 @@ def deserialize_spread(data: bytes, fmt: str = "json") -> PartialSpread:
         canonical = algebra.rref(b, space.field)
         try:
             members.append(space.generator_by_basis(canonical).gen_index)
-        except KeyError:
+        except ValueError:
             raise UsageError(
                 f"rows {b} do not span a generator of W_{2*space.n-1}({space.d})"
             ) from None
@@ -141,20 +143,19 @@ def _read_spread(path: str, args) -> PartialSpread:
     return ps
 
 
-def _construct_spread(args, space) -> tuple[PartialSpread, dict]:
-    for flag in ("u_index", "l_index", "m_index", "chi_index"):
-        value = getattr(args, flag)
+def _construct_spread(
+    space, method, k=0, u_index=None, l_index=None, m_index=None, chi_index=None
+) -> tuple[PartialSpread, dict]:
+    for flag, value in (("u", u_index), ("l", l_index), ("m", m_index), ("chi", chi_index)):
         if value is not None and not 0 <= value < space.num_generators:
             raise UsageError(
-                f"--{flag.replace('_', '-')} must lie in [0, {space.num_generators}), "
-                f"got {value}"
+                f"--{flag}-index must lie in [0, {space.num_generators}), got {value}"
             )
-    s = spread.construct_symplectic_spread(space)
-    method = args.method
+    s = _regular_spread(space)
     if method == "classical":
         return s, {}
     if method == "tu":
-        u = args.u_index
+        u = u_index
         if u is None:
             u = next(
                 g.gen_index for g in space.generators if g.gen_index not in s.members
@@ -162,12 +163,12 @@ def _construct_spread(args, space) -> tuple[PartialSpread, dict]:
         final, cert = spread.complete_TU(spread.construct_TU(s, u))
         return final, {"u_index": u}
     if method == "sr":
-        l_idx = args.l_index if args.l_index is not None else s.members[0]
-        m_idx = args.m_index if args.m_index is not None else s.members[1]
-        sr = spread.construct_SR(s, l_idx, m_idx, args.k)
-        return sr, {"l_index": l_idx, "m_index": m_idx, "k": args.k}
+        l_idx = l_index if l_index is not None else s.members[0]
+        m_idx = m_index if m_index is not None else s.members[1]
+        sr = spread.construct_SR(s, l_idx, m_idx, k)
+        return sr, {"l_index": l_idx, "m_index": m_idx, "k": k}
     if method == "uset":
-        u = spread.construct_U_set(s, args.chi_index)
+        u = spread.construct_U_set(s, chi_index)
         final, _ = spread.unextendible_from_Uset(s, u)
         carrier = space.generator(u.carrier)
         return final, {
@@ -180,7 +181,15 @@ def _construct_spread(args, space) -> tuple[PartialSpread, dict]:
 
 def cmd_construct(args) -> tuple[dict, bool]:
     space = get_space(args.d, args.n)
-    ps, extra = _construct_spread(args, space)
+    ps, extra = _construct_spread(
+        space,
+        args.method,
+        k=args.k,
+        u_index=args.u_index,
+        l_index=args.l_index,
+        m_index=args.m_index,
+        chi_index=args.chi_index,
+    )
     cert = spread.is_complete(ps)
     payload = {
         "method": args.method,
@@ -200,7 +209,7 @@ def cmd_verify(args) -> tuple[dict, bool]:
         if args.infile:
             ps = _read_spread(args.infile, args)
         else:
-            ps = spread.construct_symplectic_spread(space)
+            ps = _regular_spread(space)
         cert = spread.is_complete(ps)
         return {
             "check": "complete",
@@ -209,7 +218,7 @@ def cmd_verify(args) -> tuple[dict, bool]:
             **dataclasses.asdict(cert),
         }, cert.complete
     if args.check == "regularity":
-        s = spread.construct_symplectic_spread(space)
+        s = _regular_spread(space)
         ok = spread.check_regularity(s)
         return {"check": "regularity", "size": s.size, "regular": ok}, ok
     if args.check == "class-roundtrip":
@@ -262,7 +271,7 @@ def cmd_conjecture(args) -> tuple[dict, bool]:
     ok = True
     if args.brute_force:
         space = get_space(args.d, args.n)
-        s = spread.construct_symplectic_spread(space)
+        s = _regular_spread(space)
         summary = counting.brute_force_conjecture(space, s)
         payload["brute_force"] = summary.as_dict()
         all_one = summary.exactly_one == summary.subsets_total
@@ -295,16 +304,7 @@ def cmd_mub(args) -> tuple[dict, bool]:
     if args.from_file:
         ps = _read_spread(args.from_file, args)
     else:
-        method = args.from_spread or "classical"
-        ns = argparse.Namespace(
-            method=method,
-            u_index=None,
-            l_index=None,
-            m_index=None,
-            k=args.k,
-            chi_index=None,
-        )
-        ps, _ = _construct_spread(ns, space)
+        ps, _ = _construct_spread(space, args.from_spread or "classical", k=args.k)
     cert = mub.certify_weak_umub(ps, tolerance=args.tolerance)
     payload = {
         **dataclasses.asdict(cert),

@@ -26,10 +26,20 @@ on these indices: `transvections` gives one permutation per point,
 certifies the order of the group those generate by a Schreier–Sims base
 and strong generating set, checked against the closed form |PSp(2N, d)|.
 The group is never enumerated.
+
+The catalog is built once per space, by whichever read comes first, and
+the basis lookup of `generator_by_basis` is derived from it.  Every
+module reads a caller's generator reference through `generator(ref)`: an
+int or numpy integer index in range, or a `Generator` equal to this
+catalog's entry at its index.  A bool or other non-integer raises
+`TypeError`, an index outside the catalog `ValueError`, a `Generator` of
+another catalog `DimensionMismatch`, and `generator_by_basis` raises
+`ValueError` for rows that are no generator's rref basis.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -105,7 +115,6 @@ class PolarSpace:
         if np.count_nonzero(self.index_of < 0) != 1:
             raise CatalogMismatch(f"W_{2*n-1}({d}) points miss some vectors")
         self._generators: tuple[Generator, ...] | None = None
-        self._gen_lookup: dict[Matrix, int] | None = None
         self._perp_masks: tuple[int, ...] | None = None
         self._disjoint_adj: list[int] | None = None
 
@@ -179,25 +188,45 @@ class PolarSpace:
     @property
     def generators(self) -> tuple[Generator, ...]:
         if self._generators is None:
-            self._enumerate_generators()
+            self._generators = self._enumerate_generators()
         return self._generators
 
     @property
     def num_generators(self) -> int:
         return len(self.generators)
 
-    def generator(self, index: int) -> Generator:
+    def generator(self, ref) -> Generator:
+        """The catalog entry that ref names: an int or numpy integer index in
+        range, or a `Generator` equal to the entry at its index.  A bool or
+        other non-integer is refused with `TypeError`, an index outside the
+        catalog with `ValueError`, and a `Generator` of another catalog with
+        `DimensionMismatch`."""
         gens = self.generators
-        if not 0 <= index < len(gens):
-            raise ValueError(f"generator index {index} outside [0, {len(gens)})")
-        return gens[index]
+        if isinstance(ref, Generator):
+            i = ref.gen_index
+            if not (0 <= i < len(gens) and gens[i] == ref):
+                raise DimensionMismatch(
+                    f"{ref.basis} is not generator {i} of W_{self.dim - 1}({self.d})"
+                )
+            return gens[i]
+        if isinstance(ref, bool) or not isinstance(ref, (int, np.integer)):
+            raise TypeError(f"a generator must be an integer index or a Generator, got {ref!r}")
+        if not 0 <= ref < len(gens):
+            raise ValueError(f"generator index {ref} outside [0, {len(gens)})")
+        return gens[ref]
 
     def generator_by_basis(self, basis: Matrix) -> Generator:
-        if self._gen_lookup is None:
-            self._enumerate_generators()
-        return self.generators[self._gen_lookup[basis]]
+        """The generator with this rref basis; `ValueError` if there is none."""
+        index = self._gen_lookup.get(basis)
+        if index is None:
+            raise ValueError(f"rows {basis} do not span a generator of W_{self.dim - 1}({self.d})")
+        return self.generators[index]
 
-    def _enumerate_generators(self) -> None:
+    @functools.cached_property
+    def _gen_lookup(self) -> dict[Matrix, int]:
+        return {g.basis: g.gen_index for g in self.generators}
+
+    def _enumerate_generators(self) -> tuple[Generator, ...]:
         d, n = self.d, self.n
         expected = generator_count(d, n)
         if expected > GENERATOR_LIMIT:
@@ -252,15 +281,10 @@ class PolarSpace:
             )
         found.sort()
         per_gen = (d**n - 1) // (d - 1)
-        gens = []
-        lookup = {}
-        for i, (basis, mask) in enumerate(found):
+        for basis, mask in found:
             if bin(mask).count("1") != per_gen:
                 raise CatalogMismatch(f"generator {basis} has the wrong point count")
-            gens.append(Generator(i, basis, mask))
-            lookup[basis] = i
-        self._generators = tuple(gens)
-        self._gen_lookup = lookup
+        return tuple(Generator(i, basis, mask) for i, (basis, mask) in enumerate(found))
 
 
 # --------------------------------------------------------------------------

@@ -57,7 +57,7 @@ class PartialSpread:
         return full
 
     def member_generators(self) -> list[Generator]:
-        return _generators_at(self.space, self.members)
+        return [self.space.generator(m) for m in self.members]
 
     def member_positions(self) -> np.ndarray:
         """Entry p is the position of the member on point p, or `size` on a
@@ -81,39 +81,16 @@ class USet:
 
 
 def partial_spread(space: PolarSpace, members) -> PartialSpread:
-    idx = sorted(_member_index(m) for m in members)
+    gens = sorted((space.generator(m) for m in members), key=lambda g: g.gen_index)
+    idx = tuple(g.gen_index for g in gens)
     if len(set(idx)) != len(idx):
         raise NotDisjoint("repeated member")
     coverage = 0
-    for i, g in zip(idx, _generators_at(space, idx)):
+    for g in gens:
         if coverage & g.point_mask:
-            raise NotDisjoint(f"member {i} meets an earlier member")
+            raise NotDisjoint(f"member {g.gen_index} meets an earlier member")
         coverage |= g.point_mask
-    return PartialSpread(space, tuple(idx), coverage)
-
-
-def _member_index(m) -> int:
-    """A member as a generator index: an int or a numpy integer.  Anything
-    else is refused, since int() would truncate a float and read a bool as
-    0 or 1."""
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-        raise TypeError(f"a member must be an integer generator index, got {m!r}")
-    return int(m)
-
-
-def _generators_at(space: PolarSpace, indices) -> list[Generator]:
-    """The generators at these catalog indices, from one catalog read."""
-    gens = space.generators
-    if indices:
-        # The extremes take `PolarSpace.generator`'s range check for all, so
-        # a negative index is refused rather than counted from the end.
-        space.generator(min(indices))
-        space.generator(max(indices))
-    return [gens[i] for i in indices]
-
-
-def _gen_index(g) -> int:
-    return g.gen_index if isinstance(g, Generator) else int(g)
+    return PartialSpread(space, idx, coverage)
 
 
 # --------------------------------------------------------------------------
@@ -298,7 +275,7 @@ def _unclosed_triples(s: PartialSpread) -> Iterator[tuple[int, int, int]]:
 def construct_TU(s: PartialSpread, u) -> PartialSpread:
     """Remove the members meeting u, insert u: size drops to d^2 - d + 1."""
     space = s.space
-    u = space.generator(_gen_index(u))
+    u = space.generator(u)
     if u.gen_index in s.members:
         raise GeneratorInSpread("u already belongs to the spread")
     meets = set(members_meeting(s, u))
@@ -333,7 +310,7 @@ def pair_partner(s: PartialSpread, x) -> Generator:
     Kept for the README T(U) result: in odd order, the line `complete_TU`
     adjoins to T(X) is X's partner."""
     space = s.space
-    x = space.generator(_gen_index(x))
+    x = space.generator(x)
     if x.gen_index in s.members:
         raise GeneratorInSpread("x must lie outside the spread")
     sx = [space.generator(m) for m in members_meeting(s, x)]
@@ -349,7 +326,7 @@ def pair_partner(s: PartialSpread, x) -> Generator:
     return y
 
 
-def transversal_blocks(s: PartialSpread, l_idx: int, m_idx: int):
+def transversal_blocks(s: PartialSpread, l_idx, m_idx):
     """The lines of {L,M}^perp grouped into partner pairs by their member
     sets.  Validates the pairing structure: the partner map is a
     fixed-point-free involution and distinct blocks share exactly {L, M}."""
@@ -369,13 +346,13 @@ def transversal_blocks(s: PartialSpread, l_idx: int, m_idx: int):
             )
         blocks.append((key, tuple(sorted(pair))))
     for (k1, _), (k2, _) in itertools.combinations(blocks, 2):
-        if k1 & k2 != {l_idx, m_idx}:
+        if k1 & k2 != {L.gen_index, M.gen_index}:
             raise NotDisjoint("distinct blocks must intersect exactly in {L, M}")
     blocks.sort(key=lambda item: item[1])
     return blocks
 
 
-def construct_SR(s: PartialSpread, l_idx: int, m_idx: int, k: int) -> PartialSpread:
+def construct_SR(s: PartialSpread, l_idx, m_idx, k: int) -> PartialSpread:
     """Swap the first k + 1 transversal blocks of {L,M}^perp into the spread.
 
     Removes every member meeting a chosen transversal pair and inserts the
@@ -390,11 +367,12 @@ def construct_SR(s: PartialSpread, l_idx: int, m_idx: int, k: int) -> PartialSpr
         raise NotRankTwo("the block swap lives in W_3")
     if space.d == 2:
         raise BadK("odd order required")
-    if l_idx == m_idx or l_idx not in s.members or m_idx not in s.members:
+    L, M = space.generator(l_idx), space.generator(m_idx)
+    if L == M or L.gen_index not in s.members or M.gen_index not in s.members:
         raise GeneratorInSpread("L and M must be distinct members of the spread")
     if not 0 <= k <= (space.d - 3) // 2:
         raise BadK(f"k must lie in [0, {(space.d - 3) // 2}]")
-    blocks = transversal_blocks(s, l_idx, m_idx)
+    blocks = transversal_blocks(s, L, M)
     chosen = blocks[: k + 1]
     removed = set()
     added = []
@@ -468,7 +446,7 @@ def construct_U_set(s: PartialSpread, chi=None) -> USet:
                 continue
         raise NoSuitableChi("no carrier works for this spread")
 
-    chi = space.generator(_gen_index(chi))
+    chi = space.generator(chi)
     if chi.gen_index in s.members:
         raise NoSuitableChi("carrier must lie outside the spread")
     r_chi = members_meeting(s, chi)

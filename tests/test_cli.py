@@ -367,7 +367,7 @@ def test_scale_limits_are_refused_before_the_catalog(capsys, monkeypatch, argv, 
     def refuse(self):
         raise AssertionError("generator catalog built for a refused request")
 
-    monkeypatch.setattr(cli, "_SPACE_CACHE", {})
+    cli.get_space.cache_clear()
     monkeypatch.setattr(polar.PolarSpace, "_enumerate_generators", refuse)
     assert run(argv) == 1
     captured = capsys.readouterr()
@@ -514,6 +514,27 @@ def test_readme_cli_example_exits_0(tmp_path, monkeypatch, capsys, command):
     (tmp_path / "spread.json").write_bytes(serialize_spread(s, "json"))
     assert run(command.split()) == 0
     assert capsys.readouterr().out.startswith("{")
+
+
+def test_readme_cli_examples_build_each_regular_spread_once(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    s = spread.construct_symplectic_spread(get_space(2, 2))
+    (tmp_path / "spread.json").write_bytes(serialize_spread(s, "json"))
+    built = []
+    construct = spread.construct_symplectic_spread
+
+    def counted(space):
+        built.append((space.d, space.n))
+        return construct(space)
+
+    monkeypatch.setattr(spread, "construct_symplectic_spread", counted)
+    get_space.cache_clear()
+    cli._regular_spread.cache_clear()
+    commands = readme_cli_examples()
+    for command in commands * 2:
+        assert run(command.split()) == 0
+    capsys.readouterr()
+    assert sorted(built) == [(2, 2), (2, 3), (3, 2), (5, 2)]
 
 
 def test_text_format_renders(capsys):

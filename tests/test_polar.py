@@ -256,6 +256,75 @@ def test_generator_index_outside_the_catalog_is_refused(index):
         W32.generator(index)
 
 
+def test_generator_accepts_integers_and_its_own_entries():
+    g = W32.generators[7]
+    for ref in (7, np.int64(7), np.int32(7), np.uint8(7), g, polar.Generator(7, g.basis, g.point_mask)):
+        assert W32.generator(ref) is g
+
+
+@pytest.mark.parametrize("ref", [True, False, 2.0, 1.7, "3", None, np.float64(2), (1,)])
+def test_generator_refuses_references_that_are_not_integers(ref):
+    # int() would read 1.7 as generator 1 and True as generator 1.
+    with pytest.raises(TypeError, match="must be an integer index or a Generator"):
+        W32.generator(ref)
+
+
+def test_generator_refuses_entries_of_another_catalog():
+    W35 = PolarSpace(5, 2)
+    g = W32.generators[3]
+    refs = [
+        W35.generators[100],  # past the end of W_3(2)'s catalog
+        W35.generators[3],  # in range, another space's line
+        W33.generators[3],  # same ambient dimension, another field
+        W52.generators[3],  # another rank
+        polar.Generator(3, g.basis, g.point_mask ^ 1),
+        polar.Generator(4, g.basis, g.point_mask),
+    ]
+    for ref in refs:
+        with pytest.raises(DimensionMismatch, match="is not generator"):
+            W32.generator(ref)
+
+
+def test_generator_by_basis_refuses_rows_that_span_no_generator():
+    space = PolarSpace(2, 2)
+    for basis in (((1, 0, 0, 0),), ((1, 0, 0, 0), (0, 1, 0, 0)), ((0, 1, 0, 0), (1, 0, 0, 0))):
+        with pytest.raises(ValueError, match="do not span a generator of W_3"):
+            space.generator_by_basis(basis)
+    g = space.generators[5]
+    assert space.generator_by_basis(g.basis) is g
+
+
+@pytest.mark.parametrize(
+    "first",
+    [
+        lambda s: s.generators,
+        lambda s: s.generator(3),
+        lambda s: s.num_generators,
+        lambda s: s.generator_by_basis(((1, 0, 0, 0), (0, 0, 1, 0))),
+        lambda s: s.disjoint_adjacency,
+    ],
+    ids=["generators", "generator", "num_generators", "generator_by_basis", "disjoint_adjacency"],
+)
+def test_catalog_is_built_once_whichever_read_comes_first(monkeypatch, first):
+    built = []
+    enumerate_generators = PolarSpace._enumerate_generators
+
+    def counted(self):
+        built.append(self)
+        return enumerate_generators(self)
+
+    monkeypatch.setattr(PolarSpace, "_enumerate_generators", counted)
+    space = PolarSpace(2, 2)
+    first(space)
+    assert built == [space]
+    gens = space.generators
+    assert space.generator(3) is gens[3] and space.num_generators == 15
+    assert space.generator_by_basis(gens[9].basis) is gens[9]
+    assert space.disjoint_adjacency == W32.disjoint_adjacency
+    assert built == [space]
+    assert gens == W32.generators
+
+
 def test_generator_order_is_lexicographic():
     bases = [g.basis for g in W33.generators]
     assert bases == sorted(bases)

@@ -20,6 +20,7 @@ from polarmub import algebra, polar, spread
 from polarmub.errors import (
     AmbiguousPartner,
     BadK,
+    DimensionMismatch,
     GeneratorInSpread,
     NoPartner,
     NoSuitableChi,
@@ -83,6 +84,62 @@ def test_member_generators_refuse_indices_outside_the_catalog():
         with pytest.raises(ValueError, match="outside"):
             spread.PartialSpread(W32, members, 0).member_generators()
     assert S32.member_generators() == [W32.generators[m] for m in S32.members]
+
+
+def outside(s):
+    return next(g.gen_index for g in s.space.generators if g.gen_index not in s.members)
+
+
+def test_generator_references_that_are_not_integers_are_refused():
+    # int() would read 1.7 and True as generator 1, and x + 0.5 as x.
+    x, m0, m1 = outside(S33), S33.members[0], S33.members[1]
+    calls = [
+        lambda: spread.construct_TU(S33, 1.7),
+        lambda: spread.construct_TU(S33, True),
+        lambda: spread.pair_partner(S33, x + 0.5),
+        lambda: spread.construct_U_set(S33, 1.0),
+        lambda: spread.construct_SR(S33, float(m0), m1, 0),
+        lambda: spread.construct_SR(S33, m0, True, 0),
+        lambda: spread.transversal_blocks(S33, m0, float(m1)),
+        lambda: spread.PartialSpread(W33, (1.0,), 0).member_generators(),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="must be an integer index or a Generator"):
+            call()
+
+
+def test_generators_of_another_space_are_refused():
+    # A W_3(5) line has an index, but it is no line of W_3(3).
+    W35 = PolarSpace(5, 2)
+    x = W35.generators[outside(S33)]
+    m0, m1 = (W35.generators[m] for m in S33.members[:2])
+    calls = [
+        lambda: spread.partial_spread(W33, [x]),
+        lambda: spread.construct_TU(S33, x),
+        lambda: spread.pair_partner(S33, x),
+        lambda: spread.construct_U_set(S33, x),
+        lambda: spread.construct_SR(S33, m0, m1, 0),
+        lambda: spread.transversal_blocks(S33, m0, m1),
+        lambda: spread.construct_TU(S33, W35.generators[100]),
+    ]
+    for call in calls:
+        with pytest.raises(DimensionMismatch):
+            call()
+
+
+def test_numpy_integers_and_own_generators_name_the_same_line():
+    x = outside(S33)
+    m0, m1 = S33.members[:2]
+    for ref in (np.int64(x), W33.generators[x]):
+        assert spread.construct_TU(S33, ref) == spread.construct_TU(S33, x)
+        assert spread.pair_partner(S33, ref) == spread.pair_partner(S33, x)
+        assert spread.construct_U_set(S33, ref) == spread.construct_U_set(S33, x)
+    plain = spread.construct_SR(S33, m0, m1, 0)
+    assert spread.construct_SR(S33, np.int64(m0), W33.generators[m1], 0) == plain
+    assert spread.transversal_blocks(S33, W33.generators[m0], np.int32(m1)) == (
+        spread.transversal_blocks(S33, m0, m1)
+    )
+    assert spread.partial_spread(W33, [W33.generators[m] for m in S33.members]) == S33
 
 
 def test_classical_spread_sizes_and_coverage():
