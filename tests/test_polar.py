@@ -258,7 +258,8 @@ def test_generator_index_outside_the_catalog_is_refused(index):
 
 def test_generator_accepts_integers_and_its_own_entries():
     g = W32.generators[7]
-    for ref in (7, np.int64(7), np.int32(7), np.uint8(7), g, polar.Generator(7, g.basis, g.point_mask)):
+    copy = polar.Generator(7, g.basis, g.point_mask)
+    for ref in (7, np.int64(7), np.int32(7), np.uint8(7), g, copy):
         assert W32.generator(ref) is g
 
 
