@@ -204,6 +204,8 @@ def cmd_construct(args) -> tuple[dict, bool]:
 
 
 def cmd_verify(args) -> tuple[dict, bool]:
+    if args.infile is not None and args.check != "complete":
+        raise UsageError("--in applies only to --check complete")
     space = get_space(args.d, args.n)
     if args.check == "complete":
         if args.infile:

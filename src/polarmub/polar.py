@@ -20,11 +20,11 @@ lead, since projection onto the leads is injective on the generator: its
 point mask AND-ed with the masks of the points 0 at those leads, so no row
 is reduced.  Later leads come first in point order, so these rows in
 descending index order are the rref basis.  Generators are indexed in
-lexicographic order of their rref basis.  The symplectic group acts only
-on these indices: `transvections` gives one permutation per point,
-`symplectic_generators` picks 4N − 1 of them, and `symplectic_group_order`
-certifies the order of the group those generate by a Schreier–Sims base
-and strong generating set, checked against the closed form |PSp(2N, d)|.
+lexicographic order of their rref basis.  The symplectic group acts on
+points: `symplectic_generators` gives 4N − 1 transvections as permutations
+of point indices, and `symplectic_group_order` certifies the order of the
+group they generate by a Schreier–Sims base and strong generating set,
+checked against the closed form |PSp(2N, d)|, with no generator catalog.
 The group is never enumerated.
 
 The catalog is built once per space, by whichever read comes first, and
@@ -319,30 +319,6 @@ def double_perp_size(V: Generator, W: Generator, space: PolarSpace) -> int:
     return len(common_transversals(inner, space))
 
 
-def transvections(space: PolarSpace) -> tuple[tuple[int, ...], ...]:
-    """One permutation of generator indices per point v, in point order:
-    entry i is the image of generator i under x ↦ x + F(x, v)·v.  That map's
-    k-th power has scalar k, so for prime d these generate the action of
-    Sp(2N, d) on generators (O'Meara, *Symplectic Groups*, 1978)."""
-    d, P = space.d, space.coords
-    PJ = P @ np.array(space.form, dtype=np.int64)
-    # A generator's key is the bytes of its sorted point indices.
-    gen_points = np.array([space.point_indices(g.point_mask) for g in space.generators])
-    row = np.dtype((np.void, gen_points.itemsize * gen_points.shape[1]))
-    keys = gen_points.view(row).ravel()
-    order = np.argsort(keys)
-    perms = []
-    for v in P:
-        image = space.index_of[(P + (PJ @ v % d)[:, None] * v) % d @ space.weights]
-        rows = np.sort(image[gen_points], axis=1)
-        # A row past every key wraps to index 0, and the check below refuses it.
-        at = order[np.searchsorted(keys, rows.view(row).ravel(), sorter=order) % len(order)]
-        if not np.array_equal(gen_points[at], rows):
-            raise CatalogMismatch("a transvection moved a generator off the catalog")
-        perms.append(tuple(at.tolist()))
-    return tuple(perms)
-
-
 def orbit(start, images) -> set:
     """Everything reachable from start, where images(x) yields x's neighbours."""
     seen = {start}
@@ -354,21 +330,23 @@ def orbit(start, images) -> set:
 
 
 def symplectic_generators(space: PolarSpace) -> list[tuple[int, ...]]:
-    """The 4N − 1 transvections at e_c (c < 2N) and at e_c + e_{c+1}
-    (c < 2N − 1), from `transvections`: `symplectic_group_order` certifies
+    """The 4N − 1 transvections x ↦ x + F(x, v)·v at v = e_c (c < 2N) and
+    at v = e_c + e_{c+1} (c < 2N − 1) as permutations of point indices:
+    entry i is the image of point i.  `symplectic_group_order` certifies
     that they generate the whole group, PSp(2N, d)."""
-    # A vector's code is its dot product with the weights, so e_c's is w[c].
-    w = space.weights.tolist()
-    codes = w + [w[c] + w[c + 1] for c in range(2 * space.n - 1)]
-    perms = transvections(space)
-    return [perms[space.index_of[code]] for code in codes]
+    d, P = space.d, space.coords
+    PJ = P @ np.array(space.form, dtype=np.int64)
+    unit = np.eye(space.dim, dtype=np.int64)
+    images = ((P + (PJ @ v % d)[:, None] * v) % d for v in [*unit, *(unit[:-1] + unit[1:])])
+    return [tuple(space.index_of[x @ space.weights].tolist()) for x in images]
 
 
 def symplectic_group_order(space: PolarSpace) -> int:
-    """The order of the action of Sp(2N, d) on generator indices, certified.
+    """The order of the action of Sp(2N, d) on points, certified.
 
     The permutations from `symplectic_generators` go through a
-    deterministic Schreier–Sims.  −I fixes every generator, so the action is
+    deterministic Schreier–Sims, with no generator catalog.  −I is the only
+    nontrivial element of Sp(2N, d) that fixes every point, so the action is
     PSp(2N, d), and the order must equal |Sp(2N, d)| / gcd(2, d − 1) =
     d^{N²} ∏(d^{2i} − 1) / gcd(2, d − 1); `CatalogMismatch` otherwise."""
     d, n = space.d, space.n

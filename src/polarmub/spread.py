@@ -602,10 +602,11 @@ def classify_iso(
     """Orbit representatives of partial spreads under Sp(2N, d).
 
     A spread's key, the least sorted member tuple in its orbit under the
-    4N − 1 transvections of `polar.symplectic_generators`, is its least image
-    over the whole group, which is never enumerated.  The first input spread
-    of each orbit represents it, and the output is sorted by key."""
-    perms = polar.symplectic_generators(space)
+    4N − 1 transvections of `polar.symplectic_generators`, lifted to
+    generators, is its least image over the whole group, which is never
+    enumerated.  The first input spread of each orbit represents it, and the
+    output is sorted by key."""
+    perms = _lift_to_generators(space, polar.symplectic_generators(space))
 
     def images(members):
         return (tuple(sorted(perm[m] for m in members)) for perm in perms)
@@ -618,6 +619,20 @@ def classify_iso(
             keys.update(dict.fromkeys(found, min(found)))
         reps.setdefault(keys[ps.members], ps)
     return [reps[k] for k in sorted(reps)]
+
+
+def _lift_to_generators(space: PolarSpace, perms: list) -> list[tuple[int, ...]]:
+    """Permutations of point indices as the permutations of generator indices
+    they induce; `CatalogMismatch` if a generator's image is no generator."""
+    by_mask = {g.point_mask: g.gen_index for g in space.generators}
+    gen_points = [space.point_indices(mask) for mask in by_mask]
+    try:
+        return [
+            tuple(by_mask[sum(1 << perm[p] for p in pts)] for pts in gen_points)
+            for perm in perms
+        ]
+    except KeyError:
+        raise CatalogMismatch("a permutation moved a generator off the catalog") from None
 
 
 def repartition_triple(ps: PartialSpread) -> PartialSpread:

@@ -11,10 +11,16 @@ the joint eigenprojectors one character at a time: the per-factor and
 per-character forms that the dense layer of `polarmub.pauli` and
 `polarmub.mub` replaces with index arithmetic and batched products.
 
-`symplectic_group` enumerates the group that the transvection permutations
-of generator indices generate, by closing the identity under them: the
-count that `polarmub.polar.symplectic_group_order` certifies by
-Schreier–Sims instead.  The tests enumerate it at W_3(2) (720 elements).
+`transvections` gives one permutation of generator indices per point, the
+action of every transvection on the catalog, found by matching sorted image
+rows against void-dtype keys of the generators' point indices.  It is the
+reference for the 4N − 1 point permutations of
+`polarmub.polar.symplectic_generators` once `polarmub.spread` lifts them to
+generators, and its output is pinned by digest.  `symplectic_group`
+enumerates the group that these permutations generate, by closing the
+identity under them: the count that `polarmub.polar.symplectic_group_order`
+certifies by Schreier–Sims on points instead.  The tests enumerate it at
+W_3(2) (720 elements).
 
 `brute_force_conjecture` is the subset sweep: it builds every
 (d^{N-1} + 1)-subset of a spread and scans the whole catalog for the
@@ -32,7 +38,8 @@ import weakref
 
 import numpy as np
 
-from polarmub import algebra, counting, polar, spread
+from polarmub import algebra, counting, spread
+from polarmub.errors import CatalogMismatch
 
 # Each space's points keyed by coordinates, dropped with the space.
 _point_index = weakref.WeakKeyDictionary()
@@ -127,11 +134,35 @@ def eigenbasis(c, spec):
     return np.array(columns).T
 
 
+def transvections(space):
+    """One permutation of generator indices per point v, in point order:
+    entry i is the image of generator i under x ↦ x + F(x, v)·v.  That map's
+    k-th power has scalar k, so for prime d these generate the action of
+    Sp(2N, d) on generators (O'Meara, *Symplectic Groups*, 1978)."""
+    d, P = space.d, space.coords
+    PJ = P @ np.array(space.form, dtype=np.int64)
+    # A generator's key is the bytes of its sorted point indices.
+    gen_points = np.array([space.point_indices(g.point_mask) for g in space.generators])
+    row = np.dtype((np.void, gen_points.itemsize * gen_points.shape[1]))
+    keys = gen_points.view(row).ravel()
+    order = np.argsort(keys)
+    perms = []
+    for v in P:
+        image = space.index_of[(P + (PJ @ v % d)[:, None] * v) % d @ space.weights]
+        rows = np.sort(image[gen_points], axis=1)
+        # A row past every key wraps to index 0, and the check below refuses it.
+        at = order[np.searchsorted(keys, rows.view(row).ravel(), sorter=order) % len(order)]
+        if not np.array_equal(gen_points[at], rows):
+            raise CatalogMismatch("a transvection moved a generator off the catalog")
+        perms.append(tuple(at.tolist()))
+    return tuple(perms)
+
+
 def symplectic_group(space):
     """Every permutation of generator indices in the group that
-    `polar.transvections(space)` generates, sorted: the closure of the
-    identity under composition with each transvection."""
-    gens = polar.transvections(space)
+    `transvections(space)` generates, sorted: the closure of the identity
+    under composition with each transvection."""
+    gens = transvections(space)
     start = tuple(range(space.num_generators))
     seen = {start}
     frontier = [start]

@@ -93,6 +93,15 @@ def test_verify_incomplete_file_exits_2(tmp_path, capsys):
     assert json.loads(out)["result"]["complete"] is False
 
 
+@pytest.mark.parametrize("check", ["regularity", "class-roundtrip"])
+def test_verify_in_is_refused_outside_complete(capsys, check):
+    argv = ["verify", "--d", "2", "--n", "2", "--check", check, "--in", "/nonexistent"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --in applies only to --check complete\n"
+
+
 def test_search_exhaustive_w32(capsys):
     code, out = run_capture(
         capsys, ["search", "--d", "2", "--n", "2", "--mode", "exhaustive"]

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarmub import algebra, polar
+from polarmub import algebra, polar, spread
 from polarmub.errors import (
     CatalogMismatch,
     DimensionMismatch,
@@ -515,21 +515,42 @@ def closed_form_psp_order(d, n):
     return d ** (n * n) * math.prod(d ** (2 * i) - 1 for i in range(1, n + 1)) // math.gcd(2, d - 1)
 
 
-def fixed_transvections(space, sums=True):
-    """The transvection permutations at e_c and, if sums, at e_c + e_{c+1},
-    each point found by its coordinates."""
+def fixed_vectors(space, sums=True):
+    """e_c and, if sums, e_c + e_{c+1}: the points of the fixed transvections."""
     m = space.dim
     units = [tuple(int(i == c) for i in range(m)) for c in range(m)]
-    points = units + [tuple(int(i in (c, c + 1)) for i in range(m)) for c in range(m - 1)]
-    perms = polar.transvections(space)
-    return [perms[space.points.index(v)] for v in points[: len(points) if sums else m]]
+    if not sums:
+        return units
+    return units + [tuple(int(i in (c, c + 1)) for i in range(m)) for c in range(m - 1)]
+
+
+def fixed_transvections(space, sums=True, perms=None):
+    """The oracle's transvection permutations of generator indices at e_c
+    and, if sums, at e_c + e_{c+1}, each point found by its coordinates."""
+    perms = oracles.transvections(space) if perms is None else perms
+    return [perms[space.points.index(v)] for v in fixed_vectors(space, sums)]
+
+
+def point_transvection(space, v):
+    """x ↦ x + F(x, v)·v as a permutation of point indices, each image
+    normalised by hand and found by its coordinates."""
+    d, index = space.d, {p: i for i, p in enumerate(space.points)}
+    out = []
+    for x in space.points:
+        f = space.symp_form(x, v)
+        y = [(a + f * b) % d for a, b in zip(x, v)]
+        inv = pow(next(t for t in y if t), -1, d)
+        out.append(index[tuple(t * inv % d for t in y)])
+    return tuple(out)
 
 
 @pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (2, 3), (5, 2)])
 def test_symplectic_generators_are_the_fixed_transvections(d, n):
     space = PolarSpace(d, n)
-    assert polar.symplectic_generators(space) == fixed_transvections(space)
-    assert len(fixed_transvections(space)) == 4 * n - 1
+    perms = polar.symplectic_generators(space)
+    assert space._generators is None
+    assert perms == [point_transvection(space, v) for v in fixed_vectors(space)]
+    assert len(perms) == 4 * n - 1
 
 
 def test_symplectic_group_order():
@@ -544,6 +565,13 @@ def test_symplectic_group_order():
 @pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (2, 3)])
 def test_symplectic_group_order_is_the_closed_form(d, n):
     assert polar.symplectic_group_order(PolarSpace(d, n)) == closed_form_psp_order(d, n)
+
+
+@pytest.mark.parametrize("d,n", [(2, 4), (3, 3)])
+def test_symplectic_group_order_builds_no_catalog(d, n):
+    space = PolarSpace(d, n)
+    assert polar.symplectic_group_order(space) == closed_form_psp_order(d, n)
+    assert space._generators is None
 
 
 @pytest.mark.parametrize("d,n", [(3, 2), (2, 3)])
@@ -562,11 +590,12 @@ def test_unit_transvections_alone_generate_36_elements():
 
 
 def test_symplectic_group_order_refuses_a_set_that_does_not_generate(monkeypatch):
-    real = polar.transvections(W32)
-    units = set(fixed_transvections(W32, sums=False))
-    identity = tuple(range(W32.num_generators))
+    # Keep the 2N transvections at e_c and replace the 2N − 1 at sums.
+    m = W32.dim
+    units = polar.symplectic_generators(W32)[:m]
+    identity = tuple(range(W32.num_points))
     monkeypatch.setattr(
-        polar, "transvections", lambda space: tuple(p if p in units else identity for p in real)
+        polar, "symplectic_generators", lambda space: units + [identity] * (m - 1)
     )
     with pytest.raises(CatalogMismatch, match="generate 36 elements, not .* 720"):
         polar.symplectic_group_order(W32)
@@ -586,14 +615,16 @@ def test_schreier_sims_matches_sympy_on_small_groups(perms):
 @pytest.mark.parametrize("d,n", [(3, 2), (2, 3)])
 def test_transvections_preserve_disjointness(d, n):
     space = PolarSpace(d, n)
-    perms = polar.transvections(space)
+    perms = oracles.transvections(space)
     assert len(perms) == space.num_points
     assert all(preserves_disjointness(space, p) for p in perms)
 
 
-# sha256 of the JSON list of transvection permutations of generator indices,
-# one per point v in point order.  The values were taken from the matrices
-# I + cᵀv acting on row vectors, so a rewrite must match them bit for bit.
+# sha256 of the JSON list of the oracle's transvection permutations of
+# generator indices, one per point v in point order.  The values were taken
+# from the matrices I + cᵀv acting on row vectors, so a rewrite must match
+# them bit for bit, and so must `classify_iso`'s lift of the point
+# permutations at e_c and e_c + e_{c+1}.
 TRANSVECTION_DIGESTS = {
     (2, 2): "ef8482f5205b57f76f35820cda20fce0f3d093682f25629bceea409d5764dafb",
     (3, 2): "d52705a9803f3bac337783669e609ae676d73db3df5db6ddcb6ebc68a8ba7c25",
@@ -607,7 +638,9 @@ TRANSVECTION_DIGESTS = {
 @pytest.mark.parametrize("d,n", sorted(TRANSVECTION_DIGESTS))
 def test_transvection_permutations_pinned(d, n):
     space = PolarSpace(d, n)
-    perms = [list(p) for p in polar.transvections(space)]
+    perms = oracles.transvections(space)
     assert len(perms) == space.num_points
-    digest = hashlib.sha256(json.dumps(perms).encode()).hexdigest()
+    digest = hashlib.sha256(json.dumps([list(p) for p in perms]).encode()).hexdigest()
     assert digest == TRANSVECTION_DIGESTS[(d, n)]
+    lifted = spread._lift_to_generators(space, polar.symplectic_generators(space))
+    assert lifted == fixed_transvections(space, perms=perms)

@@ -20,6 +20,7 @@ from polarmub import algebra, polar, spread
 from polarmub.errors import (
     AmbiguousPartner,
     BadK,
+    CatalogMismatch,
     DimensionMismatch,
     GeneratorInSpread,
     NoPartner,
@@ -726,6 +727,15 @@ def test_classify_census_orbits():
     for space, expected in cases:
         orbits = spread.classify_iso(space, spread.search_maximal(space, "exhaustive"))
         assert [p.members for p in orbits] == expected
+
+
+def test_classify_lift_refuses_a_point_permutation_that_moves_a_line_off():
+    # Swapping two points of W_3(2) is no collineation: some line through
+    # one of them maps to a point set that is no line.
+    swap = list(range(W32.num_points))
+    swap[0], swap[1] = 1, 0
+    with pytest.raises(CatalogMismatch, match="off the catalog"):
+        spread._lift_to_generators(W32, [tuple(swap)])
 
 
 # -- repartition of the grid triple
