@@ -88,6 +88,27 @@ def test_first_of_size_w35_pinned(size, members):
     assert spread.is_complete(found[0]).complete
 
 
+W37_FIRST = {
+    30: (0, 9, 16, 23, 30, 37, 44, 51, 67, 73, 82, 90, 99, 116, 122,
+         131, 148, 154, 178, 190, 214, 220, 229, 246, 263, 322, 327, 340, 359, 370),
+    40: (0, 9, 16, 23, 30, 37, 44, 51, 67, 73, 82, 90, 99, 105, 116, 122,
+         132, 138, 148, 154, 166, 175, 178, 190, 193, 202, 214, 220, 246, 252,
+         264, 273, 276, 291, 313, 322, 325, 335, 340, 359),
+    50: (0, 9, 16, 23, 30, 37, 44, 51, 67, 73, 82, 90, 99, 105, 119, 127,
+         132, 138, 143, 151, 166, 175, 178, 190, 193, 202, 215, 224, 227, 239,
+         242, 251, 266, 274, 279, 285, 290, 298, 312, 318, 327, 335, 344, 350,
+         359, 366, 373, 380, 387, 394),
+}
+
+
+@pytest.mark.parametrize("size", sorted(W37_FIRST))
+def test_first_of_size_w37_pinned(size):
+    # Beyond the reach of the networkx oracle: W_3(7) has 400 generators.
+    found = spread.search_maximal(space(7, 2), "first_of_size", size=size)
+    assert [p.members for p in found] == [W37_FIRST[size]]
+    assert spread.is_complete(found[0]).complete
+
+
 @pytest.mark.parametrize("size", [27, 40])
 def test_first_of_size_beyond_a_spread_is_empty(size):
     # A spread of W_3(5) has 5^2 + 1 = 26 members, and no partial spread more.
