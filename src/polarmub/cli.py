@@ -208,7 +208,7 @@ def cmd_verify(args) -> tuple[dict, bool]:
         raise UsageError("--in applies only to --check complete")
     space = get_space(args.d, args.n)
     if args.check == "complete":
-        if args.infile:
+        if args.infile is not None:
             ps = _read_spread(args.infile, args)
         else:
             ps = _regular_spread(space)
@@ -303,7 +303,7 @@ def cmd_mub(args) -> tuple[dict, bool]:
     space = get_space(args.d, args.n)
     if space.d**space.n > pauli.MAX_DENSE_DIM:
         raise ScaleExceeded(f"dense dimension {space.d**space.n} exceeds {pauli.MAX_DENSE_DIM}")
-    if args.from_file:
+    if args.from_file is not None:
         ps = _read_spread(args.from_file, args)
     else:
         ps, _ = _construct_spread(space, args.from_spread or "classical", k=args.k)

@@ -518,31 +518,50 @@ def unextendible_from_Uset(
 def search_maximal(
     space: PolarSpace, mode: str = "exhaustive", size: int | None = None
 ) -> list[PartialSpread]:
-    """Canonical backtracking over increasing generator indices.
+    """Complete partial spreads: the maximal cliques of the disjointness graph.
 
     "exhaustive" returns every complete partial spread; "first_of_size"
     returns the first complete partial spread with exactly `size` members
     (empty list when none exists).  Results come in lexicographic order of
-    their member tuples.
+    their member tuples.  `size` must be an int or numpy integer; a bool or
+    other non-integer is refused with `TypeError`.
 
-    At a node, `cand` holds every generator disjoint from all members and
-    `above` the ones after the last member; only those can still be added.
-    A skipped candidate (in `cand` but not `above`) leaves `cand` only if a
-    later member meets it, so once one is disjoint from all of `above` no
-    leaf below reaches `cand == 0`, and the branch ends.  This maximality
-    cut removes only subtrees that hold no result, so the output and its
-    order, and the first hit of "first_of_size", are those of the full tree.
-    The parent tests each child against the cut and the size bound before
-    it descends, so a cut child is never visited, and each descent checks
-    that the new member is disjoint from the points already covered.
+    "exhaustive" is Bron–Kerbosch with pivoting.  A node holds `cand`, the
+    generators that can still be added, and `met`, those that can no longer
+    be added but that a maximal result must still meet.  The pivot u is the
+    lowest of `met`, or of `cand` when `met` is empty; every maximal result
+    below the node contains u or a generator meeting u, so the node branches
+    only over the candidates that share a point with u.  A result is
+    recorded when `cand` and `met` are both empty.  The branches find each
+    maximal clique once, in no useful order, so the results are sorted by
+    member tuple at the end.
 
-    Members are pairwise disjoint with (d^N - 1)/(d - 1) points each, out
-    of (d^{2N} - 1)/(d - 1) = (d^N + 1)(d^N - 1)/(d - 1) points, so no
-    partial spread has more than d^N + 1 members, and "first_of_size"
-    answers a larger size with [] at once.
+    "first_of_size" is a lexicographic search over increasing generator
+    indices, so its first hit is the lex-least result.  At a node, `cand`
+    holds every generator disjoint from all members and `reach` the ones
+    after the last member; only those can still be added, so a child whose
+    `reach` is too small for `size` is not entered.  A skipped candidate
+    (in `cand` but not `reach`) leaves `cand` only if a later member meets
+    it, so once one is disjoint from all of `reach` no leaf below reaches
+    `cand == 0`, and the branch ends.  Every later member is at or after
+    the next one, so the next member lies at or before the last generator
+    of `reach` that meets a skipped candidate: the node tries only `above`,
+    the generators of `reach` up to that bound.  A sibling that was tried is
+    a skipped candidate for the siblings after it, which lowers the bound
+    again.  The parent applies these cuts before it descends, so a cut
+    child is never visited.  They remove only subtrees that hold no result
+    of that size, so the first hit is that of the full tree.
+
+    Each descent checks that the new member is disjoint from the points
+    already covered.  Members are pairwise disjoint with (d^N - 1)/(d - 1)
+    points each, out of (d^{2N} - 1)/(d - 1) = (d^N + 1)(d^N - 1)/(d - 1)
+    points, so no partial spread has more than d^N + 1 members, and
+    "first_of_size" answers a larger size with [] at once.
     """
     if mode not in ("exhaustive", "first_of_size"):
         raise ValueError(f"unknown search mode {mode!r}")
+    if size is not None and (isinstance(size, bool) or not isinstance(size, (int, np.integer))):
+        raise TypeError(f"size must be an integer, got {size!r}")
     if mode == "exhaustive" and size is not None:
         raise ValueError("exhaustive search takes no size")
     if mode == "first_of_size" and size is None:
@@ -555,11 +574,32 @@ def search_maximal(
         return []
     adj = space.disjoint_adjacency
     masks = [g.point_mask for g in space.generators]
-    exhaustive = mode == "exhaustive"
+    every = (1 << len(masks)) - 1
+    meet = [every & ~a for a in adj]  # generators sharing a point, self included
     members: list[int] = []
     results: list[PartialSpread] = []
 
-    def dfs(cand: int, above: int, cover: int) -> bool:
+    def pivot(cand: int, met: int, cover: int) -> None:
+        # Bron–Kerbosch below `members`, whose points are `cover`.
+        low = met & -met or cand & -cand
+        branch = cand & meet[low.bit_length() - 1]
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            j = low.bit_length() - 1
+            if cover & masks[j]:
+                raise NotDisjoint(f"member {j} meets an earlier member")
+            members.append(j)
+            child, child_met = cand & adj[j], met & adj[j]
+            if child:
+                pivot(child, child_met, cover | masks[j])
+            elif not child_met:
+                results.append(PartialSpread(space, tuple(sorted(members)), cover | masks[j]))
+            members.pop()
+            cand ^= low
+            met |= low
+
+    def lex(cand: int, reach: int, above: int, cover: int) -> bool:
         # Extend `members`, whose candidates are `cand` and points `cover`.
         while above:
             low = above & -above
@@ -570,29 +610,37 @@ def search_maximal(
             members.append(j)
             child = cand & adj[j]
             if not child:
-                if exhaustive or len(members) == size:
+                if len(members) == size:
                     results.append(PartialSpread(space, tuple(members), cover | masks[j]))
-                    if not exhaustive:
-                        return True
-            elif exhaustive or len(members) < size <= len(members) + bin(child).count("1"):
+                    return True
+            elif len(members) < size <= len(members) + bin(child >> (j + 1)).count("1"):
                 higher = child >> (j + 1) << (j + 1)
                 skipped = child ^ higher
+                bound = higher
                 while skipped:
                     bit = skipped & -skipped
-                    if adj[bit.bit_length() - 1] & higher == higher:
+                    hits = higher & meet[bit.bit_length() - 1]
+                    if not hits:
                         break
+                    bound &= (1 << hits.bit_length()) - 1
                     skipped ^= bit
                 else:
-                    if dfs(child, higher, cover | masks[j]):
+                    if bound and lex(child, higher, bound, cover | masks[j]):
                         return True
             members.pop()
+            above &= (1 << (reach & meet[j]).bit_length()) - 1
         return False
 
-    every = (1 << len(masks)) - 1
-    dfs(every, every, 0)
-    # dfs calls itself through its closure; break that cycle so that
-    # `results` is freed on return, not at the next full collection.
-    del dfs
+    if mode == "exhaustive":
+        pivot(every, 0, 0)
+        results.sort(key=lambda p: p.members)
+    else:
+        size = int(size)  # a numpy integer compares slower in the loop
+        lex(every, every, every, 0)
+    # Both searches call themselves through their closures; break those
+    # cycles so that `results` is freed on return, not at the next full
+    # collection.
+    del pivot, lex
     return results
 
 

@@ -663,6 +663,23 @@ def test_spread_file_must_match_space_flags(tmp_path, capsys):
         assert_usage_error(capsys, argv, "d=3 n=2, not d=2 n=2")
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["verify", "--check", "complete", "--in"], ["mub", "--from-file"]],
+    ids=["verify-in", "mub-from-file"],
+)
+@pytest.mark.parametrize("path", ["", "/nonexistent"], ids=["empty", "missing"])
+def test_spread_file_that_names_no_file_is_refused(capsys, command, path):
+    # An empty path names no file; it must not fall back to the regular spread.
+    argv = command[:1] + ["--d", "2", "--n", "2"] + command[1:] + [path]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: FileNotFoundError: [Errno 2] No such file or directory: {path!r}\n"
+    )
+
+
 def test_spread_file_rows_that_span_no_generator_are_refused(tmp_path, capsys):
     # e1 and f1 span a hyperbolic line, not a generator.
     path = tmp_path / "bad.json"

@@ -53,9 +53,13 @@ def test_exhaustive_results_are_partial_spreads_of_their_members(d, n):
         assert p == spread.partial_spread(space(d, n), p.members)
 
 
-def test_search_refuses_an_adjacency_that_lists_a_meeting_generator(monkeypatch):
+@pytest.mark.parametrize(
+    "mode, size", [("exhaustive", None), ("first_of_size", 3)], ids=["exhaustive", "first_of_size"]
+)
+def test_search_refuses_an_adjacency_that_lists_a_meeting_generator(monkeypatch, mode, size):
     # The search trusts the adjacency table for its candidates; a wrong
-    # entry must raise rather than return members that share a point.
+    # entry must raise rather than return members that share a point.  The
+    # two modes run separate loops, and each checks at every descent.
     w32 = PolarSpace(2, 2)
     masks = [g.point_mask for g in w32.generators]
     adj = list(w32.disjoint_adjacency)
@@ -63,7 +67,7 @@ def test_search_refuses_an_adjacency_that_lists_a_meeting_generator(monkeypatch)
     adj[0] |= 1 << meets
     monkeypatch.setattr(PolarSpace, "disjoint_adjacency", property(lambda self: adj))
     with pytest.raises(NotDisjoint):
-        spread.search_maximal(w32, "exhaustive")
+        spread.search_maximal(w32, mode, size=size)
 
 
 @pytest.mark.parametrize("d, n", SPACES)

@@ -587,6 +587,23 @@ def test_search_rejects_a_size_it_cannot_answer(mode, size):
         spread.search_maximal(W32, mode, size=size)
 
 
+@pytest.mark.parametrize(
+    "mode, size",
+    [("first_of_size", True), ("first_of_size", 8.0), ("first_of_size", 7.5),
+     ("first_of_size", "8"), ("exhaustive", False)],
+)
+def test_search_refuses_a_size_that_is_not_an_integer(mode, size):
+    with pytest.raises(TypeError, match="size must be an integer"):
+        spread.search_maximal(W33, mode, size=size)
+
+
+def test_search_takes_a_numpy_integer_size():
+    found = spread.search_maximal(W33, "first_of_size", size=np.int64(8))
+    assert [p.members for p in found] == [
+        p.members for p in spread.search_maximal(W33, "first_of_size", size=8)
+    ]
+
+
 def test_is_spread_rejects_inconsistent_coverage():
     with pytest.raises(NotDisjoint):
         spread.PartialSpread(W32, S32.members, 0).is_spread
@@ -674,7 +691,7 @@ def test_search_and_catalog_leave_no_closure_cycles():
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
-    assert not names & {"dfs", "grow", "cover"}
+    assert not names & {"pivot", "lex", "grow", "cover"}
 
 
 def test_search_scale_guard():
