@@ -15,13 +15,11 @@ place-value tables it indexes by are cached, read-only, per (d, N).
 from __future__ import annotations
 
 import functools
-import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebra
 from .algebra import FieldSpec, Vector
 from .errors import DimensionMismatch, NotAClass, ScaleExceeded
 from .polar import Generator, PolarSpace
@@ -130,12 +128,14 @@ def pauli_matrices(ops: Sequence[PauliOp], spec: FieldSpec) -> np.ndarray:
 
 
 def class_from_generator(g: Generator, space: PolarSpace) -> CommutingClass:
-    """The d^N - 1 canonical coset representatives over a generator.
+    """The d^N - 1 canonical coset representatives over a generator of
+    `space`, read through `space.generator`.
 
     One operator per nonzero vector of the underlying rank-N subspace, in
     lexicographic vector order; commuting is inherited from total isotropy.
     Those vectors are the nonzero multiples of the generator's points.
     """
+    g = space.generator(g)
     d = space.d
     points = (space.points[p] for p in space.point_indices(g.point_mask))
     vecs = sorted([tuple([c * x % d for x in v]) for v in points for c in range(1, d)])
@@ -144,16 +144,23 @@ def class_from_generator(g: Generator, space: PolarSpace) -> CommutingClass:
 
 
 def generator_from_class(c: CommutingClass, space: PolarSpace) -> Generator:
-    """The generator spanned by the symplectic images of a class."""
-    images = tuple(op.symplectic_image() for op in c.ops)
+    """The generator whose nonzero vectors are the symplectic images of a
+    class.  The images must be d^N - 1 distinct nonzero vectors whose points
+    make up one generator's point mask; that generator has exactly d^N - 1
+    nonzero vectors, each on one of those points, so the images are all of
+    them."""
+    d, n = space.d, space.n
+    if c.d != d or any(op.d != d or len(op.a) != n for op in c.ops):
+        raise DimensionMismatch(f"class operators do not act on W_{space.dim - 1}({d})")
+    images = [op.symplectic_image() for op in c.ops]
     if not all(any(v) for v in images):
         raise NotAClass("the identity, whose image is zero, is no class member")
-    basis = algebra.rref(images, space.field)
-    if len(basis) != space.n:
-        raise NotAClass(f"images span rank {len(basis)}, expected {space.n}")
-    for u, v in itertools.combinations(basis, 2):
-        if space.symp_form(u, v):
-            raise NotAClass("images do not span a totally isotropic subspace")
-    if len(set(images)) != space.d**space.n - 1:
+    if len(set(images)) != d**n - 1:
         raise NotAClass("class must hold one operator per nonzero vector")
-    return space.generator_by_basis(basis)
+    mask = 0
+    for p in space.index_of[np.array(images) @ space.weights].tolist():
+        mask |= 1 << p
+    try:
+        return space.generator_by_mask(mask)
+    except ValueError:
+        raise NotAClass("images are not the nonzero vectors of a generator") from None

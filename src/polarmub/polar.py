@@ -25,16 +25,22 @@ points: `symplectic_generators` gives 4N − 1 transvections as permutations
 of point indices, and `symplectic_group_order` certifies the order of the
 group they generate by a Schreier–Sims base and strong generating set,
 checked against the closed form |PSp(2N, d)|, with no generator catalog.
-The group is never enumerated.
+The group is never enumerated.  `transvection_lift` lifts the same
+transvections once per space to permutations of generator indices, each
+generator sent to the one whose point mask is its image, and
+`disjoint_pair_orbit` certifies on them, by two orbit walks, that the group
+is transitive on ordered pairs of disjoint generators.
 
 The catalog is built once per space, by whichever read comes first, and
-the basis lookup of `generator_by_basis` is derived from it.  Every
-module reads a caller's generator reference through `generator(ref)`: an
-int or numpy integer index in range, or a `Generator` equal to this
-catalog's entry at its index.  A bool or other non-integer raises
+the basis lookup of `generator_by_basis` and the point-mask lookup of
+`generator_by_mask` are derived from it.  Every module reads a caller's
+generator reference through `generator(ref)`: an int or numpy integer
+index in range, or a `Generator` equal to this catalog's entry at its
+index.  A bool or other non-integer raises
 `TypeError`, an index outside the catalog `ValueError`, a `Generator` of
-another catalog `DimensionMismatch`, and `generator_by_basis` raises
-`ValueError` for rows that are no generator's rref basis.
+another catalog `DimensionMismatch`; `generator_by_basis` raises
+`ValueError` for rows that are no generator's rref basis, and
+`generator_by_mask` for a mask that is no generator's points.
 """
 
 from __future__ import annotations
@@ -78,6 +84,19 @@ class Generator:
     gen_index: int
     basis: Matrix
     point_mask: int
+
+
+@dataclass(frozen=True)
+class PairOrbit:
+    """The certificate of `PolarSpace.disjoint_pair_orbit`: generator 0's
+    orbit holds all `orbit` generators, and the orbit of `partner` under the
+    stabilizer of generator 0 holds all `partners` generators disjoint from
+    0, reached with `schreier` Schreier generators."""
+
+    partner: int
+    orbit: int
+    partners: int
+    schreier: int
 
 
 class PolarSpace:
@@ -226,6 +245,45 @@ class PolarSpace:
     def _gen_lookup(self) -> dict[Matrix, int]:
         return {g.basis: g.gen_index for g in self.generators}
 
+    def generator_by_mask(self, mask: int) -> Generator:
+        """The generator with this point mask; `ValueError` if there is none."""
+        index = self._gen_by_mask.get(mask)
+        if index is None:
+            raise ValueError(f"points {mask:#x} are no generator of W_{self.dim - 1}({self.d})")
+        return self.generators[index]
+
+    @functools.cached_property
+    def _gen_by_mask(self) -> dict[int, int]:
+        return {g.point_mask: g.gen_index for g in self.generators}
+
+    def lift_to_generators(self, perms) -> list[tuple[int, ...]]:
+        """Permutations of point indices as the permutations of generator
+        indices they induce; `CatalogMismatch` if a generator's image is no
+        generator."""
+        by_mask = self._gen_by_mask
+        gen_points = [self.point_indices(g.point_mask) for g in self.generators]
+        try:
+            return [
+                tuple(by_mask[sum(1 << perm[p] for p in pts)] for pts in gen_points)
+                for perm in perms
+            ]
+        except KeyError:
+            raise CatalogMismatch("a permutation moved a generator off the catalog") from None
+
+    @functools.cached_property
+    def transvection_lift(self) -> tuple[tuple[int, ...], ...]:
+        """The 4N − 1 transvections of `symplectic_generators` as
+        permutations of generator indices, lifted once per space."""
+        return tuple(self.lift_to_generators(symplectic_generators(self)))
+
+    @functools.cached_property
+    def disjoint_pair_orbit(self) -> PairOrbit:
+        """The certificate that every ordered pair of disjoint generators is
+        an image of (0, j*), j* the lowest generator disjoint from generator
+        0, under the transvections of `transvection_lift`; computed once per
+        space, `CatalogMismatch` if it fails.  See `_certify_pair_orbit`."""
+        return _certify_pair_orbit(self)
+
     def _enumerate_generators(self) -> tuple[Generator, ...]:
         d, n = self.d, self.n
         expected = generator_count(d, n)
@@ -358,6 +416,76 @@ def symplectic_group_order(space: PolarSpace) -> int:
             f"transvections generate {order} elements, not |PSp({2*n}, {d})| = {expected}"
         )
     return order
+
+
+def _certify_pair_orbit(space: PolarSpace) -> PairOrbit:
+    """Check that every ordered pair of disjoint generators is an image of
+    (0, j*), j* the lowest generator disjoint from generator 0, under the
+    lifted transvections s_k.
+
+    Witt's theorem promises it, since two complementary Lagrangians extend
+    to a symplectic basis; two orbit walks check it.  First, a Schreier
+    vector for generator 0: a word per orbit point x, whose product u_x
+    sends 0 to x.  The orbit must be every generator.  Second, the orbit of
+    j* under the Schreier generators u_x·s_k·u_y⁻¹, y = s_k(x), of the
+    stabilizer of 0.  They are drawn lazily, x in orbit order and k in
+    order, skipping the tree edges, where word[y] is word[x] then k and the
+    generator is the identity; the walk stops once its orbit holds every
+    generator disjoint from 0.  Then a disjoint pair (a, b) is the image of
+    (0, j*) under h·g (h first), for g sending 0 to a and h in the
+    stabilizer sending j* to g⁻¹(b).  The stabilizer keeps disjointness from 0, so an image
+    that meets 0, or Schreier generators that run out first, mean that the
+    transvections do not generate the group: `CatalogMismatch`."""
+    perms = space.transvection_lift
+    inverses = []
+    for p in perms:
+        inv = [0] * len(p)
+        for x, y in enumerate(p):
+            inv[y] = x
+        inverses.append(inv)
+    word: dict[int, tuple[int, ...]] = {0: ()}
+    queue = [0]
+    for x in queue:  # the queue grows during the walk
+        for k, p in enumerate(perms):
+            if p[x] not in word:
+                word[p[x]] = word[x] + (k,)
+                queue.append(p[x])
+    if len(queue) != space.num_generators:
+        raise CatalogMismatch(
+            f"generator 0 has {len(queue)} images, not all {space.num_generators} generators"
+        )
+
+    def schreier():
+        # Each as the permutations it applies in turn: u_x, s_k, then u_y⁻¹.
+        for x in queue:
+            for k, p in enumerate(perms):
+                y = p[x]
+                if word[y] != word[x] + (k,):
+                    yield [perms[t] for t in word[x]] + [p] + [inverses[t] for t in word[y][::-1]]
+
+    partners = space.disjoint_adjacency[0]
+    target = bin(partners).count("1")
+    j = (partners & -partners).bit_length() - 1
+    orbit, pts, drawn = {j}, [j], []
+    for h in schreier():
+        drawn.append(h)
+        old = len(pts)
+        # h on every point so far, then every generator on each new point.
+        for i, z in enumerate(pts):  # pts grows during the walk
+            for w in (h,) if i < old else drawn:
+                y = z
+                for q in w:
+                    y = q[y]
+                if y not in orbit:
+                    if not partners >> y & 1:
+                        raise CatalogMismatch(f"the stabilizer of generator 0 moved {j} onto {y}")
+                    orbit.add(y)
+                    pts.append(y)
+        if len(orbit) == target:
+            return PairOrbit(j, len(queue), target, len(drawn))
+    raise CatalogMismatch(
+        f"the stabilizer of generator 0 moves {j} onto {len(orbit)} of its {target} partners"
+    )
 
 
 def _schreier_sims_order(perms) -> int:

@@ -4,7 +4,10 @@ A partial spread is held as a sorted tuple of generator indices plus the
 union bitmask of the points it covers.  Completeness (maximality) of a
 partial spread is always decided by a full scan of the generator catalog,
 never inferred from a construction, so every certificate is a machine
-check rather than a citation.
+check rather than a citation.  The same holds for a size that has no
+complete partial spread: `search_maximal` searches one branch and states
+the others empty only under the certified orbit of `polar`'s
+`PolarSpace.disjoint_pair_orbit`.
 """
 
 from __future__ import annotations
@@ -552,6 +555,21 @@ def search_maximal(
     child is never visited.  They remove only subtrees that hold no result
     of that size, so the first hit is that of the full tree.
 
+    For a size of at least 2, "first_of_size" searches one branch of that
+    tree: the results whose first two members are generator 0 and j*, the
+    lowest generator disjoint from 0.  It is the first branch the full
+    search enters, so a hit there is the full search's answer and needs no
+    certificate.  A result with members 0 and j* has them first, since its
+    other members are disjoint from 0 and so come after j*.  If the branch
+    holds no hit, [] is returned only once `PolarSpace.disjoint_pair_orbit`
+    has certified that every ordered pair of disjoint generators is an
+    image of (0, j*) under the group, and `CatalogMismatch` is raised if it
+    does not hold.  Witt's theorem promises that it does, since two
+    complementary Lagrangians extend to a symplectic basis.  The group maps
+    complete partial spreads to complete partial spreads of the same size,
+    and any result contains a disjoint pair, so some image of it contains 0
+    and j* and lies in the branch.
+
     Each descent checks that the new member is disjoint from the points
     already covered.  Members are pairwise disjoint with (d^N - 1)/(d - 1)
     points each, out of (d^{2N} - 1)/(d - 1) = (d^N + 1)(d^N - 1)/(d - 1)
@@ -636,7 +654,14 @@ def search_maximal(
         results.sort(key=lambda p: p.members)
     else:
         size = int(size)  # a numpy integer compares slower in the loop
-        lex(every, every, every, 0)
+        if size == 1:
+            lex(every, every, every, 0)
+        else:
+            # Only the first branch, generators 0 and j*; the certificate
+            # stands for the others.
+            members.append(0)
+            if not lex(adj[0], adj[0], adj[0] & -adj[0], masks[0]):
+                space.disjoint_pair_orbit  # CatalogMismatch unless it holds
     # Both searches call themselves through their closures; break those
     # cycles so that `results` is freed on return, not at the next full
     # collection.
@@ -651,10 +676,10 @@ def classify_iso(
 
     A spread's key, the least sorted member tuple in its orbit under the
     4N − 1 transvections of `polar.symplectic_generators`, lifted to
-    generators, is its least image over the whole group, which is never
-    enumerated.  The first input spread of each orbit represents it, and the
-    output is sorted by key."""
-    perms = _lift_to_generators(space, polar.symplectic_generators(space))
+    generators once per space (`PolarSpace.transvection_lift`), is its least
+    image over the whole group, which is never enumerated.  The first input
+    spread of each orbit represents it, and the output is sorted by key."""
+    perms = space.transvection_lift
 
     def images(members):
         return (tuple(sorted(perm[m] for m in members)) for perm in perms)
@@ -667,20 +692,6 @@ def classify_iso(
             keys.update(dict.fromkeys(found, min(found)))
         reps.setdefault(keys[ps.members], ps)
     return [reps[k] for k in sorted(reps)]
-
-
-def _lift_to_generators(space: PolarSpace, perms: list) -> list[tuple[int, ...]]:
-    """Permutations of point indices as the permutations of generator indices
-    they induce; `CatalogMismatch` if a generator's image is no generator."""
-    by_mask = {g.point_mask: g.gen_index for g in space.generators}
-    gen_points = [space.point_indices(mask) for mask in by_mask]
-    try:
-        return [
-            tuple(by_mask[sum(1 << perm[p] for p in pts)] for pts in gen_points)
-            for perm in perms
-        ]
-    except KeyError:
-        raise CatalogMismatch("a permutation moved a generator off the catalog") from None
 
 
 def repartition_triple(ps: PartialSpread) -> PartialSpread:

@@ -20,7 +20,10 @@ generators, and its output is pinned by digest.  `symplectic_group`
 enumerates the group that these permutations generate, by closing the
 identity under them: the count that `polarmub.polar.symplectic_group_order`
 certifies by Schreier–Sims on points instead.  The tests enumerate it at
-W_3(2) (720 elements).
+W_3(2) (720 elements).  `disjoint_pair_orbit` walks the orbit of an
+ordered pair of disjoint generators under the same permutations, pair by
+pair as a set: what `polarmub.polar.PolarSpace.disjoint_pair_orbit`
+certifies by two orbit walks on single generators.
 
 `brute_force_conjecture` is the subset sweep: it builds every
 (d^{N-1} + 1)-subset of a spread and scans the whole catalog for the
@@ -176,6 +179,27 @@ def symplectic_group(space):
                     step.append(q)
         frontier = step
     return tuple(sorted(seen))
+
+
+def disjoint_pair_orbit(space):
+    """(j*, orbit): j* the lowest generator disjoint from generator 0, and
+    the set of ordered pairs of generators that `transvections(space)` carry
+    (0, j*) to, closed one pair at a time."""
+    masks = [g.point_mask for g in space.generators]
+    start = (0, next(j for j, m in enumerate(masks) if not m & masks[0]))
+    perms = transvections(space)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        step = []
+        for a, b in frontier:
+            for t in perms:
+                pair = (t[a], t[b])
+                if pair not in seen:
+                    seen.add(pair)
+                    step.append(pair)
+        frontier = step
+    return start[1], seen
 
 
 def covered_generators(ps):

@@ -265,3 +265,20 @@ def test_generator_from_class_rejects_the_identity(space):
     with pytest.raises(NotAClass, match="identity"):
         generator_from_class(pauli.CommutingClass(d, c.ops[:-1] + (identity,), 0), space)
 
+
+
+def test_class_from_generator_refuses_another_space_s_generator():
+    # Generator 5 of W_3(3) is outside W_3(2)'s 15-entry catalog, and
+    # generator 3 of W_3(2) is not generator 3 of W_5(2).
+    with pytest.raises(DimensionMismatch):
+        class_from_generator(PolarSpace(3, 2).generators[5], PolarSpace(2, 2))
+    with pytest.raises(DimensionMismatch):
+        class_from_generator(PolarSpace(2, 2).generators[3], PolarSpace(2, 3))
+
+
+@pytest.mark.parametrize("source, target", [(W32, W52), (W52, W32), (W32, W33), (W33, W32)])
+def test_generator_from_class_refuses_another_space_s_class(source, target):
+    # Ops of another d or N are no class of this space, whatever their span.
+    c = class_from_generator(source.generators[0], source)
+    with pytest.raises(DimensionMismatch):
+        generator_from_class(c, target)

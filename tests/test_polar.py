@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarmub import algebra, polar, spread
+from polarmub import algebra, polar
 from polarmub.errors import (
     CatalogMismatch,
     DimensionMismatch,
@@ -642,5 +642,79 @@ def test_transvection_permutations_pinned(d, n):
     assert len(perms) == space.num_points
     digest = hashlib.sha256(json.dumps([list(p) for p in perms]).encode()).hexdigest()
     assert digest == TRANSVECTION_DIGESTS[(d, n)]
-    lifted = spread._lift_to_generators(space, polar.symplectic_generators(space))
-    assert lifted == fixed_transvections(space, perms=perms)
+    assert list(space.transvection_lift) == fixed_transvections(space, perms=perms)
+
+
+# (j*, Schreier generators drawn) of each space's pair-orbit certificate.
+PAIR_ORBIT_PINS = {
+    (2, 2): (4, 3),
+    (3, 2): (5, 3),
+    (2, 3): (19, 5),
+    (5, 2): (7, 3),
+    (7, 2): (9, 3),
+    (3, 3): (45, 5),
+    (2, 4): (154, 7),
+}
+
+
+@pytest.mark.parametrize("d,n", sorted(PAIR_ORBIT_PINS))
+def test_disjoint_pair_orbit_certificate_pinned(d, n):
+    # A generator is disjoint from d^{N(N+1)/2} others.
+    space = PolarSpace(d, n)
+    cert = space.disjoint_pair_orbit
+    assert (cert.partner, cert.schreier) == PAIR_ORBIT_PINS[d, n]
+    assert cert.orbit == space.num_generators == polar.generator_count(d, n)
+    assert cert.partners == bin(space.disjoint_adjacency[0]).count("1") == d ** (n * (n + 1) // 2)
+
+
+@pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (2, 3), (5, 2)])
+def test_disjoint_pair_orbit_agrees_with_the_pair_walk(d, n):
+    # The oracle walks ordered pairs under one transvection per point.
+    space = PolarSpace(d, n)
+    partner, pairs = oracles.disjoint_pair_orbit(space)
+    masks = [g.point_mask for g in space.generators]
+    disjoint = {
+        (a, b) for a, b in itertools.permutations(range(len(masks)), 2) if not masks[a] & masks[b]
+    }
+    assert pairs == disjoint
+    cert = space.disjoint_pair_orbit
+    assert cert.partner == partner
+    assert cert.orbit * cert.partners == len(pairs)
+
+
+def test_disjoint_pair_orbit_refuses_a_set_that_does_not_generate(monkeypatch):
+    # The 2N transvections at e_c generate 36 elements, and generator 0 has
+    # fewer images than the 15 generators.
+    m = W32.dim
+    units = polar.symplectic_generators(W32)[:m]
+    monkeypatch.setattr(polar, "symplectic_generators", lambda space: units)
+    with pytest.raises(CatalogMismatch, match="generator 0 has [0-9]+ images, not all 15"):
+        PolarSpace(2, 2).disjoint_pair_orbit
+
+
+def _cycle_and(space, *others):
+    """The cycle i ↦ i + 1 on generator indices, then the given permutations."""
+    count = space.num_generators
+    return (tuple((i + 1) % count for i in range(count)), *others)
+
+
+def test_disjoint_pair_orbit_refuses_a_stabilizer_that_is_not_transitive():
+    # The cycle moves generator 0 onto every generator, and only the
+    # identity fixes it, so j* has no other image.
+    space = PolarSpace(2, 2)
+    space.transvection_lift = _cycle_and(space)
+    with pytest.raises(CatalogMismatch, match="moves 4 onto 1 of its 8 partners"):
+        space.disjoint_pair_orbit
+
+
+def test_disjoint_pair_orbit_refuses_an_image_that_meets_generator_0():
+    # A swap of j* with a generator that meets 0 fixes generator 0, and so is
+    # one of its stabilizer's Schreier generators.
+    space = PolarSpace(2, 2)
+    masks = [g.point_mask for g in space.generators]
+    meets = next(j for j in range(1, len(masks)) if masks[0] & masks[j])
+    swap = list(range(len(masks)))
+    swap[4], swap[meets] = meets, 4
+    space.transvection_lift = _cycle_and(space, tuple(swap))
+    with pytest.raises(CatalogMismatch, match=f"moved 4 onto {meets}"):
+        space.disjoint_pair_orbit

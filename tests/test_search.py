@@ -5,7 +5,10 @@ generators, that is, the maximal cliques of the disjointness graph.  The
 oracle builds that graph from `point_mask` ANDs (not from
 `PolarSpace.disjoint_adjacency`) and lists its maximal cliques with
 networkx, so any pruning of the search that drops or reorders a result,
-or changes which result `first_of_size` returns, fails here.
+or changes which result `first_of_size` returns, fails here.  Beyond the
+oracle's reach, sizes with no result are pinned at W_7(2) and W_5(3),
+where `first_of_size` answers from one branch and the pair-orbit
+certificate.
 """
 
 import functools
@@ -13,8 +16,8 @@ import functools
 import networkx as nx
 import pytest
 
-from polarmub import spread
-from polarmub.errors import NotDisjoint
+from polarmub import polar, spread
+from polarmub.errors import CatalogMismatch, NotDisjoint
 from polarmub.polar import PolarSpace
 
 
@@ -77,6 +80,33 @@ def test_first_of_size_is_lex_least_clique_of_that_size(d, n):
         want = [c for c in cliques if len(c) == size][:1]
         found = spread.search_maximal(space(d, n), "first_of_size", size=size)
         assert [p.members for p in found] == want, size
+
+
+@pytest.mark.parametrize("d, n", SPACES)
+def test_first_of_size_answers_none_only_with_the_certificate(monkeypatch, d, n):
+    # The 2N transvections at e_c do not move generator 0 onto every
+    # generator, so the certificate fails: a size with no result raises, and
+    # a size with one still finds it in the first branch, 0 and j*.
+    units = polar.symplectic_generators(space(d, n))[: 2 * n]
+    monkeypatch.setattr(polar, "symplectic_generators", lambda s: units)
+    fresh = PolarSpace(d, n)
+    cliques = maximal_cliques(d, n)
+    for size in range(2, d**n + 2):
+        want = [c for c in cliques if len(c) == size][:1]
+        if want:
+            found = spread.search_maximal(fresh, "first_of_size", size=size)
+            assert [p.members for p in found] == want, size
+        else:
+            with pytest.raises(CatalogMismatch, match="generator 0 has"):
+                spread.search_maximal(fresh, "first_of_size", size=size)
+
+
+@pytest.mark.parametrize("d, n, size", [(2, 4, 3), (2, 4, 4), (3, 3, 3), (3, 3, 4)])
+def test_first_of_size_w72_w53_absent(d, n, size):
+    # W_7(2) and W_5(3) have no complete partial spread of 3 or 4 members:
+    # none contains generators 0 and j*, and the pair-orbit certificate
+    # carries that to every pair.  A search of every branch takes minutes.
+    assert spread.search_maximal(space(d, n), "first_of_size", size=size) == []
 
 
 @pytest.mark.parametrize(

@@ -684,6 +684,7 @@ def test_search_and_catalog_leave_no_closure_cycles():
     try:
         w33 = PolarSpace(3, 2)
         spread.search_maximal(w33, "exhaustive")
+        spread.search_maximal(w33, "first_of_size", size=7)
         spread.construct_U_set(spread.construct_symplectic_spread(w33))
         PolarSpace(2, 2).generators
         gc.collect()
@@ -691,7 +692,7 @@ def test_search_and_catalog_leave_no_closure_cycles():
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
-    assert not names & {"pivot", "lex", "grow", "cover"}
+    assert not names & {"pivot", "lex", "grow", "cover", "schreier"}
 
 
 def test_search_scale_guard():
@@ -752,7 +753,7 @@ def test_classify_lift_refuses_a_point_permutation_that_moves_a_line_off():
     swap = list(range(W32.num_points))
     swap[0], swap[1] = 1, 0
     with pytest.raises(CatalogMismatch, match="off the catalog"):
-        spread._lift_to_generators(W32, [tuple(swap)])
+        W32.lift_to_generators([tuple(swap)])
 
 
 # -- repartition of the grid triple
