@@ -652,6 +652,7 @@ PAIR_ORBIT_PINS = {
     (2, 3): (19, 5),
     (5, 2): (7, 3),
     (7, 2): (9, 3),
+    (13, 2): (15, 3),
     (3, 3): (45, 5),
     (2, 4): (154, 7),
 }
