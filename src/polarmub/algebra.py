@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DimensionMismatch
 
 Vector = tuple[int, ...]
@@ -21,13 +23,22 @@ Matrix = tuple[Vector, ...]
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
+def _integer(value, name: str) -> int:
+    """value as an int: an int or numpy integer; a bool or any other type
+    raises `TypeError`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class FieldSpec:
-    """The prime field F_d."""
+    """The prime field F_d; d is an int or numpy integer, held as an int."""
 
     d: int
 
     def __post_init__(self):
+        object.__setattr__(self, "d", _integer(self.d, "d"))
         if self.d not in SUPPORTED_PRIMES:
             raise ValueError(f"d must be a prime in {SUPPORTED_PRIMES}, got {self.d}")
 

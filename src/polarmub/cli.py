@@ -90,7 +90,8 @@ def _json_int(x) -> int:
     return x
 
 
-def deserialize_spread(data: bytes, fmt: str = "json") -> PartialSpread:
+def _parse_spread(data: bytes, fmt: str) -> tuple[int, int, list]:
+    """The d, n and generator rows a spread file names, with no space built."""
     try:
         text = data.decode()
         if fmt == "json":
@@ -112,6 +113,11 @@ def deserialize_spread(data: bytes, fmt: str = "json") -> PartialSpread:
             raise UsageError(f"unknown format {fmt!r}")
     except (ValueError, KeyError, TypeError, IndexError) as exc:
         raise UsageError(f"not a {fmt} spread file with d, n and generators: {exc!r}") from None
+    return d, n, bases
+
+
+def deserialize_spread(data: bytes, fmt: str = "json") -> PartialSpread:
+    d, n, bases = _parse_spread(data, fmt)
     space = get_space(d, n)
     if any(not 0 <= x < d for b in bases for row in b for x in row):
         raise UsageError(f"generator entries must be residues in [0, {d})")
@@ -134,13 +140,13 @@ def deserialize_spread(data: bytes, fmt: str = "json") -> PartialSpread:
 
 def _read_spread(path: str, args) -> PartialSpread:
     with open(path, "rb") as fh:
-        ps = deserialize_spread(fh.read(), args.format)
-    if (ps.space.d, ps.space.n) != (args.d, args.n):
-        raise UsageError(
-            f"{path} holds a spread with d={ps.space.d} n={ps.space.n}, "
-            f"not d={args.d} n={args.n}"
-        )
-    return ps
+        data = fh.read()
+    # The header is compared first, so that a file of another space builds
+    # neither that space nor its catalog.
+    d, n, _ = _parse_spread(data, args.format)
+    if (d, n) != (args.d, args.n):
+        raise UsageError(f"{path} holds a spread with d={d} n={n}, not d={args.d} n={args.n}")
+    return deserialize_spread(data, args.format)
 
 
 def _construct_spread(

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 from math import comb
 
 from . import polar
-from .algebra import FieldSpec
+from .algebra import FieldSpec, _integer
 from .errors import DimensionMismatch, ScaleExceeded
 from .polar import PolarSpace, generator_count
 from .spread import PartialSpread
@@ -91,7 +91,7 @@ def _bounded_binom(n: int, k: int, bound: int) -> int | None:
 
 def conjecture_counts(d: int, n: int) -> ConjectureReport:
     """Exact verdict of lhs = binom + |S| versus the generator census."""
-    FieldSpec(d)  # refuses d outside SUPPORTED_PRIMES
+    d, n = FieldSpec(d).d, _integer(n, "n")  # d in SUPPORTED_PRIMES, both ints
     if n < 1:
         raise ValueError("rank n must be at least 1")
     if n > CONJECTURE_RANK_LIMIT:

@@ -26,10 +26,10 @@ of point indices, and `symplectic_group_order` certifies the order of the
 group they generate by a Schreier–Sims base and strong generating set,
 checked against the closed form |PSp(2N, d)|, with no generator catalog.
 The group is never enumerated.  `transvection_lift` lifts the same
-transvections once per space to permutations of generator indices, each
-generator sent to the one whose point mask is its image, and
-`disjoint_pair_orbit` certifies on them, by two orbit walks, that the group
-is transitive on ordered pairs of disjoint generators.
+transvections once per space to permutations of generator indices, by
+point masks, and `disjoint_pair_orbit` certifies on them, by a Schreier
+vector and `orbit`, that the group is transitive on ordered pairs of
+disjoint generators.
 
 The catalog is built once per space, by whichever read comes first, and
 the basis lookup of `generator_by_basis` and the point-mask lookup of
@@ -53,7 +53,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .algebra import FieldSpec, Matrix, Vector
+from .algebra import FieldSpec, Matrix, Vector, _integer
 from .errors import (
     CatalogMismatch,
     DimensionMismatch,
@@ -107,6 +107,7 @@ class PolarSpace:
     """
 
     def __init__(self, d: int, n: int):
+        d, n = _integer(d, "d"), _integer(n, "n")
         if n < 1:
             raise ValueError("rank n must be at least 1")
         # Refuse before building anything: the points scan all d^{2n} vectors.
@@ -256,33 +257,82 @@ class PolarSpace:
     def _gen_by_mask(self) -> dict[int, int]:
         return {g.point_mask: g.gen_index for g in self.generators}
 
-    def lift_to_generators(self, perms) -> list[tuple[int, ...]]:
-        """Permutations of point indices as the permutations of generator
-        indices they induce; `CatalogMismatch` if a generator's image is no
-        generator."""
-        by_mask = self._gen_by_mask
-        gen_points = [self.point_indices(g.point_mask) for g in self.generators]
-        try:
-            return [
-                tuple(by_mask[sum(1 << perm[p] for p in pts)] for pts in gen_points)
-                for perm in perms
-            ]
-        except KeyError:
-            raise CatalogMismatch("a permutation moved a generator off the catalog") from None
-
     @functools.cached_property
     def transvection_lift(self) -> tuple[tuple[int, ...], ...]:
         """The 4N − 1 transvections of `symplectic_generators` as
-        permutations of generator indices, lifted once per space."""
-        return tuple(self.lift_to_generators(symplectic_generators(self)))
+        permutations of generator indices, lifted once per space: each
+        generator goes to the one whose point mask is its image, and
+        `CatalogMismatch` if that is no generator."""
+        by_mask = self._gen_by_mask
+        gen_points = [self.point_indices(g.point_mask) for g in self.generators]
+        try:
+            return tuple(
+                tuple(by_mask[sum(1 << perm[p] for p in pts)] for pts in gen_points)
+                for perm in symplectic_generators(self)
+            )
+        except KeyError:
+            raise CatalogMismatch("a permutation moved a generator off the catalog") from None
 
     @functools.cached_property
     def disjoint_pair_orbit(self) -> PairOrbit:
         """The certificate that every ordered pair of disjoint generators is
         an image of (0, j*), j* the lowest generator disjoint from generator
-        0, under the transvections of `transvection_lift`; computed once per
-        space, `CatalogMismatch` if it fails.  See `_certify_pair_orbit`."""
-        return _certify_pair_orbit(self)
+        0, under the lifted transvections s_k; computed once per space.
+
+        Witt's theorem promises it, since two complementary Lagrangians
+        extend to a symplectic basis; two orbit walks check it.  First, a
+        Schreier vector for generator 0: a breadth-first word per orbit
+        point x, whose product u_x sends 0 to x.  The orbit must be every
+        generator.  Second, the orbit of j* under the Schreier generators
+        u_x·s_k·u_y⁻¹, y = s_k(x), of the stabilizer of 0, each composed
+        once into a permutation.  They are drawn x in orbit order and k in
+        order, skipping the tree edges (word[y] is word[x] then k), and
+        after each draw the orbit of j* is recomputed, until it holds every
+        generator disjoint from 0.  Then a disjoint pair (a, b) is the image
+        of (0, j*) under h·g (h first), for g sending 0 to a and h in the
+        stabilizer sending j* to g⁻¹(b).  The stabilizer keeps disjointness
+        from 0, so an image that meets 0, or Schreier generators that run
+        out first, mean that the transvections do not generate the group:
+        `CatalogMismatch`."""
+        perms = self.transvection_lift
+        word: dict[int, tuple[int, ...]] = {0: ()}
+        queue = [0]
+        for x in queue:  # the queue grows during the walk
+            for k, p in enumerate(perms):
+                if p[x] not in word:
+                    word[p[x]] = word[x] + (k,)
+                    queue.append(p[x])
+        if len(queue) != self.num_generators:
+            raise CatalogMismatch(
+                f"generator 0 has {len(queue)} images, not all {self.num_generators} generators"
+            )
+        # A permutation p acts as x ↦ p[x]; an inverse is its argsort.
+        forward = np.array(perms)
+        backward = np.argsort(forward, axis=1)
+        partners = self.disjoint_adjacency[0]
+        target = bin(partners).count("1")
+        j = (partners & -partners).bit_length() - 1
+        reached, drawn = {j}, []
+        for x in queue:
+            for k, p in enumerate(perms):
+                y = p[x]
+                if word[y] == word[x] + (k,):
+                    continue
+                h = np.arange(len(queue))
+                for t in word[x] + (k,):  # u_x, then s_k
+                    h = forward[t][h]
+                for t in word[y][::-1]:  # then u_y⁻¹
+                    h = backward[t][h]
+                drawn.append(h.tolist())
+                reached = orbit(j, lambda z: {g[z] for g in drawn})
+                off = [z for z in reached if not partners >> z & 1]
+                if off:
+                    raise CatalogMismatch(f"the stabilizer of generator 0 moved {j} onto {min(off)}")
+                if len(reached) == target:
+                    return PairOrbit(j, len(queue), target, len(drawn))
+        raise CatalogMismatch(
+            f"the stabilizer of generator 0 moves {j} onto {len(reached)} of its {target} partners"
+        )
 
     def _enumerate_generators(self) -> tuple[Generator, ...]:
         d, n = self.d, self.n
@@ -416,76 +466,6 @@ def symplectic_group_order(space: PolarSpace) -> int:
             f"transvections generate {order} elements, not |PSp({2*n}, {d})| = {expected}"
         )
     return order
-
-
-def _certify_pair_orbit(space: PolarSpace) -> PairOrbit:
-    """Check that every ordered pair of disjoint generators is an image of
-    (0, j*), j* the lowest generator disjoint from generator 0, under the
-    lifted transvections s_k.
-
-    Witt's theorem promises it, since two complementary Lagrangians extend
-    to a symplectic basis; two orbit walks check it.  First, a Schreier
-    vector for generator 0: a word per orbit point x, whose product u_x
-    sends 0 to x.  The orbit must be every generator.  Second, the orbit of
-    j* under the Schreier generators u_x·s_k·u_y⁻¹, y = s_k(x), of the
-    stabilizer of 0.  They are drawn lazily, x in orbit order and k in
-    order, skipping the tree edges, where word[y] is word[x] then k and the
-    generator is the identity; the walk stops once its orbit holds every
-    generator disjoint from 0.  Then a disjoint pair (a, b) is the image of
-    (0, j*) under h·g (h first), for g sending 0 to a and h in the
-    stabilizer sending j* to g⁻¹(b).  The stabilizer keeps disjointness from 0, so an image
-    that meets 0, or Schreier generators that run out first, mean that the
-    transvections do not generate the group: `CatalogMismatch`."""
-    perms = space.transvection_lift
-    inverses = []
-    for p in perms:
-        inv = [0] * len(p)
-        for x, y in enumerate(p):
-            inv[y] = x
-        inverses.append(inv)
-    word: dict[int, tuple[int, ...]] = {0: ()}
-    queue = [0]
-    for x in queue:  # the queue grows during the walk
-        for k, p in enumerate(perms):
-            if p[x] not in word:
-                word[p[x]] = word[x] + (k,)
-                queue.append(p[x])
-    if len(queue) != space.num_generators:
-        raise CatalogMismatch(
-            f"generator 0 has {len(queue)} images, not all {space.num_generators} generators"
-        )
-
-    def schreier():
-        # Each as the permutations it applies in turn: u_x, s_k, then u_y⁻¹.
-        for x in queue:
-            for k, p in enumerate(perms):
-                y = p[x]
-                if word[y] != word[x] + (k,):
-                    yield [perms[t] for t in word[x]] + [p] + [inverses[t] for t in word[y][::-1]]
-
-    partners = space.disjoint_adjacency[0]
-    target = bin(partners).count("1")
-    j = (partners & -partners).bit_length() - 1
-    orbit, pts, drawn = {j}, [j], []
-    for h in schreier():
-        drawn.append(h)
-        old = len(pts)
-        # h on every point so far, then every generator on each new point.
-        for i, z in enumerate(pts):  # pts grows during the walk
-            for w in (h,) if i < old else drawn:
-                y = z
-                for q in w:
-                    y = q[y]
-                if y not in orbit:
-                    if not partners >> y & 1:
-                        raise CatalogMismatch(f"the stabilizer of generator 0 moved {j} onto {y}")
-                    orbit.add(y)
-                    pts.append(y)
-        if len(orbit) == target:
-            return PairOrbit(j, len(queue), target, len(drawn))
-    raise CatalogMismatch(
-        f"the stabilizer of generator 0 moves {j} onto {len(orbit)} of its {target} partners"
-    )
 
 
 def _schreier_sims_order(perms) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, polar
-from .algebra import Matrix, Vector
+from .algebra import Matrix, Vector, _integer
 from .errors import (
     AmbiguousPartner,
     BadK,
@@ -499,15 +499,13 @@ def construct_U_set(s: PartialSpread, chi=None) -> USet:
 def unextendible_from_Uset(
     s: PartialSpread, u: USet
 ) -> tuple[PartialSpread, CompletenessCert]:
-    """Trade the members meeting the carrier for the carrier, then add the
+    """Trade the members meeting the carrier for the carrier (`construct_TU`,
+    so a carrier in the spread raises `GeneratorInSpread`), then add the
     lowest-index `is_complete` witness until none is left.  The U-set property
     forbids reaching a spread, so the result is a proper partial spread."""
-    space = s.space
-    chi = space.generator(u.carrier)
-    r_chi = set(members_meeting(s, chi))
-    final = partial_spread(space, [m for m in s.members if m not in r_chi] + [chi.gen_index])
+    final = construct_TU(s, u.carrier)
     while not (cert := is_complete(final)).complete:
-        final = partial_spread(space, final.members + (cert.witness,))
+        final = partial_spread(s.space, final.members + (cert.witness,))
     if final.is_spread:
         raise NoSuitableChi("completion reached a spread; the input is not a U-set")
     return final, cert
@@ -578,8 +576,8 @@ def search_maximal(
     """
     if mode not in ("exhaustive", "first_of_size"):
         raise ValueError(f"unknown search mode {mode!r}")
-    if size is not None and (isinstance(size, bool) or not isinstance(size, (int, np.integer))):
-        raise TypeError(f"size must be an integer, got {size!r}")
+    if size is not None:
+        size = _integer(size, "size")
     if mode == "exhaustive" and size is not None:
         raise ValueError("exhaustive search takes no size")
     if mode == "first_of_size" and size is None:
@@ -652,16 +650,14 @@ def search_maximal(
     if mode == "exhaustive":
         pivot(every, 0, 0)
         results.sort(key=lambda p: p.members)
+    elif size == 1:
+        lex(every, every, every, 0)
     else:
-        size = int(size)  # a numpy integer compares slower in the loop
-        if size == 1:
-            lex(every, every, every, 0)
-        else:
-            # Only the first branch, generators 0 and j*; the certificate
-            # stands for the others.
-            members.append(0)
-            if not lex(adj[0], adj[0], adj[0] & -adj[0], masks[0]):
-                space.disjoint_pair_orbit  # CatalogMismatch unless it holds
+        # Only the first branch, generators 0 and j*; the certificate
+        # stands for the others.
+        members.append(0)
+        if not lex(adj[0], adj[0], adj[0] & -adj[0], masks[0]):
+            space.disjoint_pair_orbit  # CatalogMismatch unless it holds
     # Both searches call themselves through their closures; break those
     # cycles so that `results` is freed on return, not at the next full
     # collection.

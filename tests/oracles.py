@@ -15,8 +15,9 @@ per-character forms that the dense layer of `polarmub.pauli` and
 action of every transvection on the catalog, found by matching sorted image
 rows against void-dtype keys of the generators' point indices.  It is the
 reference for the 4N − 1 point permutations of
-`polarmub.polar.symplectic_generators` once `polarmub.spread` lifts them to
-generators, and its output is pinned by digest.  `symplectic_group`
+`polarmub.polar.symplectic_generators` once
+`polarmub.polar.PolarSpace.transvection_lift` lifts them to generators, and
+its output is pinned by digest.  `symplectic_group`
 enumerates the group that these permutations generate, by closing the
 identity under them: the count that `polarmub.polar.symplectic_group_order`
 certifies by Schreier–Sims on points instead.  The tests enumerate it at

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -147,3 +148,15 @@ def test_irreducible_poly_choices():
 def test_field_spec_validation():
     with pytest.raises(ValueError):
         FieldSpec(4)
+
+
+@pytest.mark.parametrize("d", [2.0, True, "2", None], ids=["float", "bool", "str", "none"])
+def test_field_spec_refuses_a_d_that_is_no_integer(d):
+    with pytest.raises(TypeError, match="d must be an integer"):
+        FieldSpec(d)
+
+
+def test_field_spec_reads_a_numpy_integer_as_an_int():
+    spec = FieldSpec(np.int64(5))
+    assert type(spec.d) is int
+    assert spec == FieldSpec(5)

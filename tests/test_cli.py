@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from polarmub import cli, mub, polar, spread
 from polarmub.cli import deserialize_spread, get_space, run, serialize_spread
+from polarmub.errors import ScaleExceeded
 
 
 def run_capture(capsys, argv):
@@ -332,13 +333,19 @@ def test_bad_order_or_rank_is_refused_at_once(capsys, command, d, n, error):
 
 
 def test_spread_file_with_a_huge_rank_is_refused_at_once(tmp_path, capsys):
+    # The CLI compares the file's rank with --n before building anything;
+    # read on its own, the file is refused by the space's scale guard.
     path = tmp_path / "spread.json"
     path.write_text('{"d": 2, "n": 300000, "generators": []}')
     argv = ["verify", "--d", "2", "--n", "2", "--check", "complete", "--in", str(path)]
     assert run_within_a_second(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: ScaleExceeded: too many points for W_599999(2)\n"
+    assert captured.err == (
+        f"usage error: {path} holds a spread with d=2 n=300000, not d=2 n=2\n"
+    )
+    with pytest.raises(ScaleExceeded, match=r"too many points for W_599999\(2\)$"):
+        deserialize_spread(path.read_bytes())
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -661,6 +668,31 @@ def test_spread_file_must_match_space_flags(tmp_path, capsys):
     ):
         argv = command[:1] + ["--d", "2", "--n", "2"] + command[1:]
         assert_usage_error(capsys, argv, "d=3 n=2, not d=2 n=2")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["verify", "--check", "complete", "--in"], ["mub", "--from-file"]],
+    ids=["verify-in", "mub-from-file"],
+)
+def test_spread_file_of_another_space_builds_no_catalog(tmp_path, capsys, monkeypatch, command):
+    # The W_9(2) catalog has 75 735 generators; a file naming that space under
+    # --d 2 --n 2 is refused from its header, before any catalog is built.
+    calls = []
+    enumerate_generators = polar.PolarSpace._enumerate_generators
+
+    def counted(space):
+        calls.append(space)
+        return enumerate_generators(space)
+
+    cli.get_space.cache_clear()
+    monkeypatch.setattr(polar.PolarSpace, "_enumerate_generators", counted)
+    path = tmp_path / "w92.json"
+    rows = [[int(c == r) for c in range(10)] for r in range(0, 10, 2)]
+    path.write_text(json.dumps({"d": 2, "n": 5, "generators": [rows]}))
+    argv = command[:1] + ["--d", "2", "--n", "2"] + command[1:] + [str(path)]
+    assert_usage_error(capsys, argv, "holds a spread with d=2 n=5, not d=2 n=2")
+    assert calls == []
 
 
 @pytest.mark.parametrize(

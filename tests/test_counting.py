@@ -3,6 +3,7 @@
 import itertools
 from math import comb
 
+import numpy as np
 import pytest
 
 from polarmub import counting, polar, spread
@@ -84,6 +85,24 @@ def test_conjecture_counts_refuses_outside_its_domain():
         str(counting.conjecture_counts(d, limit).rhs)  # printable
         with pytest.raises(ScaleExceeded):
             counting.conjecture_counts(d, limit + 1)
+
+
+@pytest.mark.parametrize(
+    "d,n", [(2, True), (True, 2), (2.0, 2), (2, 2.0)],
+    ids=["bool-n", "bool-d", "float-d", "float-n"],
+)
+def test_conjecture_counts_refuses_a_d_or_n_that_is_no_integer(d, n):
+    with pytest.raises(TypeError, match="must be an integer"):
+        counting.conjecture_counts(d, n)
+
+
+@pytest.mark.parametrize("d,n", [(13, 64), (2, 40), (3, 2)])
+def test_conjecture_counts_reads_numpy_integers_as_ints(d, n):
+    # numpy integers would overflow d**n at (13, 64) and make the binomial
+    # walk at (2, 40) crawl through numpy scalars.
+    report = counting.conjecture_counts(np.int64(d), np.int64(n))
+    assert report == counting.conjecture_counts(d, n)
+    assert all(type(getattr(report, f)) is int for f in ("d", "n", "spread_size", "rhs"))
 
 
 def test_asymptotic_gate_implies_violated():

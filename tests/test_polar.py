@@ -347,6 +347,21 @@ def test_oversized_space_is_refused_before_the_field(monkeypatch):
         PolarSpace(2, 30)
 
 
+@pytest.mark.parametrize(
+    "d,n", [(3, True), (True, 2), (2.0, 2), (2, 2.0), ("2", 2)],
+    ids=["bool-n", "bool-d", "float-d", "float-n", "str-d"],
+)
+def test_space_refuses_a_d_or_n_that_is_no_integer(d, n):
+    with pytest.raises(TypeError, match="must be an integer"):
+        PolarSpace(d, n)
+
+
+def test_space_reads_numpy_integers_as_ints():
+    space = PolarSpace(np.int64(3), np.int32(2))
+    assert (type(space.d), type(space.n), type(space.field.d)) == (int, int, int)
+    assert [g.point_mask for g in space.generators] == [g.point_mask for g in W33.generators]
+
+
 def test_collinear_iff_form_vanishes():
     # Two distinct points lie on a common generator iff F(u, v) = 0.
     for space in (W32, W33):

@@ -540,6 +540,13 @@ def test_unextendible_from_uset_w52_size():
     assert final.size == 2**3 - 2**2 + 1 == 5
 
 
+def test_unextendible_from_uset_refuses_a_carrier_in_the_spread():
+    # The trade is construct_TU's, which refuses a member before any scan.
+    u = spread.USet(spread.construct_U_set(S33).members, S33.members[0])
+    with pytest.raises(GeneratorInSpread, match="already belongs to the spread"):
+        spread.unextendible_from_Uset(S33, u)
+
+
 # -- exhaustive search
 
 
@@ -692,7 +699,7 @@ def test_search_and_catalog_leave_no_closure_cycles():
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
-    assert not names & {"pivot", "lex", "grow", "cover", "schreier"}
+    assert not names & {"pivot", "lex", "grow", "cover"}
 
 
 def test_search_scale_guard():
@@ -747,13 +754,14 @@ def test_classify_census_orbits():
         assert [p.members for p in orbits] == expected
 
 
-def test_classify_lift_refuses_a_point_permutation_that_moves_a_line_off():
+def test_classify_lift_refuses_a_point_permutation_that_moves_a_line_off(monkeypatch):
     # Swapping two points of W_3(2) is no collineation: some line through
     # one of them maps to a point set that is no line.
     swap = list(range(W32.num_points))
     swap[0], swap[1] = 1, 0
+    monkeypatch.setattr(polar, "symplectic_generators", lambda space: [tuple(swap)])
     with pytest.raises(CatalogMismatch, match="off the catalog"):
-        W32.lift_to_generators([tuple(swap)])
+        PolarSpace(2, 2).transvection_lift
 
 
 # -- repartition of the grid triple
