@@ -103,7 +103,8 @@ class PolarSpace:
     """W_{2N-1}(d) with its canonical alternating form and catalogs.
 
     Immutable after construction; the generator catalog is built lazily on
-    first use.  Only prime orders are supported in this version.
+    first use.  d is a supported prime and n at least 1, each an int or a
+    numpy integer, held as an int; a bool or other type raises `TypeError`.
     """
 
     def __init__(self, d: int, n: int):
@@ -285,15 +286,14 @@ class PolarSpace:
         point x, whose product u_x sends 0 to x.  The orbit must be every
         generator.  Second, the orbit of j* under the Schreier generators
         u_x·s_k·u_y⁻¹, y = s_k(x), of the stabilizer of 0, each composed
-        once into a permutation.  They are drawn x in orbit order and k in
-        order, skipping the tree edges (word[y] is word[x] then k), and
-        after each draw the orbit of j* is recomputed, until it holds every
-        generator disjoint from 0.  Then a disjoint pair (a, b) is the image
-        of (0, j*) under h·g (h first), for g sending 0 to a and h in the
-        stabilizer sending j* to g⁻¹(b).  The stabilizer keeps disjointness
-        from 0, so an image that meets 0, or Schreier generators that run
-        out first, mean that the transvections do not generate the group:
-        `CatalogMismatch`."""
+        once into a permutation.  Drawn x in orbit order and k in order,
+        skipping the tree edges (word[y] is word[x] then k), they are added
+        until the orbit of j* holds every generator disjoint from 0.  Then a
+        disjoint pair (a, b) is the image of (0, j*) under h·g (h first),
+        for g sending 0 to a and h in the stabilizer sending j* to g⁻¹(b).
+        The stabilizer keeps disjointness from 0, so an image that meets 0,
+        or Schreier generators that run out first, mean that the
+        transvections do not generate the group: `CatalogMismatch`."""
         perms = self.transvection_lift
         word: dict[int, tuple[int, ...]] = {0: ()}
         queue = [0]
