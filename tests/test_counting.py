@@ -98,8 +98,8 @@ def test_conjecture_counts_refuses_a_d_or_n_that_is_no_integer(d, n):
 
 @pytest.mark.parametrize("d,n", [(13, 64), (2, 40), (3, 2)])
 def test_conjecture_counts_reads_numpy_integers_as_ints(d, n):
-    # numpy integers would overflow d**n at (13, 64) and make the binomial
-    # walk at (2, 40) crawl through numpy scalars.
+    # Kept as numpy integers, these overflow int64: (13, 64) reported a
+    # negative spread size, and (2, 40) did not return within 20 s.
     report = counting.conjecture_counts(np.int64(d), np.int64(n))
     assert report == counting.conjecture_counts(d, n)
     assert all(type(getattr(report, f)) is int for f in ("d", "n", "spread_size", "rhs"))
