@@ -190,6 +190,57 @@ def test_catalog_is_pinned(d, n):
     assert h.hexdigest() == CATALOG_DIGESTS[(d, n)]
 
 
+def _catalog_digest(space):
+    h = hashlib.sha256()
+    for g in space.generators:
+        h.update(f"{g.gen_index}|{g.basis}|{g.point_mask}\n".encode())
+    return h.hexdigest()
+
+
+# The same digest at the two largest catalogs under GENERATOR_LIMIT, without
+# the per-generator checks, which would take most of a minute there.
+LARGE_CATALOG_DIGESTS = {
+    (5, 3): "f621e38c332774689974c34f6aac24f8658f9f8f4135c363a02a7baa00c0fee0",
+    (2, 5): "310e4a108cc861b4b9d46916d41eed3554dd5cf2bb06b4a68d340c739317aa48",
+}
+
+
+@pytest.mark.parametrize("d,n", sorted(LARGE_CATALOG_DIGESTS))
+def test_large_catalog_digest_is_pinned(d, n):
+    space = PolarSpace(d, n)
+    assert space.num_generators == polar.generator_count(d, n)
+    assert _catalog_digest(space) == LARGE_CATALOG_DIGESTS[(d, n)]
+
+
+def test_catalog_refuses_a_count_off_the_closed_form(monkeypatch):
+    count = polar.generator_count
+    monkeypatch.setattr(polar, "generator_count", lambda d, n: count(d, n) + 1)
+    with pytest.raises(CatalogMismatch, match=r"W_3\(2\) gave 15 generators, expected 16"):
+        PolarSpace(2, 2).generators
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_catalog_from_a_flipped_perp_bit_is_refused_or_unchanged(d):
+    # Flip bit j of perp[i] and bit i of perp[j], one pair at a time, in a
+    # fresh space: its catalog either fails one of the search's own checks or
+    # is the true catalog, never a silently different one.
+    pinned = _catalog_digest(PolarSpace(d, 2))
+    perp = PolarSpace(d, 2).perp_masks
+    refused = 0
+    for i, j in itertools.combinations_with_replacement(range(len(perp)), 2):
+        flipped = list(perp)
+        flipped[i] ^= 1 << j
+        if j != i:
+            flipped[j] ^= 1 << i
+        space = PolarSpace(d, 2)
+        space._perp_masks = tuple(flipped)
+        try:
+            assert _catalog_digest(space) == pinned, (i, j)
+        except CatalogMismatch:
+            refused += 1
+    assert refused > 0
+
+
 # The catalog search keeps x as the next greedy basis point after a prefix
 # with span S exactly when x is 0 at the leading coordinate of every basis
 # point.  These tests check that rule against spans grown from line masks.
