@@ -12,8 +12,10 @@ of the generator outside the span S of those before it.  A point x outside
 S is the least point of span(S, x) outside S exactly when x is 0 at the
 leading coordinate of every point of the basis, and such an x is never in
 S.  The points that are 0 at coordinate c are the perp of the unit point
-e_{c xor 1}, so the search needs only AND-ed perp masks, and the last point
-closes the generator as its own perp.  The leads of a greedy basis are
+e_{c xor 1}, so the search needs only AND-ed perp masks: the points that may
+follow x are one mask succ[x], a node's candidates are the AND of succ over
+its basis, and a node with none is never entered.  The last point closes the
+generator as its own perp.  The leads of a greedy basis are
 distinct, so they are the pivots of the generator's rref basis.  The rref
 row at x's lead is the one point of the generator that is 0 at every other
 lead, since projection onto the leads is injective on the generator: its
@@ -310,7 +312,7 @@ class PolarSpace:
         forward = np.array(perms)
         backward = np.argsort(forward, axis=1)
         partners = self.disjoint_adjacency[0]
-        target = bin(partners).count("1")
+        target = partners.bit_count()
         j = (partners & -partners).bit_length() - 1
         reached, drawn = {j}, []
         for x in queue:
@@ -348,13 +350,17 @@ class PolarSpace:
         unit = self.index_of[self.weights]
         vanish_at = [perp[unit[c ^ 1]] for c in range(self.dim)]
         vanish = [vanish_at[v.index(1)] for v in self.points]
-        found: list[tuple[Matrix, int]] = []
+        # succ[x] holds the points that may follow x in a greedy basis: after
+        # x, in its perp, and 0 at its lead.  A node's candidates `cand` are
+        # the AND of succ over its basis, so a child's are cand & succ[x], and
+        # a child below depth n is entered only when that mask is nonzero.
+        succ = [perp[x] & vanish[x] & -(2 << x) for x in range(self.num_points)]
+        found: list = []
 
-        def grow(basis: list[int], allowed: int, common: int) -> None:
+        def grow(basis: list[int], cand: int, common: int) -> None:
             # x outside the span S of basis is least in span(S, x) outside S
-            # exactly when x is 0 at every leading coordinate of basis, that
-            # is, in `allowed`.  With x after basis[-1], each generator is
-            # reached once, by its greedy basis.
+            # exactly when x is 0 at every leading coordinate of basis, so
+            # each generator is reached once, by its greedy basis.
             if len(basis) == n:
                 # A generator is its own perp, so `common` is its point set.
                 # Its rref row at x's lead is its one point that is 0 at
@@ -369,17 +375,20 @@ class PolarSpace:
                         raise CatalogMismatch(f"no single rref row at point {x}")
                     rows.append(row.bit_length() - 1)
                 rows.sort(reverse=True)
-                found.append((tuple(self.points[r] for r in rows), common))
+                found.append((tuple(rows), common))
                 return
-            cand = common & allowed & -(2 << basis[-1])
+            leaf = len(basis) + 1 == n
             while cand:
                 low = cand & -cand
                 cand ^= low
                 x = low.bit_length() - 1
-                grow(basis + [x], allowed & vanish[x], common & perp[x])
+                below = cand & succ[x]
+                if below or leaf:
+                    grow(basis + [x], below, common & perp[x])
 
         for p in range(self.num_points):
-            grow([p], vanish[p], perp[p])
+            if succ[p] or n == 1:
+                grow([p], succ[p], perp[p])
         # grow calls itself through its closure; break that cycle so that
         # `found` is freed on return, not at the next full collection.
         del grow
@@ -387,12 +396,20 @@ class PolarSpace:
             raise CatalogMismatch(
                 f"W_{2*n-1}({d}) gave {len(found)} generators, expected {expected}"
             )
+        # Point index order is lexicographic vector order, so the row indices
+        # sort as the rref bases do.  Each entry becomes its Generator in place.
         found.sort()
         per_gen = (d**n - 1) // (d - 1)
-        for basis, mask in found:
-            if bin(mask).count("1") != per_gen:
+        points = self.points
+        for i, (rows, mask) in enumerate(found):
+            # A tuple built from a list takes the slot of the row tuple freed
+            # just before; one built from a generator would leave the row
+            # tuples on the interpreter's tuple free list.
+            basis = tuple([points[r] for r in rows])
+            if mask.bit_count() != per_gen:
                 raise CatalogMismatch(f"generator {basis} has the wrong point count")
-        return tuple(Generator(i, basis, mask) for i, (basis, mask) in enumerate(found))
+            found[i] = Generator(i, basis, mask)
+        return tuple(found)
 
 
 # --------------------------------------------------------------------------

@@ -459,7 +459,7 @@ def construct_U_set(s: PartialSpread, chi=None) -> USet:
     deep = []
     for m in r_chi:
         meet = chi.point_mask & space.generator(m).point_mask
-        if bin(meet).count("1") == deep_points:
+        if meet.bit_count() == deep_points:
             deep.append((m, meet))
     if space.n == 2:
         if not deep:
@@ -629,7 +629,7 @@ def search_maximal(
                 if len(members) == size:
                     results.append(PartialSpread(space, tuple(members), cover | masks[j]))
                     return True
-            elif len(members) < size <= len(members) + bin(child >> (j + 1)).count("1"):
+            elif len(members) < size <= len(members) + (child >> (j + 1)).bit_count():
                 higher = child >> (j + 1) << (j + 1)
                 skipped = child ^ higher
                 bound = higher
