@@ -355,6 +355,10 @@ class PolarSpace:
         # the AND of succ over its basis, so a child's are cand & succ[x], and
         # a child below depth n is entered only when that mask is nonzero.
         succ = [perp[x] & vanish[x] & -(2 << x) for x in range(self.num_points)]
+        # Leaves read their row indices from one table: an index above 256
+        # is otherwise a new int object in every row that holds it, 3 MB of
+        # peak memory at W_7(3).
+        index = list(range(len(perp)))
         found: list = []
 
         def grow(basis: list[int], cand: int, common: int) -> None:
@@ -373,7 +377,7 @@ class PolarSpace:
                             row &= vanish[y]
                     if row & (row - 1) or not row:
                         raise CatalogMismatch(f"no single rref row at point {x}")
-                    rows.append(row.bit_length() - 1)
+                    rows.append(index[row.bit_length() - 1])
                 rows.sort(reverse=True)
                 found.append((tuple(rows), common))
                 return
@@ -386,9 +390,9 @@ class PolarSpace:
                 if below or leaf:
                     grow(basis + [x], below, common & perp[x])
 
-        for p in range(self.num_points):
-            if succ[p] or n == 1:
-                grow([p], succ[p], perp[p])
+        for p, cand in enumerate(succ):
+            if cand or n == 1:
+                grow([p], cand, perp[p])
         # grow calls itself through its closure; break that cycle so that
         # `found` is freed on return, not at the next full collection.
         del grow
