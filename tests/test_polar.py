@@ -339,11 +339,22 @@ def test_generator_refuses_entries_of_another_catalog():
 
 def test_generator_by_basis_refuses_rows_that_span_no_generator():
     space = PolarSpace(2, 2)
+    # A point, the hyperbolic line (e1, f1) in both orders.
     for basis in (((1, 0, 0, 0),), ((1, 0, 0, 0), (0, 1, 0, 0)), ((0, 1, 0, 0), (1, 0, 0, 0))):
         with pytest.raises(ValueError, match="do not span a generator of W_3"):
             space.generator_by_basis(basis)
+    # An isotropic line of W_5(2) lies in generators but is none.
+    with pytest.raises(ValueError, match="do not span a generator of W_5"):
+        W52.generator_by_basis(((1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)))
     g = space.generators[5]
     assert space.generator_by_basis(g.basis) is g
+
+
+@pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (2, 3), (5, 2), (2, 4)])
+def test_generator_by_basis_finds_every_generator(d, n):
+    space = PolarSpace(d, n)
+    for g in space.generators:
+        assert space.generator_by_basis(g.basis) is g
 
 
 @pytest.mark.parametrize(
@@ -358,6 +369,9 @@ def test_generator_by_basis_refuses_rows_that_span_no_generator():
     ids=["generators", "generator", "num_generators", "generator_by_basis", "disjoint_adjacency"],
 )
 def test_catalog_is_built_once_whichever_read_comes_first(monkeypatch, first):
+    # Read the reference before the patch, so that `built` counts only the
+    # fresh space's builds, whatever tests ran before.
+    reference = W32.generators, W32.disjoint_adjacency
     built = []
     enumerate_generators = PolarSpace._enumerate_generators
 
@@ -372,9 +386,9 @@ def test_catalog_is_built_once_whichever_read_comes_first(monkeypatch, first):
     gens = space.generators
     assert space.generator(3) is gens[3] and space.num_generators == 15
     assert space.generator_by_basis(gens[9].basis) is gens[9]
-    assert space.disjoint_adjacency == W32.disjoint_adjacency
+    assert space.disjoint_adjacency == reference[1]
     assert built == [space]
-    assert gens == W32.generators
+    assert gens == reference[0]
 
 
 def test_generator_order_is_lexicographic():
