@@ -24,8 +24,8 @@ import math
 import sys
 import time
 
-from . import __version__, algebra, counting, mub, pauli, spread
-from .errors import PolarMubError, ScaleExceeded
+from . import __version__, counting, mub, pauli, spread
+from .errors import GeneratorInSpread, PolarMubError, ScaleExceeded
 from .polar import PolarSpace, symplectic_group_order
 from .spread import PartialSpread
 
@@ -111,7 +111,7 @@ def _parse_spread(data: bytes, fmt: str) -> tuple[int, int, list]:
             ]
         else:
             raise UsageError(f"unknown format {fmt!r}")
-    except (ValueError, KeyError, TypeError, IndexError) as exc:
+    except (ValueError, KeyError, TypeError, IndexError, RecursionError) as exc:
         raise UsageError(f"not a {fmt} spread file with d, n and generators: {exc!r}") from None
     return d, n, bases
 
@@ -123,9 +123,8 @@ def deserialize_spread(data: bytes, fmt: str = "json") -> PartialSpread:
         raise UsageError(f"generator entries must be residues in [0, {d})")
     members = []
     for b in bases:
-        canonical = algebra.rref(b, space.field)
         try:
-            members.append(space.generator_by_basis(canonical).gen_index)
+            members.append(space.generator_by_basis(b).gen_index)
         except ValueError:
             raise UsageError(
                 f"rows {b} do not span a generator of W_{2*space.n-1}({space.d})"
@@ -163,9 +162,11 @@ def _construct_spread(
     if method == "tu":
         u = u_index
         if u is None:
-            u = next(
-                g.gen_index for g in space.generators if g.gen_index not in s.members
-            )
+            u = next((g.gen_index for g in space.generators if g.gen_index not in s.members), None)
+            if u is None:
+                raise GeneratorInSpread(
+                    f"every generator of W_{space.dim - 1}({space.d}) lies in its regular spread"
+                )
         final, cert = spread.complete_TU(spread.construct_TU(s, u))
         return final, {"u_index": u}
     if method == "sr":

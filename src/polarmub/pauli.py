@@ -145,10 +145,9 @@ def class_from_generator(g: Generator, space: PolarSpace) -> CommutingClass:
 
 def generator_from_class(c: CommutingClass, space: PolarSpace) -> Generator:
     """The generator whose nonzero vectors are the symplectic images of a
-    class.  The images must be d^N - 1 distinct nonzero vectors whose points
-    make up one generator's point mask; that generator has exactly d^N - 1
-    nonzero vectors, each on one of those points, so the images are all of
-    them."""
+    class.  The images must be d^N - 1 distinct nonzero vectors that span a
+    generator; that generator has exactly d^N - 1 nonzero vectors, so the
+    images are all of them."""
     d, n = space.d, space.n
     if c.d != d or any(op.d != d or len(op.a) != n for op in c.ops):
         raise DimensionMismatch(f"class operators do not act on W_{space.dim - 1}({d})")
@@ -157,10 +156,7 @@ def generator_from_class(c: CommutingClass, space: PolarSpace) -> Generator:
         raise NotAClass("the identity, whose image is zero, is no class member")
     if len(set(images)) != d**n - 1:
         raise NotAClass("class must hold one operator per nonzero vector")
-    mask = 0
-    for p in space.index_of[np.array(images) @ space.weights].tolist():
-        mask |= 1 << p
     try:
-        return space.generator_by_mask(mask)
+        return space.generator_by_basis(images)
     except ValueError:
         raise NotAClass("images are not the nonzero vectors of a generator") from None

@@ -34,15 +34,17 @@ vector and `orbit`, that the group is transitive on ordered pairs of
 disjoint generators.
 
 The catalog is built once per space, by whichever read comes first, and
-the basis lookup of `generator_by_basis` and the point-mask lookup of
-`generator_by_mask` are derived from it.  Every module reads a caller's
-generator reference through `generator(ref)`: an int or numpy integer
-index in range, or a `Generator` equal to this catalog's entry at its
-index.  A bool or other non-integer raises
+its one index, by point mask, is derived from it.  `generator_by_basis`
+turns any rows that span a generator into it from the incidence layer
+alone: a generator is its own perp, so its point mask is the AND of the
+perp masks of the points on the rows, looked up in that index.  Every
+module reads a caller's generator reference through `generator(ref)`: an
+int or numpy integer index in range, or a `Generator` equal to this
+catalog's entry at its index.  A bool or other non-integer raises
 `TypeError`, an index outside the catalog `ValueError`, a `Generator` of
 another catalog `DimensionMismatch`; `generator_by_basis` raises
-`ValueError` for rows that are no generator's rref basis, and
-`generator_by_mask` for a mask that is no generator's points.
+`ValueError` for rows that span no generator and `DimensionMismatch` for
+a row of the wrong length.
 """
 
 from __future__ import annotations
@@ -137,9 +139,6 @@ class PolarSpace:
             self.index_of[a * self.coords % d @ self.weights] = np.arange(len(self.points))
         if np.count_nonzero(self.index_of < 0) != 1:
             raise CatalogMismatch(f"W_{2*n-1}({d}) points miss some vectors")
-        self._generators: tuple[Generator, ...] | None = None
-        self._perp_masks: tuple[int, ...] | None = None
-        self._disjoint_adj: list[int] | None = None
 
     def __repr__(self):
         return f"PolarSpace(d={self.d}, n={self.n})"
@@ -175,44 +174,38 @@ class PolarSpace:
 
     # -- incidence
 
-    @property
+    @functools.cached_property
     def perp_masks(self) -> tuple[int, ...]:
         """Bit j of entry i is set iff F(point i, point j) = 0."""
-        if self._perp_masks is None:
-            JPt = np.array(self.form, dtype=np.int64) @ self.coords.T
-            bits = (np.packbits(p @ JPt % self.d == 0, bitorder="little") for p in self.coords)
-            self._perp_masks = tuple(int.from_bytes(b, "little") for b in bits)
-        return self._perp_masks
+        JPt = np.array(self.form, dtype=np.int64) @ self.coords.T
+        bits = (np.packbits(p @ JPt % self.d == 0, bitorder="little") for p in self.coords)
+        return tuple(int.from_bytes(b, "little") for b in bits)
 
-    @property
+    @functools.cached_property
     def disjoint_adjacency(self) -> list[int]:
         """Bit j of entry i is set iff generators i and j share no point."""
-        if self._disjoint_adj is None:
-            gen_points = [self.point_indices(g.point_mask) for g in self.generators]
-            # through[p] is the mask of the generators on point p, set bit by
-            # bit in a bytearray and converted once.
-            rows = [bytearray((len(gen_points) + 7) // 8) for _ in range(self.num_points)]
-            for i, pts in enumerate(gen_points):
-                for p in pts:
-                    rows[p][i >> 3] |= 1 << (i & 7)
-            through = [int.from_bytes(row, "little") for row in rows]
-            full = (1 << len(gen_points)) - 1
-            adj = []
-            for pts in gen_points:
-                meets = 0
-                for p in pts:
-                    meets |= through[p]
-                adj.append(full & ~meets)
-            self._disjoint_adj = adj
-        return self._disjoint_adj
+        gen_points = [self.point_indices(g.point_mask) for g in self.generators]
+        # through[p] is the mask of the generators on point p, set bit by
+        # bit in a bytearray and converted once.
+        rows = [bytearray((len(gen_points) + 7) // 8) for _ in range(self.num_points)]
+        for i, pts in enumerate(gen_points):
+            for p in pts:
+                rows[p][i >> 3] |= 1 << (i & 7)
+        through = [int.from_bytes(row, "little") for row in rows]
+        full = (1 << len(gen_points)) - 1
+        adj = []
+        for pts in gen_points:
+            meets = 0
+            for p in pts:
+                meets |= through[p]
+            adj.append(full & ~meets)
+        return adj
 
     # -- generators
 
-    @property
+    @functools.cached_property
     def generators(self) -> tuple[Generator, ...]:
-        if self._generators is None:
-            self._generators = self._enumerate_generators()
-        return self._generators
+        return self._enumerate_generators()
 
     @property
     def num_generators(self) -> int:
@@ -238,22 +231,29 @@ class PolarSpace:
             raise ValueError(f"generator index {ref} outside [0, {len(gens)})")
         return gens[ref]
 
-    def generator_by_basis(self, basis: Matrix) -> Generator:
-        """The generator with this rref basis; `ValueError` if there is none."""
-        index = self._gen_lookup.get(basis)
-        if index is None:
-            raise ValueError(f"rows {basis} do not span a generator of W_{self.dim - 1}({self.d})")
-        return self.generators[index]
+    def generator_by_basis(self, vectors: Matrix) -> Generator:
+        """The generator that the rows span, from any spanning rows, not only
+        its rref basis; `ValueError` if they span none, and
+        `DimensionMismatch` for a row whose length is not 2N.
 
-    @functools.cached_property
-    def _gen_lookup(self) -> dict[Matrix, int]:
-        return {g.basis: g.gen_index for g in self.generators}
-
-    def generator_by_mask(self, mask: int) -> Generator:
-        """The generator with this point mask; `ValueError` if there is none."""
+        The AND of the perp masks of the points on the nonzero rows is the
+        point set of span⊥.  A generator L is its own perp, so that set is
+        L's exactly when span⊥ = L, that is span = L⊥ = L; the set of any
+        other span is no generator's."""
+        d, perp = self.d, self.perp_masks
+        mask = (1 << self.num_points) - 1
+        for row in vectors:
+            if len(row) != self.dim:
+                raise DimensionMismatch(f"rows must have length {self.dim}, got {row}")
+            code = 0
+            for x in row:
+                code = code * d + x % d
+            point = self.index_of[code]
+            if point >= 0:
+                mask &= perp[point]
         index = self._gen_by_mask.get(mask)
         if index is None:
-            raise ValueError(f"points {mask:#x} are no generator of W_{self.dim - 1}({self.d})")
+            raise ValueError(f"rows {vectors} do not span a generator of W_{self.dim - 1}({d})")
         return self.generators[index]
 
     @functools.cached_property

@@ -224,7 +224,7 @@ def construct_symplectic_spread(space: PolarSpace) -> PartialSpread:
     members = []
     for left, right in blocks:
         rows = tuple(coordinates(a + b) for a, b in zip(left, right))
-        members.append(space.generator_by_basis(algebra.rref(rows, spec)).gen_index)
+        members.append(space.generator_by_basis(rows).gen_index)
     ps = partial_spread(space, members)
     if not ps.is_spread:
         raise NotASpread(f"field reduction gave {ps.size} members, not a spread")

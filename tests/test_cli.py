@@ -725,6 +725,69 @@ def test_spread_file_rows_that_span_no_generator_are_refused(tmp_path, capsys):
     )
 
 
+def test_spread_file_rows_of_the_wrong_length_are_refused(tmp_path, capsys):
+    path = tmp_path / "short.json"
+    path.write_text('{"d": 2, "n": 2, "generators": [[[1, 0, 0], [0, 0, 1]]]}')
+    argv = ["verify", "--d", "2", "--n", "2", "--check", "complete", "--in", str(path)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: DimensionMismatch: rows must have length 4, got (1, 0, 0)\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["verify", "--check", "complete", "--in"], ["mub", "--from-file"]],
+    ids=["verify-in", "mub-from-file"],
+)
+def test_spread_file_nested_past_the_recursion_limit_is_refused(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 2000)
+    argv = command[:1] + ["--d", "2", "--n", "2"] + command[1:] + [str(path)]
+    assert_usage_error(capsys, argv, "RecursionError")
+
+
+# Every subcommand, construction method and check at rank 1, where every
+# generator lies in the regular spread.
+RANK_ONE_ARGS = [
+    *(["construct", "--method", m] for m in ("classical", "tu", "sr", "uset")),
+    ["mub"],
+    *(["mub", "--from-spread", m] for m in ("classical", "tu", "sr", "uset")),
+    *(["verify", "--check", c] for c in ("complete", "regularity", "class-roundtrip")),
+    ["search", "--mode", "exhaustive"],
+    ["search", "--mode", "first-of-size", "--size", "2"],
+    ["conjecture"],
+    ["conjecture", "--brute-force"],
+    ["classify"],
+]
+
+
+@pytest.mark.parametrize("args", RANK_ONE_ARGS, ids=lambda a: "_".join(a).replace("--", ""))
+@pytest.mark.parametrize("d", ["2", "3", "13"])
+def test_every_command_at_rank_one_answers_or_refuses_in_one_line(capsys, d, args):
+    code = run(args[:1] + ["--d", d, "--n", "1"] + args[1:])
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in captured.err
+    if code == 1:
+        assert captured.out == "" and captured.err.count("\n") == 1
+    else:
+        json.loads(captured.out)
+
+
+def test_tu_at_rank_one_is_refused(capsys):
+    for argv in (
+        ["construct", "--d", "2", "--n", "1", "--method", "tu"],
+        ["mub", "--d", "3", "--n", "1", "--from-spread", "tu"],
+    ):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: GeneratorInSpread: every generator of W_1({argv[2]}) "
+            "lies in its regular spread\n"
+        )
+
+
 @pytest.mark.parametrize("value", ["-1", "999"])
 @pytest.mark.parametrize(
     "flag,method",

@@ -233,7 +233,7 @@ def test_catalog_from_a_flipped_perp_bit_is_refused_or_unchanged(d):
         if j != i:
             flipped[j] ^= 1 << i
         space = PolarSpace(d, 2)
-        space._perp_masks = tuple(flipped)
+        vars(space)["perp_masks"] = tuple(flipped)
         try:
             assert _catalog_digest(space) == pinned, (i, j)
         except CatalogMismatch:
@@ -346,15 +346,38 @@ def test_generator_by_basis_refuses_rows_that_span_no_generator():
     # An isotropic line of W_5(2) lies in generators but is none.
     with pytest.raises(ValueError, match="do not span a generator of W_5"):
         W52.generator_by_basis(((1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)))
+    # No rows, and rows that span the whole space.
+    for rows in ((), tuple(tuple(r) for r in np.eye(4, dtype=int).tolist())):
+        with pytest.raises(ValueError, match="do not span a generator of W_3"):
+            space.generator_by_basis(rows)
     g = space.generators[5]
     assert space.generator_by_basis(g.basis) is g
+    for rows in (((1, 0, 0),), g.basis + ((1, 0, 0, 0, 0),)):
+        with pytest.raises(DimensionMismatch, match="length 4"):
+            space.generator_by_basis(rows)
 
 
 @pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (2, 3), (5, 2), (2, 4)])
 def test_generator_by_basis_finds_every_generator(d, n):
     space = PolarSpace(d, n)
+    rng = random.Random(d * 100 + n)
     for g in space.generators:
         assert space.generator_by_basis(g.basis) is g
+        # Rows permuted and scaled, with a zero row, a repeated row and a
+        # sum of rows: any spanning set finds the generator.
+        scales = [rng.randrange(1, d) for _ in g.basis]
+        rows = [tuple(c * x % d for x in row) for c, row in zip(scales, g.basis)]
+        total = tuple(sum(col) % d for col in zip(*g.basis))
+        rows += [(0,) * space.dim, rows[0], total]
+        rng.shuffle(rows)
+        assert space.generator_by_basis(rows) is g
+        vectors = [
+            tuple(c * x % d for x in space.points[p])
+            for p in space.point_indices(g.point_mask)
+            for c in range(1, d)
+        ]
+        assert len(vectors) == d**n - 1
+        assert space.generator_by_basis(vectors) is g
 
 
 @pytest.mark.parametrize(
@@ -628,7 +651,7 @@ def point_transvection(space, v):
 def test_symplectic_generators_are_the_fixed_transvections(d, n):
     space = PolarSpace(d, n)
     perms = polar.symplectic_generators(space)
-    assert space._generators is None
+    assert "generators" not in vars(space)
     assert perms == [point_transvection(space, v) for v in fixed_vectors(space)]
     assert len(perms) == 4 * n - 1
 
@@ -651,7 +674,7 @@ def test_symplectic_group_order_is_the_closed_form(d, n):
 def test_symplectic_group_order_builds_no_catalog(d, n):
     space = PolarSpace(d, n)
     assert polar.symplectic_group_order(space) == closed_form_psp_order(d, n)
-    assert space._generators is None
+    assert "generators" not in vars(space)
 
 
 @pytest.mark.parametrize("d,n", [(3, 2), (2, 3)])
