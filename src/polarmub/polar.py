@@ -248,7 +248,9 @@ class PolarSpace:
             code = 0
             for x in row:
                 code = code * d + x % d
-            point = self.index_of[code]
+            # item() gives an int: a numpy scalar here would bring numpy's
+            # scalar arithmetic into every path, about 0.1 MB of peak RSS.
+            point = self.index_of.item(code)
             if point >= 0:
                 mask &= perp[point]
         index = self._gen_by_mask.get(mask)
