@@ -347,9 +347,18 @@ def test_generator_by_basis_refuses_rows_that_span_no_generator():
     with pytest.raises(ValueError, match="do not span a generator of W_5"):
         W52.generator_by_basis(((1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)))
     # No rows, and rows that span the whole space.
-    for rows in ((), tuple(tuple(r) for r in np.eye(4, dtype=int).tolist())):
+    for rows in ((), space.points):
         with pytest.raises(ValueError, match="do not span a generator of W_3"):
             space.generator_by_basis(rows)
+    # Every line through two points: a generator exactly when isotropic.
+    for i, j in itertools.combinations(range(space.num_points), 2):
+        rows = (space.points[i], space.points[j])
+        if space.symp_form(*rows):
+            with pytest.raises(ValueError, match="do not span a generator of W_3"):
+                space.generator_by_basis(rows)
+        else:
+            mask = space.generator_by_basis(rows).point_mask
+            assert mask >> i & 1 and mask >> j & 1
     g = space.generators[5]
     assert space.generator_by_basis(g.basis) is g
     for rows in (((1, 0, 0),), g.basis + ((1, 0, 0, 0, 0),)):
