@@ -798,6 +798,59 @@ def test_generator_index_out_of_range(capsys, flag, method, value):
     assert_usage_error(capsys, argv, f"{flag} must lie in [0, 40), got {value}")
 
 
+# The output of each construction flag its method reads, pinned before any
+# unread flag was refused: the exit code, then stdout's sha256, or at exit 1
+# the stderr line.  Run in a directory holding the W_3(2) regular spread as
+# spread.json, since the --from-file path is recorded in the report.
+READ_FLAG_PINS = {
+    "construct --d 3 --n 2 --method tu --u-index 0":
+        (1, "error: GeneratorInSpread: u already belongs to the spread\n"),
+    "construct --d 3 --n 2 --method tu --u-index 7":
+        (0, "793923c98fec4a64e473d339db5355b122aef25df7651c616ae1715548ca7d90"),
+    "construct --d 3 --n 2 --method sr --l-index 0":
+        (0, "ba6bb5522d6fd6188ae3e4d5dec3da45dfbc578c77c41d7f345389b00545386b"),
+    "construct --d 3 --n 2 --method sr --m-index 0":
+        (1, "error: GeneratorInSpread: L and M must be distinct members of the spread\n"),
+    "construct --d 3 --n 2 --method sr --l-index 5 --m-index 8 --k 0":
+        (0, "3d75c5da357e3c7476984080c53f71de1d1bb9f36b37b9e01f3a3d272a252dae"),
+    "construct --d 3 --n 2 --method sr --k 1":
+        (1, "error: BadK: k must lie in [0, 0]\n"),
+    "construct --d 5 --n 2 --method sr --k 1":
+        (0, "7f2244bf67d656a99113eb7042b413e244cb2859ea50abdf400a6279d92b2114"),
+    "construct --d 3 --n 2 --method uset --chi-index 0":
+        (1, "error: NoSuitableChi: carrier must lie outside the spread\n"),
+    "construct --d 3 --n 2 --method uset --chi-index 7":
+        (0, "1c0ebd8631bdd438d223ec8398a94f29b0013b7a98c849de9bf39048f8cab3a7"),
+    "mub --d 2 --n 2 --from-spread sr --k 1":
+        (1, "error: BadK: odd order required\n"),
+    "mub --d 5 --n 2 --from-spread sr --k 1":
+        (0, "5b28acf9a0bf0f504485b2b4b17571f11d115e35ed44b95cf8e4825416f96519"),
+    "mub --d 2 --n 2 --from-file spread.json":
+        (0, "dc2a742b914701ff0554ca7795cd79a5b00cd27624d4a7145048b2901c34ed4a"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(READ_FLAG_PINS))
+def test_read_construction_flags_are_pinned(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    s = spread.construct_symplectic_spread(get_space(2, 2))
+    (tmp_path / "spread.json").write_bytes(serialize_spread(s, "json"))
+    code = run(command.split())
+    captured = capsys.readouterr()
+    if code == 1:
+        assert (code, captured.out) == (1, "")
+        assert (code, captured.err) == READ_FLAG_PINS[command]
+    else:
+        assert (code, hashlib.sha256(captured.out.encode()).hexdigest()) == READ_FLAG_PINS[command]
+
+
+def test_search_first_of_size_needs_a_size(capsys):
+    assert run(["search", "--d", "2", "--n", "2", "--mode", "first-of-size"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --size is required for first-of-size\n"
+
+
 def test_python_m_cli_runs():
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -11,7 +11,7 @@ import pytest
 
 from polarmub import mub, pauli, spread
 from polarmub.algebra import FieldSpec
-from polarmub.errors import DimensionMismatch, NonDiagonalizable, NotAClass
+from polarmub.errors import DimensionMismatch, NonDiagonalizable, NotAClass, ScaleExceeded
 from polarmub.pauli import class_from_generator
 from polarmub.polar import PolarSpace
 
@@ -111,6 +111,14 @@ def test_images_of_the_wrong_rank_are_not_a_class(which):
         ops = c.ops + class_from_generator(far, W33).ops
     with pytest.raises(NotAClass, match="span rank"):
         mub.eigenprojectors(pauli.CommutingClass(3, ops, c.generator_image), W33.field)
+
+
+def test_class_beyond_the_dense_limit_is_refused():
+    # W_3(7): d^N = 49 exceeds pauli.MAX_DENSE_DIM.
+    space = PolarSpace(7, 2)
+    c = class_from_generator(space.generators[0], space)
+    with pytest.raises(ScaleExceeded, match=r"^dense dimension 49 exceeds 32$"):
+        mub.eigenprojectors(c, space.field)
 
 
 def test_self_overlap_is_maximally_biased():

@@ -60,6 +60,11 @@ def test_partial_spread_rejects_meeting_lines():
         spread.partial_spread(W32, [g.gen_index, meeting.gen_index])
 
 
+def test_partial_spread_refuses_a_repeated_member():
+    with pytest.raises(NotDisjoint, match="^repeated member$"):
+        spread.partial_spread(W32, [1, 1])
+
+
 @pytest.mark.parametrize("members", [[1.5, 7.9], [1.0], [True], [0, False], ["3"], [np.float64(2)]])
 def test_partial_spread_refuses_members_that_are_not_integers(members):
     # int() would read 1.5 and 7.9 as members 1 and 7, and True as member 1.
@@ -176,6 +181,9 @@ USET_PINS = {
     (5, 2): "da68686021073c755d062eaf2c957cce04c5aa86e08e89177abb25eeb4dd712e",
     (7, 2): "fb9b51518ef62b8a6da8586fce563a250aa3c7f02e19fc23280b3905eef303c8",
     (2, 3): "2c9915ab5e485ad14ee373599f2aa4c2029584a20c73b07d820cb069923a2e9c",
+    # 510 of the 2278 carriers give a U-set; the others meet no member in
+    # a plane, so NoSuitableChi.
+    (2, 4): "69017fee1f2c48abe2845bb2c5edb46c58a5a81e26743b40002217f62c9bf2ca",
 }
 
 TRACE_GRAM_PINS = {
@@ -230,6 +238,30 @@ def test_uset_outcome_of_every_carrier_is_pinned(d, n):
             outcome = type(exc).__name__
         outcomes.append((g.gen_index, outcome))
     assert _digest(outcomes) == USET_PINS[d, n]
+
+
+def test_uset_carrier_that_meets_no_member_deeply_is_refused():
+    s = spread.construct_symplectic_spread(PolarSpace(2, 4))
+    with pytest.raises(
+        NoSuitableChi, match=r"^carrier meets 0 members in an \(N-2\)-space, need exactly 1$"
+    ):
+        spread.construct_U_set(s, 4)
+
+
+def test_order_two_trades_from_rank_four():
+    # The traded set fails its exact-cover check at W_3(2) and W_5(2), so
+    # there every U-set is the untraded set of members meeting the carrier.
+    for s in (S32, S52):
+        for g in s.space.generators:
+            if g.gen_index not in s.members:
+                u = spread.construct_U_set(s, g)
+                assert list(u.members.members) == spread.members_meeting(s, g)
+    # At W_7(2) the traded set passes.
+    space = PolarSpace(2, 4)
+    s = spread.construct_symplectic_spread(space)
+    u = spread.construct_U_set(s, 1)
+    assert u.members.members == (2, 154, 284, 985, 1287, 1358, 1551, 1573, 1698)
+    assert list(u.members.members) != spread.members_meeting(s, space.generators[1])
 
 
 def test_trace_gram_is_pinned_for_every_accepted_space():
@@ -441,6 +473,11 @@ def test_pair_partner_w35_spot():
         checked += 1
         if checked == 5:
             break
+
+
+def test_pair_partner_refuses_a_member():
+    with pytest.raises(GeneratorInSpread, match="outside the spread"):
+        spread.pair_partner(S33, S33.members[0])
 
 
 def test_pair_partner_fails_in_even_order():
