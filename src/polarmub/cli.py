@@ -12,6 +12,8 @@ call in the process; importing the module builds none.  Each subcommand
 takes the common options from one parent parser.  A command's function is
 looked up by its name when `run` dispatches, not bound into the parser.
 Spaces, and the regular spread of each, are cached for the process too.
+argparse refuses a --method, --check or --mode outside its choices, so each
+command's last branch serves the one value left.
 """
 
 from __future__ import annotations
@@ -148,19 +150,31 @@ def _read_spread(path: str, args) -> PartialSpread:
     return deserialize_spread(data, args.format)
 
 
-def _construct_spread(
-    space, method, k=0, u_index=None, l_index=None, m_index=None, chi_index=None
-) -> tuple[PartialSpread, dict]:
-    for flag, value in (("u", u_index), ("l", l_index), ("m", m_index), ("chi", chi_index)):
-        if value is not None and not 0 <= value < space.num_generators:
-            raise UsageError(
-                f"--{flag}-index must lie in [0, {space.num_generators}), got {value}"
-            )
+# The flags each construction method reads.  Each refuses any other flag
+# given: an index flag set to any value, 0 included, or a nonzero --k.
+METHOD_FLAGS = {
+    "classical": (), "tu": ("u_index",), "sr": ("l_index", "m_index", "k"), "uset": ("chi_index",)
+}
+
+
+def _construct_spread(space, method, args) -> tuple[PartialSpread, dict]:
+    values = vars(args)  # mub's arguments hold --k but no index flags
+    given = {
+        name: values[name]
+        for name in ("u_index", "l_index", "m_index", "chi_index", "k")
+        if values.get(name) is not None and (name != "k" or values[name] != 0)
+    }
+    for name, value in given.items():
+        flag = "--" + name.replace("_", "-")
+        if name not in METHOD_FLAGS[method]:
+            raise UsageError(f"method {method} does not read {flag}")
+        if name != "k" and not 0 <= value < space.num_generators:
+            raise UsageError(f"{flag} must lie in [0, {space.num_generators}), got {value}")
     s = _regular_spread(space)
     if method == "classical":
         return s, {}
     if method == "tu":
-        u = u_index
+        u = given.get("u_index")
         if u is None:
             u = next((g.gen_index for g in space.generators if g.gen_index not in s.members), None)
             if u is None:
@@ -170,33 +184,20 @@ def _construct_spread(
         final, cert = spread.complete_TU(spread.construct_TU(s, u))
         return final, {"u_index": u}
     if method == "sr":
-        l_idx = l_index if l_index is not None else s.members[0]
-        m_idx = m_index if m_index is not None else s.members[1]
-        sr = spread.construct_SR(s, l_idx, m_idx, k)
-        return sr, {"l_index": l_idx, "m_index": m_idx, "k": k}
-    if method == "uset":
-        u = spread.construct_U_set(s, chi_index)
-        final, _ = spread.unextendible_from_Uset(s, u)
-        carrier = space.generator(u.carrier)
-        return final, {
-            "carrier": u.carrier,
-            "uset_members": list(u.members.members),
-            "carrier_meets": len(spread.members_meeting(s, carrier)),
-        }
-    raise UsageError(f"unknown construct method {method!r}")
+        picks = {"l_index": s.members[0], "m_index": s.members[1], "k": 0} | given
+        return spread.construct_SR(s, picks["l_index"], picks["m_index"], picks["k"]), picks
+    u = spread.construct_U_set(s, given.get("chi_index"))
+    final, _ = spread.unextendible_from_Uset(s, u)
+    return final, {
+        "carrier": u.carrier,
+        "uset_members": list(u.members.members),
+        "carrier_meets": len(spread.members_meeting(s, space.generator(u.carrier))),
+    }
 
 
 def cmd_construct(args) -> tuple[dict, bool]:
     space = get_space(args.d, args.n)
-    ps, extra = _construct_spread(
-        space,
-        args.method,
-        k=args.k,
-        u_index=args.u_index,
-        l_index=args.l_index,
-        m_index=args.m_index,
-        chi_index=args.chi_index,
-    )
+    ps, extra = _construct_spread(space, args.method, args)
     cert = spread.is_complete(ps)
     payload = {
         "method": args.method,
@@ -230,18 +231,16 @@ def cmd_verify(args) -> tuple[dict, bool]:
         s = _regular_spread(space)
         ok = spread.check_regularity(s)
         return {"check": "regularity", "size": s.size, "regular": ok}, ok
-    if args.check == "class-roundtrip":
-        failures = 0
-        for g in space.generators:
-            c = pauli.class_from_generator(g, space)
-            if pauli.generator_from_class(c, space).gen_index != g.gen_index:
-                failures += 1
-        return {
-            "check": "class-roundtrip",
-            "generators": space.num_generators,
-            "failures": failures,
-        }, failures == 0
-    raise UsageError(f"unknown verify check {args.check!r}")
+    failures = 0
+    for g in space.generators:
+        c = pauli.class_from_generator(g, space)
+        if pauli.generator_from_class(c, space).gen_index != g.gen_index:
+            failures += 1
+    return {
+        "check": "class-roundtrip",
+        "generators": space.num_generators,
+        "failures": failures,
+    }, failures == 0
 
 
 def cmd_search(args) -> tuple[dict, bool]:
@@ -258,20 +257,18 @@ def cmd_search(args) -> tuple[dict, bool]:
             "complete_partial_spreads": len(found),
             "count_by_size": {str(k): v for k, v in sorted(sizes.items())},
         }, True
-    if args.mode == "first-of-size":
-        if args.size is None:
-            raise UsageError("--size is required for first-of-size")
-        if args.size < 1:
-            raise UsageError(f"--size must be at least 1, got {args.size}")
-        found = spread.search_maximal(space, "first_of_size", size=args.size)
-        payload = {
-            "mode": "first-of-size",
-            "size": args.size,
-            "found": bool(found),
-            "members": list(found[0].members) if found else None,
-        }
-        return payload, bool(found)
-    raise UsageError(f"unknown search mode {args.mode!r}")
+    if args.size is None:
+        raise UsageError("--size is required for first-of-size")
+    if args.size < 1:
+        raise UsageError(f"--size must be at least 1, got {args.size}")
+    found = spread.search_maximal(space, "first_of_size", size=args.size)
+    payload = {
+        "mode": "first-of-size",
+        "size": args.size,
+        "found": bool(found),
+        "members": list(found[0].members) if found else None,
+    }
+    return payload, bool(found)
 
 
 def cmd_conjecture(args) -> tuple[dict, bool]:
@@ -311,9 +308,11 @@ def cmd_mub(args) -> tuple[dict, bool]:
     if space.d**space.n > pauli.MAX_DENSE_DIM:
         raise ScaleExceeded(f"dense dimension {space.d**space.n} exceeds {pauli.MAX_DENSE_DIM}")
     if args.from_file is not None:
+        if args.from_spread is not None or args.k:
+            raise UsageError("--from-file takes neither --from-spread nor --k")
         ps = _read_spread(args.from_file, args)
     else:
-        ps, _ = _construct_spread(space, args.from_spread or "classical", k=args.k)
+        ps, _ = _construct_spread(space, args.from_spread or "classical", args)
     cert = mub.certify_weak_umub(ps, tolerance=args.tolerance)
     payload = {
         **dataclasses.asdict(cert),

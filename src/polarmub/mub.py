@@ -22,9 +22,8 @@ import numpy as np
 
 from . import algebra
 from . import spread as spread_mod
-from .errors import DimensionMismatch, NonDiagonalizable, NotAClass, ScaleExceeded
+from .errors import DimensionMismatch, NonDiagonalizable, NotAClass
 from .pauli import (
-    MAX_DENSE_DIM,
     CommutingClass,
     _read_only,
     _roots,
@@ -82,8 +81,6 @@ def eigenprojectors(c: CommutingClass, spec) -> Eigenbasis:
         raise DimensionMismatch("field order does not match the class")
     n = c.ops[0].num_systems
     dim = d**n
-    if dim > MAX_DENSE_DIM:
-        raise ScaleExceeded(f"dense dimension {dim} exceeds {MAX_DENSE_DIM}")
     by_image = {op.symplectic_image(): op for op in c.ops}
     basis = algebra.rref(tuple(by_image), spec)
     if len(basis) != n:

@@ -431,11 +431,11 @@ def construct_U_set(s: PartialSpread, chi=None) -> USet:
     point mask contains its points, d + 1 of them in catalog order, a count
     that is checked.  The no-repartition property is then verified by
     exhaustive exact-cover search, not assumed.  When the traded set fails
-    that verification (which provably happens for every carrier in order 2,
-    where the trade argument needs d >= 3), the untraded member set itself
-    is tested for the same property and returned when it passes; either
-    way the returned members satisfy every U-set requirement by machine
-    check.
+    that verification (as it does for every carrier at W_3(2) and W_5(2),
+    though at W_7(2) every carrier that meets exactly one member in an
+    (N-2)-space returns the traded set), the untraded member set itself is
+    tested for the same property and returned when it passes; either way
+    the returned members satisfy every U-set requirement by machine check.
     """
     space = s.space
     if chi is None:

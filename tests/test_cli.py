@@ -844,6 +844,66 @@ def test_read_construction_flags_are_pinned(tmp_path, monkeypatch, capsys, comma
         assert (code, hashlib.sha256(captured.out.encode()).hexdigest()) == READ_FLAG_PINS[command]
 
 
+# The one construction method that reads each flag; every other method
+# refuses it when given, an index flag even at 0, --k when nonzero.
+FLAG_READERS = {
+    "--u-index": "tu", "--l-index": "sr", "--m-index": "sr", "--k": "sr", "--chi-index": "uset"
+}
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_READERS))
+@pytest.mark.parametrize("method", ["classical", "tu", "sr", "uset"])
+def test_construct_refuses_each_flag_its_method_does_not_read(capsys, method, flag):
+    command = f"construct --d 3 --n 2 --method {method} {flag} {1 if flag == '--k' else 0}"
+    if FLAG_READERS[flag] == method:
+        assert command in READ_FLAG_PINS
+        return
+    assert run(command.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: method {method} does not read {flag}\n"
+
+
+@pytest.mark.parametrize("method", [None, "classical", "tu", "sr", "uset"])
+def test_mub_reads_k_only_for_sr(capsys, method):
+    command = "mub --d 2 --n 2" + (f" --from-spread {method}" if method else "") + " --k 1"
+    if method == "sr":
+        assert command in READ_FLAG_PINS
+        return
+    assert run(command.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: method {method or 'classical'} does not read --k\n"
+
+
+@pytest.mark.parametrize(
+    "extra", [["--from-spread", m] for m in ("classical", "tu", "sr", "uset")] + [["--k", "1"]]
+)
+def test_mub_from_file_refuses_from_spread_and_k(tmp_path, capsys, extra):
+    path = tmp_path / "spread.json"
+    path.write_bytes(serialize_spread(spread.construct_symplectic_spread(get_space(2, 2))))
+    assert run(["mub", "--d", "2", "--n", "2", "--from-file", str(path), *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --from-file takes neither --from-spread nor --k\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [f"construct --d 3 --n 2 --method {m}" for m in ("classical", "tu", "sr", "uset")]
+    + ["mub --d 2 --n 2", "mub --d 2 --n 2 --from-file spread.json"],
+)
+def test_explicit_k_0_is_the_default(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    s = spread.construct_symplectic_spread(get_space(2, 2))
+    (tmp_path / "spread.json").write_bytes(serialize_spread(s, "json"))
+    outs = []
+    for argv in (command, command + " --k 0"):
+        assert run(argv.split()) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def test_search_first_of_size_needs_a_size(capsys):
     assert run(["search", "--d", "2", "--n", "2", "--mode", "first-of-size"]) == 1
     captured = capsys.readouterr()

@@ -114,11 +114,12 @@ def test_images_of_the_wrong_rank_are_not_a_class(which):
 
 
 def test_class_beyond_the_dense_limit_is_refused():
-    # W_3(7): d^N = 49 exceeds pauli.MAX_DENSE_DIM.
+    # W_3(7): d^N = 49 exceeds pauli.MAX_DENSE_DIM, the one dense guard.
     space = PolarSpace(7, 2)
     c = class_from_generator(space.generators[0], space)
-    with pytest.raises(ScaleExceeded, match=r"^dense dimension 49 exceeds 32$"):
+    with pytest.raises(ScaleExceeded, match=r"^dense dimension 49 exceeds 32$") as refused:
         mub.eigenprojectors(c, space.field)
+    assert refused.traceback[-1].name == "pauli_matrices"
 
 
 def test_self_overlap_is_maximally_biased():
