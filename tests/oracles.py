@@ -11,6 +11,14 @@ the joint eigenprojectors one character at a time: the per-factor and
 per-character forms that the dense layer of `polarmub.pauli` and
 `polarmub.mub` replaces with index arithmetic and batched products.
 
+`class_from_generator` builds a class as the span enumeration first did:
+every nonzero multiple of every point of the generator, sorted, each turned
+into a fresh operator by `op_from_image`.  It is the reference for the
+shared per-point operators of `polarmub.pauli.class_from_generator`.
+`unbiasedness` reduces the squared overlaps |U^H V|^2 minus 1/dim by
+absolute value, entry by entry: the reference for the max/min reduction of
+`polarmub.mub.unbiasedness`.
+
 `transvections` gives one permutation of generator indices per point, the
 action of every transvection on the catalog, found by matching sorted image
 rows against void-dtype keys of the generators' point indices.  It is the
@@ -42,7 +50,7 @@ import weakref
 
 import numpy as np
 
-from polarmub import algebra, counting, spread
+from polarmub import algebra, counting, pauli, spread
 from polarmub.errors import CatalogMismatch
 
 # Each space's points keyed by coordinates, dropped with the space.
@@ -136,6 +144,22 @@ def eigenbasis(c, spec):
         j = next(i for i, w in enumerate(weight) if w >= max(weight) / 2)
         columns.append(p[:, j] / weight[j] ** 0.5)
     return np.array(columns).T
+
+
+def class_from_generator(g, space):
+    """The class over generator g, one freshly built operator per nonzero
+    vector of g's span, in lexicographic vector order."""
+    g = space.generator(g)
+    d = space.d
+    points = (space.points[p] for p in space.point_indices(g.point_mask))
+    vecs = sorted([tuple([c * x % d for x in v]) for v in points for c in range(1, d)])
+    return pauli.CommutingClass(d, tuple(pauli.op_from_image(v, d) for v in vecs), g.gen_index)
+
+
+def unbiasedness(p, q):
+    """max over cross pairs of | |<u_i|v_j>|^2 - 1/dim |, entry by entry."""
+    overlaps = np.abs(p.unitary.conj().T @ q.unitary) ** 2
+    return float(np.abs(overlaps - 1.0 / p.dim).max())
 
 
 def transvections(space):

@@ -293,6 +293,19 @@ def test_unbiasedness_matches_trace_products(sp, pairs):
         assert abs(mub.unbiasedness(bases[i], bases[j]) - trace_deviation(bases[i], bases[j])) < TOL
 
 
+@pytest.mark.parametrize("sp, count", [(W52, 4320), (W33, 540)], ids=["W_5(2)", "W_3(3)"])
+def test_unbiasedness_matches_the_entrywise_reduction_bit_for_bit(sp, count):
+    bases = all_bases(sp)
+    pairs = [
+        (i, j)
+        for i, j in itertools.combinations(range(sp.num_generators), 2)
+        if sp.disjoint_adjacency[i] >> j & 1
+    ]
+    assert len(pairs) == count
+    for i, j in pairs:
+        assert mub.unbiasedness(bases[i], bases[j]) == oracles.unbiasedness(bases[i], bases[j])
+
+
 @pytest.mark.parametrize("sp", [W32, W33, W52], ids=["W_3(2)", "W_3(3)", "W_5(2)"])
 def test_projectors_match_character_sums_in_order(sp):
     for g in sp.generators:

@@ -217,8 +217,19 @@ def test_class_images_are_pinned(d, n):
     assert digest == CLASS_IMAGE_PINS[d, n]
 
 
+@pytest.mark.parametrize(
+    "d, n", [(2, 2), (3, 2), (2, 3), (5, 2), (2, 4), (7, 2)],
+    ids=["W_3(2)", "W_3(3)", "W_5(2)", "W_3(5)", "W_7(2)", "W_3(7)"],
+)
+def test_classes_match_the_span_builder(d, n):
+    # W_3(7) has d^N = 49, beyond the dense limit: classes stay symbolic there.
+    space = PolarSpace(d, n)
+    for g in space.generators:
+        assert class_from_generator(g, space) == oracles.class_from_generator(g, space)
+
+
 def test_round_trip_all_generators():
-    for space in (W32, W52):
+    for space in (W32, W52, PolarSpace(7, 2)):
         for g in space.generators:
             c = class_from_generator(g, space)
             assert generator_from_class(c, space).gen_index == g.gen_index
