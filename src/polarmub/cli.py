@@ -13,7 +13,10 @@ takes the common options from one parent parser.  A command's function is
 looked up by its name when `run` dispatches, not bound into the parser.
 Spaces, and the regular spread of each, are cached for the process too.
 argparse refuses a --method, --check or --mode outside its choices, so each
-command's last branch serves the one value left.
+command's last branch serves the one value left.  Only mub reads
+--tolerance; every report records it, and every other command refuses a
+value other than the default.  A spread file's format is read from its
+content, so --format names only the report.
 """
 
 from __future__ import annotations
@@ -140,14 +143,18 @@ def deserialize_spread(data: bytes, fmt: str = "json") -> PartialSpread:
 
 
 def _read_spread(path: str, args) -> PartialSpread:
+    """The spread a file holds.  Its format is read from its content, not from
+    --format, which names the report: a file whose first non-blank character
+    is { or [ is JSON, any other is text."""
     with open(path, "rb") as fh:
         data = fh.read()
+    fmt = "json" if data.lstrip()[:1] in (b"{", b"[") else "text"
     # The header is compared first, so that a file of another space builds
     # neither that space nor its catalog.
-    d, n, _ = _parse_spread(data, args.format)
+    d, n, _ = _parse_spread(data, fmt)
     if (d, n) != (args.d, args.n):
         raise UsageError(f"{path} holds a spread with d={d} n={n}, not d={args.d} n={args.n}")
-    return deserialize_spread(data, args.format)
+    return deserialize_spread(data, fmt)
 
 
 # The flags each construction method reads.  Each refuses any other flag
@@ -326,6 +333,8 @@ def cmd_mub(args) -> tuple[dict, bool]:
 # Wiring.
 # --------------------------------------------------------------------------
 
+TOLERANCE = 1e-9
+
 
 @functools.cache
 def build_parser() -> _Parser:
@@ -335,7 +344,7 @@ def build_parser() -> _Parser:
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--out", help="write the report to this path")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tolerance", type=_finite_float, default=1e-9)
+    common.add_argument("--tolerance", type=_finite_float, default=TOLERANCE)
 
     parser = _Parser(prog="polarmub")
     parser.add_argument("--version", action="version", version=__version__)
@@ -398,6 +407,9 @@ def run(argv=None) -> int:
     start = time.monotonic()
     config = {k: v for k, v in sorted(vars(args).items()) if v is not None}
     try:
+        # Every report records the tolerance; only mub reads it.
+        if args.command != "mub" and args.tolerance != TOLERANCE:
+            raise UsageError(f"{args.command} does not read --tolerance")
         # Looked up on each call, not bound into the parser that calls share.
         command = {
             "construct": cmd_construct,

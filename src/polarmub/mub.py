@@ -110,11 +110,19 @@ def eigenprojectors(c: CommutingClass, spec) -> Eigenbasis:
 
 
 def unbiasedness(p: Eigenbasis, q: Eigenbasis) -> float:
-    """max over cross pairs of | |<u_i|v_j>|^2 - 1/dim | = | tr(P_i Q_j) - 1/dim |."""
+    """max over cross pairs of | |<u_i|v_j>|^2 - 1/dim | = | tr(P_i Q_j) - 1/dim |.
+
+    Read off the largest and smallest modulus M and m of U^H V alone, as
+    max(M^2 - 1/dim, 1/dim - m^2): squaring a nonnegative float and then
+    subtracting are monotone and round symmetrically, so this is the
+    entrywise maximum bit for bit.  A NaN entry makes both M and m NaN, and
+    the result with them."""
     if p.dim != q.dim:
         raise DimensionMismatch("bases act on different dimensions")
-    overlaps = np.abs(p.unitary.conj().T @ q.unitary) ** 2
-    return float(np.abs(overlaps - 1.0 / p.dim).max())
+    moduli = np.abs(p.unitary.conj().T @ q.unitary)
+    hi, lo = moduli.max(), moduli.min()
+    target = 1.0 / p.dim
+    return float(max(hi * hi - target, target - lo * lo))
 
 
 def certify_weak_umub(ps: PartialSpread, tolerance: float = 1e-9) -> UMUBCertificate:

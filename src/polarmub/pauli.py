@@ -10,6 +10,11 @@ on the operator: X^a Z^b is a monomial matrix, and `pauli_matrices` writes
 the matrices of a whole batch of operators by index in one assignment, with
 no product over tensor factors.  The roots of unity and the digit and
 place-value tables it indexes by are cached, read-only, per (d, N).
+
+Operators themselves are cached per point: `_point_ops` builds the d - 1
+operators of a point's nonzero multiples once per process, and every class
+through that point holds those same frozen objects.  The cache thus holds
+at most one operator per nonzero vector of each (d, N) in use.
 """
 
 from __future__ import annotations
@@ -127,20 +132,28 @@ def pauli_matrices(ops: Sequence[PauliOp], spec: FieldSpec) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _point_ops(v: Vector, d: int) -> tuple[tuple[Vector, PauliOp], ...]:
+    """(image, canonical operator) for each nonzero multiple c v, c < d, of a
+    point; cached, so each operator is built once per process."""
+    images = [tuple([c * x % d for x in v]) for c in range(1, d)]
+    return tuple([(w, op_from_image(w, d)) for w in images])
+
+
 def class_from_generator(g: Generator, space: PolarSpace) -> CommutingClass:
     """The d^N - 1 canonical coset representatives over a generator of
     `space`, read through `space.generator`.
 
     One operator per nonzero vector of the underlying rank-N subspace, in
     lexicographic vector order; commuting is inherited from total isotropy.
-    Those vectors are the nonzero multiples of the generator's points.
+    Those vectors are the nonzero multiples of the generator's points, and
+    their operators are the shared ones of `_point_ops`.
     """
     g = space.generator(g)
-    d = space.d
-    points = (space.points[p] for p in space.point_indices(g.point_mask))
-    vecs = sorted([tuple([c * x % d for x in v]) for v in points for c in range(1, d)])
-    ops = tuple(op_from_image(v, d) for v in vecs)
-    return CommutingClass(space.d, ops, g.gen_index)
+    d, points = space.d, space.points
+    pairs = [pair for p in space.point_indices(g.point_mask) for pair in _point_ops(points[p], d)]
+    pairs.sort(key=lambda pair: pair[0])
+    return CommutingClass(d, tuple([op for _, op in pairs]), g.gen_index)
 
 
 def generator_from_class(c: CommutingClass, space: PolarSpace) -> Generator:

@@ -904,6 +904,54 @@ def test_explicit_k_0_is_the_default(tmp_path, monkeypatch, capsys, command):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["construct"],
+        ["verify", "--check", "regularity"],
+        ["search", "--mode", "exhaustive"],
+        ["conjecture"],
+        ["classify"],
+    ],
+    ids=["construct", "verify", "search", "conjecture", "classify"],
+)
+def test_only_mub_reads_tolerance(capsys, command):
+    # The default given explicitly is accepted, as --k 0 is; any other is refused.
+    argv = command[:1] + ["--d", "2", "--n", "2"] + command[1:]
+    assert run(argv) == 0
+    default = capsys.readouterr().out
+    assert json.loads(default)["config"]["tolerance"] == 1e-9
+    assert run(argv + ["--tolerance", "1e-9"]) == 0
+    assert capsys.readouterr().out == default
+    assert run(argv + ["--tolerance", "0.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {command[0]} does not read --tolerance\n"
+
+
+@pytest.mark.parametrize("report", ["json", "text"])
+@pytest.mark.parametrize(
+    "command",
+    [["verify", "--check", "complete", "--in"], ["mub", "--from-file"]],
+    ids=["verify-in", "mub-from-file"],
+)
+def test_spread_file_format_is_read_from_its_content(tmp_path, monkeypatch, capsys, command, report):
+    # --format names the report alone: the same spread as JSON, as JSON after
+    # blank lines, and as text gives the same report in either format.
+    monkeypatch.chdir(tmp_path)
+    s = spread.construct_symplectic_spread(get_space(2, 2))
+    argv = command[:1] + ["--d", "2", "--n", "2", "--format", report] + command[1:] + ["spread"]
+    outs = []
+    for data in (
+        serialize_spread(s, "json"), b"\n  \n" + serialize_spread(s, "json"), serialize_spread(s, "text")
+    ):
+        (tmp_path / "spread").write_bytes(data)
+        assert run(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+    assert outs[0].startswith("{") == (report == "json")
+
+
 def test_search_first_of_size_needs_a_size(capsys):
     assert run(["search", "--d", "2", "--n", "2", "--mode", "first-of-size"]) == 1
     captured = capsys.readouterr()

@@ -254,6 +254,22 @@ def test_disjoint_generators_give_disjoint_classes():
     assert len(c0 & c1) == 1
 
 
+@pytest.mark.parametrize("space", [W33, W52, W35], ids=["W_3(3)", "W_5(2)", "W_3(5)"])
+def test_classes_through_a_shared_point_hold_the_same_operators(space):
+    # Each shared point carries d - 1 operators, and they are one set of
+    # objects, built once, not equal copies.
+    first = class_from_generator(space.generators[0], space)
+    by_image = {op.symplectic_image(): op for op in first.ops}
+    meeting = 0
+    for g in space.generators[1:]:
+        shared = (g.point_mask & space.generators[0].point_mask).bit_count()
+        meeting += shared > 0
+        ops = [op for op in class_from_generator(g, space).ops if op.symplectic_image() in by_image]
+        assert len(ops) == shared * (space.d - 1)
+        assert all(op is by_image[op.symplectic_image()] for op in ops)
+    assert meeting > 0
+
+
 def test_generator_from_class_rejects_corruption():
     c = class_from_generator(W32.generators[0], W32)
     bad_op = next(
