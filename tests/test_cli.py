@@ -935,16 +935,17 @@ def test_only_mub_reads_tolerance(capsys, command):
     [["verify", "--check", "complete", "--in"], ["mub", "--from-file"]],
     ids=["verify-in", "mub-from-file"],
 )
-def test_spread_file_format_is_read_from_its_content(tmp_path, monkeypatch, capsys, command, report):
+def test_spread_file_format_is_read_from_its_content(
+    tmp_path, monkeypatch, capsys, command, report
+):
     # --format names the report alone: the same spread as JSON, as JSON after
     # blank lines, and as text gives the same report in either format.
     monkeypatch.chdir(tmp_path)
     s = spread.construct_symplectic_spread(get_space(2, 2))
     argv = command[:1] + ["--d", "2", "--n", "2", "--format", report] + command[1:] + ["spread"]
+    as_json = serialize_spread(s, "json")
     outs = []
-    for data in (
-        serialize_spread(s, "json"), b"\n  \n" + serialize_spread(s, "json"), serialize_spread(s, "text")
-    ):
+    for data in (as_json, b"\n  \n" + as_json, serialize_spread(s, "text")):
         (tmp_path / "spread").write_bytes(data)
         assert run(argv) == 0
         outs.append(capsys.readouterr().out)
