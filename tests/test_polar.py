@@ -219,26 +219,32 @@ def test_catalog_refuses_a_count_off_the_closed_form(monkeypatch):
         PolarSpace(2, 2).generators
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_catalog_from_a_flipped_perp_bit_is_refused_or_unchanged(d):
+# How many of the symmetric perp-bit flips the catalog search refuses.
+FLIP_REFUSALS = {(2, 2): 114, (3, 2): 644, (2, 3): 1671}
+
+
+@pytest.mark.parametrize("d,n", sorted(FLIP_REFUSALS))
+def test_catalog_from_a_flipped_perp_bit_is_refused_or_unchanged(d, n):
     # Flip bit j of perp[i] and bit i of perp[j], one pair at a time, in a
     # fresh space: its catalog either fails one of the search's own checks or
-    # is the true catalog, never a silently different one.
-    pinned = _catalog_digest(PolarSpace(d, 2))
-    perp = PolarSpace(d, 2).perp_masks
+    # is the true catalog, never a silently different one.  The refusal
+    # count is pinned, so a check that is dropped and caught nothing else
+    # shows here.
+    pinned = _catalog_digest(PolarSpace(d, n))
+    perp = PolarSpace(d, n).perp_masks
     refused = 0
     for i, j in itertools.combinations_with_replacement(range(len(perp)), 2):
         flipped = list(perp)
         flipped[i] ^= 1 << j
         if j != i:
             flipped[j] ^= 1 << i
-        space = PolarSpace(d, 2)
+        space = PolarSpace(d, n)
         vars(space)["perp_masks"] = tuple(flipped)
         try:
             assert _catalog_digest(space) == pinned, (i, j)
         except CatalogMismatch:
             refused += 1
-    assert refused > 0
+    assert refused == FLIP_REFUSALS[(d, n)]
 
 
 # The catalog search keeps x as the next greedy basis point after a prefix
