@@ -26,6 +26,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys
 import time
 
@@ -95,34 +96,49 @@ def _json_int(x) -> int:
     return x
 
 
-def _parse_spread(data: bytes, fmt: str) -> tuple[int, int, list]:
-    """The d, n and generator rows a spread file names, with no space built."""
+def _text_int(token: str) -> int:
+    # int() would also read "0_0", "+0", " 0" and non-ASCII digits.
+    if not re.fullmatch(r"-?[0-9]+", token):
+        raise ValueError(f"expected an integer, got {token!r}")
+    return int(token)
+
+
+def _unique(pairs: list) -> dict:
+    # dict() and json.loads keep the last copy of a repeated key.
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError(f"a key is given twice in {[k for k, _ in pairs]}")
+    return obj
+
+
+def _parse_spread(data: bytes) -> tuple[int, int, list]:
+    """The d, n and generator rows a spread file names, with no space built.
+    A file whose first non-blank character is { or [ is JSON, any other is
+    text."""
+    fmt = "json" if data.lstrip()[:1] in (b"{", b"[") else "text"
     try:
         text = data.decode()
         if fmt == "json":
-            obj = json.loads(text)
+            obj = json.loads(text, object_pairs_hook=_unique)
             d, n = _json_int(obj["d"]), _json_int(obj["n"])
             bases = [
                 tuple(tuple(_json_int(x) for x in row) for row in gen)
                 for gen in obj["generators"]
             ]
-        elif fmt == "text":
+        else:
             lines = [ln for ln in text.splitlines() if ln.strip()]
-            head = dict(part.split("=") for part in lines[0].split())
-            d, n = int(head["d"]), int(head["n"])
+            head = _unique([part.split("=") for part in lines[0].split()])
+            d, n = _text_int(head["d"]), _text_int(head["n"])
             bases = [
-                tuple(tuple(int(x) for x in row.split(",")) for row in ln.split("|"))
+                tuple(tuple(_text_int(x) for x in row.split(",")) for row in ln.split("|"))
                 for ln in lines[1:]
             ]
-        else:
-            raise UsageError(f"unknown format {fmt!r}")
     except (ValueError, KeyError, TypeError, IndexError, RecursionError) as exc:
         raise UsageError(f"not a {fmt} spread file with d, n and generators: {exc!r}") from None
     return d, n, bases
 
 
-def deserialize_spread(data: bytes, fmt: str = "json") -> PartialSpread:
-    d, n, bases = _parse_spread(data, fmt)
+def _spread_of(d: int, n: int, bases: list) -> PartialSpread:
     space = get_space(d, n)
     if any(not 0 <= x < d for b in bases for row in b for x in row):
         raise UsageError(f"generator entries must be residues in [0, {d})")
@@ -137,6 +153,13 @@ def deserialize_spread(data: bytes, fmt: str = "json") -> PartialSpread:
     return spread.partial_spread(space, members)
 
 
+def deserialize_spread(data: bytes) -> PartialSpread:
+    """The spread that JSON or text bytes hold, its format read from them.
+    Kept for the README spread files: the CLI compares a file's header with
+    --d and --n between parsing and building, in `_read_spread`."""
+    return _spread_of(*_parse_spread(data))
+
+
 # --------------------------------------------------------------------------
 # Command implementations.  Each returns (payload, ok).
 # --------------------------------------------------------------------------
@@ -144,17 +167,15 @@ def deserialize_spread(data: bytes, fmt: str = "json") -> PartialSpread:
 
 def _read_spread(path: str, args) -> PartialSpread:
     """The spread a file holds.  Its format is read from its content, not from
-    --format, which names the report: a file whose first non-blank character
-    is { or [ is JSON, any other is text."""
+    --format, which names the report."""
     with open(path, "rb") as fh:
         data = fh.read()
-    fmt = "json" if data.lstrip()[:1] in (b"{", b"[") else "text"
+    d, n, bases = _parse_spread(data)
     # The header is compared first, so that a file of another space builds
     # neither that space nor its catalog.
-    d, n, _ = _parse_spread(data, fmt)
     if (d, n) != (args.d, args.n):
         raise UsageError(f"{path} holds a spread with d={d} n={n}, not d={args.d} n={args.n}")
-    return deserialize_spread(data, fmt)
+    return _spread_of(d, n, bases)
 
 
 # The flags each construction method reads.  Each refuses any other flag

@@ -15,14 +15,15 @@ S.  The points that are 0 at coordinate c are the perp of the unit point
 e_{c xor 1}, so the search needs only AND-ed perp masks: the points that may
 follow x are one mask succ[x], a node's candidates are the AND of succ over
 its basis, and a node with none is never entered.  The last point closes the
-generator as its own perp.  The leads of a greedy basis are
-distinct, so they are the pivots of the generator's rref basis.  The rref
-row at x's lead is the one point of the generator that is 0 at every other
-lead, since projection onto the leads is injective on the generator: its
-point mask AND-ed with the masks of the points 0 at those leads, so no row
-is reduced.  Later leads come first in point order, so these rows in
-descending index order are the rref basis.  Generators are indexed in
-lexicographic order of their rref basis.  The symplectic group acts on
+generator as its own perp.  The greedy basis is the rref basis read
+backwards.  A later basis point is 0 at an earlier point's lead, since succ
+requires it.  An earlier point is 0 at a later point's lead, since that lead
+comes first in coordinate order and a point is 0 everywhere before its own
+lead.  So each basis point is 1 at its own lead and 0 at the others' leads,
+and in descending index order, ascending leads, the basis is the rref basis
+of its span; the point-count check confirms that this span is the
+generator's point set.  Generators are indexed in lexicographic order of
+their rref basis.  The symplectic group acts on
 points: `symplectic_generators` gives 4N − 1 transvections as permutations
 of point indices, and `symplectic_group_order` certifies the order of the
 group they generate by a Schreier–Sims base and strong generating set,
@@ -346,17 +347,17 @@ class PolarSpace:
                 f"W_{2*n-1}({d}) has {expected} generators; enumeration refused"
             )
         perp = self.perp_masks
-        # vanish[x] holds the points that are 0 at the leading coordinate c of
-        # x: the perp of e_{c xor 1}, since F(y, e_{c xor 1}) = ±y_c.  A
-        # normalised point leads with a 1.
+        # The points that are 0 at coordinate c are the perp of e_{c xor 1},
+        # since F(y, e_{c xor 1}) = ±y_c.  A normalised point leads with a 1.
         unit = self.index_of[self.weights]
         vanish_at = [perp[unit[c ^ 1]] for c in range(self.dim)]
-        vanish = [vanish_at[v.index(1)] for v in self.points]
         # succ[x] holds the points that may follow x in a greedy basis: after
         # x, in its perp, and 0 at its lead.  A node's candidates `cand` are
         # the AND of succ over its basis, so a child's are cand & succ[x], and
         # a child below depth n is entered only when that mask is nonzero.
-        succ = [perp[x] & vanish[x] & -(2 << x) for x in range(self.num_points)]
+        succ = [
+            perp[x] & vanish_at[v.index(1)] & -(2 << x) for x, v in enumerate(self.points)
+        ]
         # Leaves read their row indices from one table: an index above 256
         # is otherwise a new int object in every row that holds it, 3 MB of
         # peak memory at W_7(3).
@@ -368,20 +369,10 @@ class PolarSpace:
             # exactly when x is 0 at every leading coordinate of basis, so
             # each generator is reached once, by its greedy basis.
             if len(basis) == n:
-                # A generator is its own perp, so `common` is its point set.
-                # Its rref row at x's lead is its one point that is 0 at
-                # every other lead; descending indices are ascending pivots.
-                rows = []
-                for x in basis:
-                    row = common
-                    for y in basis:
-                        if y != x:
-                            row &= vanish[y]
-                    if row & (row - 1) or not row:
-                        raise CatalogMismatch(f"no single rref row at point {x}")
-                    rows.append(index[row.bit_length() - 1])
-                rows.sort(reverse=True)
-                found.append((tuple(rows), common))
+                # A generator is its own perp, so `common` is its point set,
+                # and its greedy basis in descending index order is its rref
+                # basis.
+                found.append((tuple([index[x] for x in reversed(basis)]), common))
                 return
             leaf = len(basis) + 1 == n
             while cand:

@@ -363,8 +363,10 @@ def construct_SR(s: PartialSpread, l_idx, m_idx, k: int) -> PartialSpread:
     and distinct blocks share exactly {L, M}, so on a spread of d^2 + 1
     lines the swap removes (k + 1)(d + 1) - 2k members and adds 2(k + 1),
     leaving d^2 - (k + 1)d + 3k + 2.  The construction does not imply
-    completeness; the caller certifies it with `is_complete`.
+    completeness; the caller certifies it with `is_complete`.  k is an int
+    or numpy integer; a bool or other type raises `TypeError`.
     """
+    k = _integer(k, "k")
     space = s.space
     if space.n != 2:
         raise NotRankTwo("the block swap lives in W_3")

@@ -582,7 +582,7 @@ def partial_spreads(draw):
 @settings(derandomize=True, database=None, max_examples=100)
 @given(ps=partial_spreads())
 def test_serialize_round_trip(fmt, ps):
-    back = deserialize_spread(serialize_spread(ps, fmt), fmt)
+    back = deserialize_spread(serialize_spread(ps, fmt))
     assert back.members == ps.members
     assert back.coverage == ps.coverage
 
@@ -592,7 +592,7 @@ def test_serialize_empty_spread():
     ps = spread.partial_spread(space, [])
     data = json.loads(serialize_spread(ps, "json").decode())
     assert data == {"d": 2, "n": 2, "generators": []}
-    assert deserialize_spread(serialize_spread(ps, "json"), "json").members == ()
+    assert deserialize_spread(serialize_spread(ps, "json")).members == ()
 
 
 # -- rejected input: exit 1 and one line on stderr
@@ -657,6 +657,45 @@ def test_spread_file_values_must_be_residues(tmp_path, capsys, fmt, content, nee
     path.write_text(content)
     argv = ["verify", "--d", "2", "--n", "2", "--check", "complete", "--in", str(path)]
     assert_usage_error(capsys, argv + ["--format", fmt], needle)
+
+
+W32_SPREAD_TEXT = (
+    "d=2 n=2\n0,1,0,0|0,0,0,1\n1,0,0,0|0,0,1,0\n1,0,0,1|0,1,1,1\n"
+    "1,0,1,1|0,1,1,0\n1,1,0,0|0,0,1,1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "fmt, content",
+    [
+        ("json", W32_SPREAD_JSON.replace('{"d": 2', '{"d": 3, "d": 2')),
+        ("json", W32_SPREAD_JSON.replace('"n": 2', '"n": 2, "generators": []')),
+        ("text", W32_SPREAD_TEXT.replace("d=2 n=2", "d=3 n=2 d=2")),
+        ("text", W32_SPREAD_TEXT.replace("n=2", "n=+2")),
+        ("text", W32_SPREAD_TEXT.replace("0,1,0,0|", "0_0,1,0,0|")),
+        ("text", W32_SPREAD_TEXT.replace("0,1,0,0|", "+0,1,0,0|")),
+        ("text", W32_SPREAD_TEXT.replace("0,1,0,0|", " 0,1,0,0|")),
+        ("text", W32_SPREAD_TEXT.replace("0,1,0,0|", "\u0660,1,0,0|")),
+    ],
+    ids=[
+        "json-repeated-d", "json-repeated-generators",
+        "text-repeated-d", "text-plus-n", "text-underscore-entry", "text-plus-entry",
+        "text-space-entry", "text-arabic-indic-entry",
+    ],
+)
+def test_spread_file_with_a_repeated_key_or_a_loose_integer_is_refused(
+    tmp_path, capsys, fmt, content
+):
+    # json.loads and dict() keep a repeated key's last copy, and int() reads
+    # more than -?[0-9]+; each file here was once answered as the spread it
+    # ends with.
+    path = tmp_path / "spread"
+    argv = ["verify", "--d", "2", "--n", "2", "--check", "complete", "--in", str(path)]
+    path.write_text(W32_SPREAD_TEXT)
+    assert run(argv) == 0
+    capsys.readouterr()
+    path.write_text(content)
+    assert_usage_error(capsys, argv, f"not a {fmt} spread file")
 
 
 def test_spread_file_must_match_space_flags(tmp_path, capsys):

@@ -530,6 +530,15 @@ def test_construct_SR_rejects_bad_k():
         spread.construct_SR(S33, S33.members[0], S33.members[1], -1)
 
 
+@pytest.mark.parametrize("k", [True, 1.0], ids=["bool", "float"])
+def test_construct_SR_refuses_a_k_that_is_not_an_integer(k):
+    # True once built the k = 1 swap and 1.0 failed in slicing.
+    s = spread.construct_symplectic_spread(PolarSpace(5, 2))
+    with pytest.raises(TypeError, match="k must be an integer"):
+        spread.construct_SR(s, s.members[0], s.members[1], k)
+    assert spread.construct_SR(s, s.members[0], s.members[1], np.int64(1)).size == 20
+
+
 def test_construct_SR_rejects_even_order():
     with pytest.raises(BadK):
         spread.construct_SR(S32, S32.members[0], S32.members[1], 0)
@@ -672,6 +681,7 @@ UNCALLED_KEPT = {
     "double_perp_size": "acceptance 9",
     "pair_partner": "README T(U) result",
     "asymptotic_gate": "README inequality result",
+    "deserialize_spread": "README spread files",
 }
 
 
