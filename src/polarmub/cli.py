@@ -103,7 +103,7 @@ def _text_int(token: str) -> int:
     return int(token)
 
 
-def _unique(pairs: list) -> dict:
+def _unique_keys(pairs: list) -> dict:
     # dict() and json.loads keep the last copy of a repeated key.
     obj = dict(pairs)
     if len(obj) != len(pairs):
@@ -119,7 +119,7 @@ def _parse_spread(data: bytes) -> tuple[int, int, list]:
     try:
         text = data.decode()
         if fmt == "json":
-            obj = json.loads(text, object_pairs_hook=_unique)
+            obj = json.loads(text, object_pairs_hook=_unique_keys)
             d, n = _json_int(obj["d"]), _json_int(obj["n"])
             bases = [
                 tuple(tuple(_json_int(x) for x in row) for row in gen)
@@ -127,7 +127,7 @@ def _parse_spread(data: bytes) -> tuple[int, int, list]:
             ]
         else:
             lines = [ln for ln in text.splitlines() if ln.strip()]
-            head = _unique([part.split("=") for part in lines[0].split()])
+            head = _unique_keys([part.split("=") for part in lines[0].split()])
             d, n = _text_int(head["d"]), _text_int(head["n"])
             bases = [
                 tuple(tuple(_text_int(x) for x in row.split(",")) for row in ln.split("|"))
