@@ -336,6 +336,9 @@ def test_classical_spreads_are_regular():
     assert spread.check_regularity(S32) is True  # each triple is a whole regulus
     assert spread.check_regularity(spread.construct_symplectic_spread(PolarSpace(5, 2)))
     assert spread.check_regularity(spread.construct_symplectic_spread(PolarSpace(7, 2))) is True
+    # Rank 3 at odd order (W_5(3)) and rank 4 (W_7(2)).
+    assert spread.check_regularity(spread.construct_symplectic_spread(PolarSpace(3, 3))) is True
+    assert spread.check_regularity(spread.construct_symplectic_spread(PolarSpace(2, 4))) is True
 
 
 def test_regulus_oracle_matches_check_regularity():
@@ -360,6 +363,39 @@ def test_unclosed_triples_of_block_swap_completion(d, size, unclosed):
     expected = [triple for triple, closed in closure.items() if not closed]
     assert list(spread._unclosed_triples(sr)) == expected
     assert len(expected) == unclosed
+
+
+def test_unclosed_triples_of_rank_three_TU_completion():
+    # The completed T(U) of the regular spread of W_5(3) is no spread: 465
+    # of its 969 member triples are not regulus-closed.
+    W53 = PolarSpace(3, 3)
+    s = spread.construct_symplectic_spread(W53)
+    u = next(g for g in W53.generators if g.gen_index not in s.members)
+    tu, cert = spread.complete_TU(spread.construct_TU(s, u))
+    assert tu.size == 19 and cert.complete and not tu.is_spread
+    closure = regulus_closure(tu)
+    expected = [triple for triple, closed in closure.items() if not closed]
+    assert list(spread._unclosed_triples(tu)) == expected
+    assert (len(expected), len(closure)) == (465, 969)
+
+
+# (size, number of unclosed triples, sha256 of the repr of their list) of
+# the block swaps of the regular spread of W_3(7) on its first two members,
+# pinned from the count that took one member pair at a time.
+W37_SWAP_PINS = {
+    0: (44, 7364, "1e0f06bc0fef2a14705be543552586838c54376964277b161641778245ca78d8"),
+    1: (40, 7696, "0262cbd755caeb25a93ee5bb965a50bcb38eba62743a123af4cc38bba6f11c3a"),
+    2: (36, 6636, "f4fae0f2f1fd26cc1e1452169279dd23e5daa2764faa2c3b558dda67ce404d10"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(W37_SWAP_PINS))
+def test_unclosed_triples_of_W37_block_swaps_are_pinned(k):
+    s = spread.construct_symplectic_spread(PolarSpace(7, 2))
+    sr = spread.construct_SR(s, s.members[0], s.members[1], k)
+    triples = list(spread._unclosed_triples(sr))
+    digest = hashlib.sha256(repr(triples).encode()).hexdigest()
+    assert (sr.size, len(triples), digest) == W37_SWAP_PINS[k]
 
 
 def test_regular_triples_have_d_plus_one_transversals():
