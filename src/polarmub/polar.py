@@ -418,6 +418,7 @@ def common_transversals(gens: list[Generator], space: PolarSpace) -> list[Genera
     """All lines of W_3(d) meeting every member of a set of disjoint lines."""
     if space.n != 2:
         raise NotRankTwo("transversals are a rank-2 operation")
+    gens = [space.generator(g) for g in gens]
     masks = [g.point_mask for g in gens]
     for a, b in itertools.combinations(masks, 2):
         if a & b:

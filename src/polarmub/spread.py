@@ -24,6 +24,7 @@ from .errors import (
     AmbiguousPartner,
     BadK,
     CatalogMismatch,
+    DimensionMismatch,
     GeneratorInSpread,
     NoBeta,
     NoPartner,
@@ -249,25 +250,61 @@ def _unclosed_triples(s: PartialSpread) -> Iterator[tuple[int, int, int]]:
     """The member positions a < b < c of the triples that are not
     regulus-closed: d + 1 members do not meet every ambient line meeting a,
     b and c.  A line meeting two disjoint members meets each in one point,
-    so those lines join a point of a to one of b."""
+    so those lines join a point of a to one of b.
+
+    One batch takes the pairs (a, b), a < b < k − 1, of one first member a,
+    each with its P² lines, P the point count of a member.  A line's points
+    x + t·y (t in F_d) and y are coded in base 2d − 1, in which the code of
+    x + t·y is the code of x plus that of t·y mod d, and one table reads the
+    member on each code's point off `index_of` and `member_positions`.
+    M[pair, line, m] is 1 when the line meets member m, and C = MᵀM, one
+    k × k matrix per pair, counts the lines that meet both c and m.
+    (a, b, c) is closed when d + 1 members m have C[c, m] = C[c, c]; when
+    no line meets c, all k members do.
+
+    C is a float32 product of 0/1 entries and exact: every partial sum is
+    an integer at most P² < P·(d^N + 1), the point count, which is at most
+    `polar.POINT_LIMIT` = 10⁵ < 2²⁴.  A batch of nb ≤ k − 2 pairs holds its
+    line codes and their members as int64, 2·nb·P²·(d + 1)·8 bytes, M as
+    float32, nb·P²·(k + 1)·4 bytes, and C, nb·k²·4 bytes; the table holds
+    (2d − 1)^{2N} int64.  At W_3(13) (k = 170, P = 14) that is about 7.4,
+    22.5, 19.4 and 3.1 MB."""
     space = s.space
     d, k = space.d, s.size
+    if k < 3:
+        return
     member = s.member_positions()
-    points = [np.flatnonzero(member == i) for i in range(k)]
-    # The d + 1 points of the line through x and y: x + t·y for t in F_d, and y.
-    coef = np.array([(1, t) for t in range(d)] + [(0, 1)])[:, :, None]
-    for ia, ib in itertools.combinations(range(k), 2):
-        x = space.coords[points[ia]][:, None, None, :]
-        y = space.coords[points[ib]][None, :, None, :]
-        lines = space.index_of[(coef[:, 0] * x + coef[:, 1] * y) % d @ space.weights]
-        lines = lines.reshape(-1, d + 1)
-        # M: lines × members incidence; C[c, m] counts lines meeting c and m.
-        M = np.zeros((len(lines), k + 1), dtype=np.int64)
-        M[np.arange(len(lines))[:, None], member[lines]] = 1
-        C = M[:, :k].T @ M[:, :k]
-        closed = np.count_nonzero(C == C.diagonal()[:, None], axis=1) == d + 1
-        for ic in np.flatnonzero(~closed[ib + 1 :]) + ib + 1:
-            yield ia, ib, int(ic)
+    coords = space.coords[np.stack([np.flatnonzero(member == i) for i in range(k)])]
+    # on[v] is the member on the point of the vector whose base-(2d − 1)
+    # code is v, its digits read mod d.
+    base = 2 * d - 1
+    place = base ** np.arange(space.dim - 1, -1, -1)
+    v, code = np.arange(base**space.dim), 0
+    for weight in space.weights[::-1].tolist():
+        v, digit = np.divmod(v, base)
+        code = code + digit % d * weight
+    on = member[space.index_of[code]]
+    # The points of the line x–y are x + t·y for t in F_d, and y.
+    xc = (coords @ place)[..., None] * np.array([1] * d + [0])
+    yc = (coords[:, :, None] * np.array([*range(d), 1])[:, None] % d) @ place
+    later = np.triu(np.ones((k, k), dtype=bool), 1)
+
+    # A function, so that a batch's arrays are freed before the next one's
+    # are made.
+    def unclosed(a: int) -> list[list[int]]:
+        """The (b − a − 1, c) of the unclosed triples (a, b, c)."""
+        meets = on[xc[a][:, None] + yc[a + 1 : k - 1, None]].reshape(-1, d + 1)
+        M = np.zeros((len(meets), k + 1), dtype=np.float32)
+        M[np.arange(len(meets))[:, None], meets] = 1
+        # Column k, the points that no member covers, is dropped.
+        M = M.reshape(k - 2 - a, -1, k + 1)[..., :k]
+        C = M.transpose(0, 2, 1) @ M
+        qualify = np.count_nonzero(C == C.diagonal(0, 1, 2)[..., None], axis=2)
+        return np.argwhere((qualify != d + 1) & later[a + 1 : k - 1]).tolist()
+
+    for a in range(k - 2):
+        for b, c in unclosed(a):
+            yield a, a + 1 + b, c
 
 
 # --------------------------------------------------------------------------
@@ -302,10 +339,11 @@ def complete_TU(tu: PartialSpread) -> tuple[PartialSpread, CompletenessCert]:
     return final, is_complete(final)
 
 
-def members_meeting(s: PartialSpread, g: Generator) -> list[int]:
+def members_meeting(s: PartialSpread, g) -> list[int]:
     # The members were range-checked when the partial spread was built.
+    mask = s.space.generator(g).point_mask
     gens = s.space.generators
-    return [m for m in s.members if gens[m].point_mask & g.point_mask]
+    return [m for m in s.members if gens[m].point_mask & mask]
 
 
 def pair_partner(s: PartialSpread, x) -> Generator:
@@ -677,6 +715,9 @@ def classify_iso(
     generators once per space (`PolarSpace.transvection_lift`), is its least
     image over the whole group, which is never enumerated.  The first input
     spread of each orbit represents it, and the output is sorted by key."""
+    for ps in spreads:
+        if (ps.space.d, ps.space.n) != (space.d, space.n):
+            raise DimensionMismatch(f"a partial spread lies in {ps.space!r}, not in {space!r}")
     perms = space.transvection_lift
 
     def images(members):

@@ -133,6 +133,22 @@ def test_generators_of_another_space_are_refused():
             call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: spread.classify_iso(W33, [p for p in CENSUS32 if p.size == 3][:2]),
+        lambda: polar.common_transversals([W33.generators[m] for m in S33.members[:2]], W32),
+        lambda: spread.members_meeting(S32, W33.generators[7]),
+    ],
+    ids=["classify_iso", "common_transversals", "members_meeting"],
+)
+def test_inputs_of_another_space_are_refused(call):
+    # Unchecked, these answer two orbits of W_3(2) triples read in W_3(3),
+    # W_3(2) transversals of W_3(3) lines, and members [0, 7].
+    with pytest.raises(DimensionMismatch):
+        call()
+
+
 def test_numpy_integers_and_own_generators_name_the_same_line():
     x = outside(S33)
     m0, m1 = S33.members[:2]
