@@ -415,7 +415,9 @@ class PolarSpace:
 
 
 def common_transversals(gens: list[Generator], space: PolarSpace) -> list[Generator]:
-    """All lines of W_3(d) meeting every member of a set of disjoint lines."""
+    """All lines of W_3(d) meeting every member of a set of disjoint lines,
+    each read through `PolarSpace.generator`, so another space's line is
+    refused."""
     if space.n != 2:
         raise NotRankTwo("transversals are a rank-2 operation")
     gens = [space.generator(g) for g in gens]

@@ -714,7 +714,8 @@ def classify_iso(
     4N − 1 transvections of `polar.symplectic_generators`, lifted to
     generators once per space (`PolarSpace.transvection_lift`), is its least
     image over the whole group, which is never enumerated.  The first input
-    spread of each orbit represents it, and the output is sorted by key."""
+    spread of each orbit represents it, and the output is sorted by key.  A
+    partial spread of another (d, N) raises `DimensionMismatch`."""
     for ps in spreads:
         if (ps.space.d, ps.space.n) != (space.d, space.n):
             raise DimensionMismatch(f"a partial spread lies in {ps.space!r}, not in {space!r}")
