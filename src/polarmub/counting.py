@@ -139,12 +139,12 @@ def brute_force_conjecture(space: PolarSpace, s: PartialSpread) -> BruteForceSum
         raise ValueError("brute force needs a full spread")
     k = space.d ** (space.n - 1) + 1
     expected = space.d**space.n - space.d ** (space.n - 1) + 1
-    member = s.member_positions().tolist()
+    member = s.member_positions()
     meet_sets: dict[int, list[int]] = {}
-    for g in space.generators:
-        meets = {member[p] for p in space.point_indices(g.point_mask)}
+    for g, row in enumerate(space.generator_points):
+        meets = set(member[row].tolist())
         if 1 < len(meets) <= k:
-            meet_sets[g.gen_index] = sorted(meets)
+            meet_sets[g] = sorted(meets)
     supersets = sum(comb(s.size - len(m), k - len(m)) for m in meet_sets.values())
     if supersets > polar.GENERATOR_LIMIT:
         raise ScaleExceeded(

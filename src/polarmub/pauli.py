@@ -151,7 +151,8 @@ def class_from_generator(g: Generator, space: PolarSpace) -> CommutingClass:
     """
     g = space.generator(g)
     d, points = space.d, space.points
-    pairs = [pair for p in space.point_indices(g.point_mask) for pair in _point_ops(points[p], d)]
+    row = space.generator_points[g.gen_index].tolist()
+    pairs = [pair for p in row for pair in _point_ops(points[p], d)]
     pairs.sort(key=lambda pair: pair[0])
     return CommutingClass(d, tuple([op for _, op in pairs]), g.gen_index)
 

@@ -4,8 +4,12 @@ Points are the projective points of PG(2N-1, d), normalised so the first
 nonzero coordinate is 1, indexed in lexicographic coordinate order.
 Point sets are held as arbitrary-precision integer bitmasks over point
 indices, so disjointness and coverage tests are single AND/OR operations.
-Incidence comes from the perp mask of each point and from the point-code
-table `index_of`, which maps each nonzero vector's code to its point.
+Incidence comes from three tables.  The point-code table `index_of` maps
+each nonzero vector's code to its point, and is built with the points.
+`perp_masks`, each point's perp as a mask, is built on first read, by
+whichever read comes first, in blocks of rows.  `generator_points`, each
+generator's point indices as a row of one read-only int array, is built on
+first read from the catalog's masks; the catalog never builds it.
 Generators (maximal totally isotropic subspaces) are enumerated once each
 by depth-first search over their greedy point bases, each point the least
 of the generator outside the span S of those before it.  A point x outside
@@ -29,10 +33,10 @@ of point indices, and `symplectic_group_order` certifies the order of the
 group they generate by a Schreier–Sims base and strong generating set,
 checked against the closed form |PSp(2N, d)|, with no generator catalog.
 The group is never enumerated.  `transvection_lift` lifts the same
-transvections once per space to permutations of generator indices, by
-point masks, and `disjoint_pair_orbit` certifies on them, by a Schreier
-vector and `orbit`, that the group is transitive on ordered pairs of
-disjoint generators.
+transvections once per space to permutations of generator indices, by the
+rows of `generator_points`, and `disjoint_pair_orbit` certifies on them,
+by a Schreier vector and `orbit`, that the group is transitive on ordered
+pairs of disjoint generators.
 
 The catalog is built once per space, by whichever read comes first, and
 its one index, by point mask, is derived from it.  `generator_by_basis`
@@ -53,6 +57,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -69,6 +74,12 @@ from .errors import (
 
 POINT_LIMIT = 100_000
 GENERATOR_LIMIT = 100_000
+# Entries per array block of the incidence tables, so that their peak
+# memory beside the tables themselves stays small up to `POINT_LIMIT`.  A
+# block of int64 then takes 64 KB, below the 128 KB at which glibc's malloc
+# maps fresh pages: at 2^14 the perp masks of the W_7(2), W_5(3) and W_3(7)
+# catalogs raised peak RSS by 0.13 MB more.
+_BLOCK_CELLS = 1 << 13
 
 
 def point_count(d: int, n: int) -> int:
@@ -166,6 +177,13 @@ class PolarSpace:
         return total % self.d
 
     def point_indices(self, mask: int) -> list[int]:
+        """The indices of the set bits of a point set mask, ascending;
+        `ValueError` for a negative mask or one with a bit at or above
+        `num_points`, which is no set of this space's points.  Kept for point
+        sets other than a generator's, such as a partial spread's coverage;
+        a generator's are the rows of `generator_points`."""
+        if mask < 0 or mask >> self.num_points:
+            raise ValueError(f"{mask} is not a point set of W_{self.dim - 1}({self.d})")
         out = []
         while mask:
             low = mask & -mask
@@ -177,27 +195,42 @@ class PolarSpace:
 
     @functools.cached_property
     def perp_masks(self) -> tuple[int, ...]:
-        """Bit j of entry i is set iff F(point i, point j) = 0."""
-        JPt = np.array(self.form, dtype=np.int64) @ self.coords.T
-        bits = (np.packbits(p @ JPt % self.d == 0, bitorder="little") for p in self.coords)
-        return tuple(int.from_bytes(b, "little") for b in bits)
+        """Bit j of entry i is set iff F(point i, point j) = 0.
+
+        J·coordsᵀ is reduced mod d once, so every entry of a block's product
+        coords[block] @ J·coordsᵀ is an integer from 0 to 2N(d − 1)², and
+        `zero` reads F = 0 off it by index: an entry past the table would
+        raise `IndexError`, never give a wrong bit.  Blocks of about
+        `_BLOCK_CELLS` entries bound the memory beside the masks."""
+        d, m = self.d, self.num_points
+        JPt = np.array(self.form, dtype=np.int64) @ self.coords.T % d
+        zero = np.arange(self.dim * (d - 1) ** 2 + 1) % d == 0
+        width, rows = (m + 7) // 8, max(1, _BLOCK_CELLS // m)
+        masks: list[int] = []
+        for start in range(0, m, rows):
+            product = self.coords[start : start + rows] @ JPt
+            bits = np.packbits(zero[product], axis=1, bitorder="little").tobytes()
+            masks += [int.from_bytes(bits[i : i + width], "little") for i in range(0, len(bits), width)]
+        return tuple(masks)
 
     @functools.cached_property
     def disjoint_adjacency(self) -> list[int]:
         """Bit j of entry i is set iff generators i and j share no point."""
-        gen_points = [self.point_indices(g.point_mask) for g in self.generators]
+        # Rows are listed one at a time: a list of every row would be 23 MB
+        # at W_9(2).
+        table = self.generator_points
         # through[p] is the mask of the generators on point p, set bit by
         # bit in a bytearray and converted once.
-        rows = [bytearray((len(gen_points) + 7) // 8) for _ in range(self.num_points)]
-        for i, pts in enumerate(gen_points):
-            for p in pts:
+        rows = [bytearray((len(table) + 7) // 8) for _ in range(self.num_points)]
+        for i, pts in enumerate(table):
+            for p in pts.tolist():
                 rows[p][i >> 3] |= 1 << (i & 7)
         through = [int.from_bytes(row, "little") for row in rows]
-        full = (1 << len(gen_points)) - 1
+        full = (1 << len(table)) - 1
         adj = []
-        for pts in gen_points:
+        for pts in table:
             meets = 0
-            for p in pts:
+            for p in pts.tolist():
                 meets |= through[p]
             adj.append(full & ~meets)
         return adj
@@ -264,20 +297,68 @@ class PolarSpace:
         return {g.point_mask: g.gen_index for g in self.generators}
 
     @functools.cached_property
+    def generator_points(self) -> np.ndarray:
+        """Row i holds the (d^N − 1)/(d − 1) point indices of generator i,
+        ascending: one read-only int32 array (indices stay below
+        `POINT_LIMIT`), built from the point masks on first read,
+        `_BLOCK_CELLS` mask bytes at a time.  Only a mask's nonzero bytes are
+        unpacked to bits."""
+        masks = [g.point_mask for g in self.generators]
+        width = (self.num_points + 7) // 8
+        rows = max(1, _BLOCK_CELLS // width)
+        table = np.empty((len(masks), (self.d**self.n - 1) // (self.d - 1)), dtype=np.int32)
+        for start in range(0, len(masks), rows):
+            raw = _mask_bytes(masks[start : start + rows], width)
+            at = np.flatnonzero(raw)
+            byte, bit = np.nonzero(np.unpackbits(raw.ravel()[at, None], axis=1, bitorder="little"))
+            table[start : start + len(raw)] = (at[byte] % width * 8 + bit).reshape(len(raw), -1)
+        table.flags.writeable = False
+        return table
+
+    @functools.cached_property
     def transvection_lift(self) -> tuple[tuple[int, ...], ...]:
         """The 4N − 1 transvections of `symplectic_generators` as
         permutations of generator indices, lifted once per space: each
-        generator goes to the one whose point mask is its image, and
-        `CatalogMismatch` if that is no generator."""
-        by_mask = self._gen_by_mask
-        gen_points = [self.point_indices(g.point_mask) for g in self.generators]
-        try:
-            return tuple(
-                tuple(by_mask[sum(1 << perm[p] for p in pts)] for pts in gen_points)
-                for perm in symplectic_generators(self)
-            )
-        except KeyError:
-            raise CatalogMismatch("a permutation moved a generator off the catalog") from None
+        generator goes to the one whose point set is its image, and
+        `CatalogMismatch` if that is no generator.
+
+        A point set's key is the sum, wrapping mod 2⁶⁴, of fixed
+        pseudo-random weights of its points; two generators with one key
+        are refused.  Each image row's key names a generator, which must
+        then hold every point of the row, read off the bytes of its point
+        mask.  A one-to-one point map sends a row to as many distinct points
+        as the generator has, so the two point sets are equal: a key that
+        names the wrong generator, or none, refuses the lift and never gives
+        a wrong one.  Rows go in blocks of about `_BLOCK_CELLS` points.  No
+        numpy sort runs, and the bit test unpacks bytes: a sort, or shifts
+        of a byte array, would load numpy kernels that no other step of a
+        small CLI run loads, 0.06–0.3 MB more peak RSS there."""
+        table, m = self.generator_points, self.num_points
+        perms = np.array(symplectic_generators(self))
+        if np.bincount((perms + m * np.arange(len(perms))[:, None]).ravel()).max() > 1:
+            raise CatalogMismatch("a transvection is not one to one on points")
+        weight = np.frombuffer(random.Random(0).randbytes(8 * m), dtype=np.int64)
+        index: dict[int, int] = {}
+        for g, key in enumerate(weight[table].sum(axis=1).tolist()):
+            if index.setdefault(key, g) != g:
+                raise CatalogMismatch(f"generators {index[key]} and {g} have one point key")
+        width = (m + 7) // 8
+        incident = _mask_bytes([g.point_mask for g in self.generators], width).ravel()
+        # found[k] holds the dict's own ints, shared by every tuple.
+        found: list[list[int]] = [[] for _ in perms]
+        rows = max(1, _BLOCK_CELLS // perms.shape[0] // table.shape[1])
+        for start in range(0, len(table), rows):
+            image = perms[:, table[start : start + rows]]
+            block = [[index.get(key, 0) for key in keys] for keys in weight[image].sum(axis=2).tolist()]
+            bit = np.array(block)[..., None] * (8 * width) + image
+            byte = bit >> 3
+            # Entry k's byte unpacks to bits 8k .. 8k + 7 of `on`.
+            on = np.unpackbits(incident[byte], bitorder="little")
+            if np.count_nonzero(on[8 * np.arange(bit.size) + (bit - 8 * byte).ravel()]) != bit.size:
+                raise CatalogMismatch("a permutation moved a generator off the catalog")
+            for lift, part in zip(found, block):
+                lift += part
+        return tuple(tuple(lift) for lift in found)
 
     @functools.cached_property
     def disjoint_pair_orbit(self) -> PairOrbit:
@@ -368,23 +449,30 @@ class PolarSpace:
             # x outside the span S of basis is least in span(S, x) outside S
             # exactly when x is 0 at every leading coordinate of basis, so
             # each generator is reached once, by its greedy basis.
-            if len(basis) == n:
-                # A generator is its own perp, so `common` is its point set,
-                # and its greedy basis in descending index order is its rref
-                # basis.
-                found.append((tuple([index[x] for x in reversed(basis)]), common))
+            if len(basis) + 1 == n:
+                # Each candidate x closes a generator.  A generator is its
+                # own perp, so `common & perp[x]` is its point set, and its
+                # greedy basis in descending index order is its rref basis.
+                rows = [index[b] for b in reversed(basis)]
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
+                    x = low.bit_length() - 1
+                    found.append((tuple([index[x], *rows]), common & perp[x]))
                 return
-            leaf = len(basis) + 1 == n
             while cand:
                 low = cand & -cand
                 cand ^= low
                 x = low.bit_length() - 1
                 below = cand & succ[x]
-                if below or leaf:
+                if below:
                     grow(basis + [x], below, common & perp[x])
 
         for p, cand in enumerate(succ):
-            if cand or n == 1:
+            if n == 1:
+                # Every point of W_1(d) is a generator, its own perp.
+                found.append(((index[p],), perp[p]))
+            elif cand:
                 grow([p], cand, perp[p])
         # grow calls itself through its closure; break that cycle so that
         # `found` is freed on return, not at the next full collection.
@@ -464,6 +552,12 @@ def symplectic_generators(space: PolarSpace) -> list[tuple[int, ...]]:
     unit = np.eye(space.dim, dtype=np.int64)
     images = ((P + (PJ @ v % d)[:, None] * v) % d for v in [*unit, *(unit[:-1] + unit[1:])])
     return [tuple(space.index_of[x @ space.weights].tolist()) for x in images]
+
+
+def _mask_bytes(masks: list[int], width: int) -> np.ndarray:
+    """Row i holds the `width` little-endian bytes of masks[i]."""
+    raw = b"".join([mask.to_bytes(width, "little") for mask in masks])
+    return np.frombuffer(raw, np.uint8).reshape(len(masks), width)
 
 
 def symplectic_group_order(space: PolarSpace) -> int:

@@ -67,8 +67,7 @@ class PartialSpread:
         """Entry p is the position of the member on point p, or `size` on a
         point that no member covers."""
         table = np.full(self.space.num_points, self.size)
-        for i, g in enumerate(self.member_generators()):
-            table[self.space.point_indices(g.point_mask)] = i
+        table[self.space.generator_points[list(self.members)]] = np.arange(self.size)[:, None]
         return table
 
 
@@ -440,8 +439,9 @@ def _partitionable_with(space: PolarSpace, omega: int, chi: Generator) -> bool:
         if g.point_mask & omega == g.point_mask and g.gen_index != chi.gen_index
     ]
     by_point: dict[int, list[Generator]] = {}
+    points = space.generator_points
     for g in cands:
-        for p in space.point_indices(g.point_mask):
+        for p in points[g.gen_index].tolist():
             by_point.setdefault(p, []).append(g)
 
     def cover(done: int) -> bool:

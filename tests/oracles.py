@@ -19,6 +19,14 @@ shared per-point operators of `polarmub.pauli.class_from_generator`.
 absolute value, entry by entry: the reference for the max/min reduction of
 `polarmub.mub.unbiasedness`.
 
+`perp_masks` builds the perp masks one point at a time, one product, `%`
+and `packbits` per row: the reference for the row blocks and lookup table
+of `polarmub.polar.PolarSpace.perp_masks`.  `transvection_lift` lifts the
+4N − 1 point transvections of `polarmub.polar.symplectic_generators` to
+generator indices by building each image mask bit by bit and looking it up
+among the catalog's masks: the reference for the array lift of
+`polarmub.polar.PolarSpace.transvection_lift`.
+
 `transvections` gives one permutation of generator indices per point, the
 action of every transvection on the catalog, found by matching sorted image
 rows against void-dtype keys of the generators' point indices.  It is the
@@ -50,7 +58,7 @@ import weakref
 
 import numpy as np
 
-from polarmub import algebra, counting, pauli, spread
+from polarmub import algebra, counting, pauli, polar, spread
 from polarmub.errors import CatalogMismatch
 
 # Each space's points keyed by coordinates, dropped with the space.
@@ -94,6 +102,29 @@ def regulus_closure(s):
             meeting_all = sum(all(m & line for line in lines) for m in masks)
             closed[ia, ib, ic] = meeting_all == space.d + 1
     return closed
+
+
+def perp_masks(space):
+    """Bit j of entry i is set iff F(point i, point j) = 0, one point i at a
+    time."""
+    JPt = np.array(space.form, dtype=np.int64) @ space.coords.T
+    bits = (np.packbits(p @ JPt % space.d == 0, bitorder="little") for p in space.coords)
+    return tuple(int.from_bytes(b, "little") for b in bits)
+
+
+def transvection_lift(space):
+    """The permutations of `polar.symplectic_generators` on generator
+    indices: each generator goes to the one whose point mask is its image,
+    `CatalogMismatch` if none is."""
+    by_mask = {g.point_mask: g.gen_index for g in space.generators}
+    gen_points = [space.point_indices(g.point_mask) for g in space.generators]
+    try:
+        return tuple(
+            tuple(by_mask[sum(1 << perm[p] for p in pts)] for pts in gen_points)
+            for perm in polar.symplectic_generators(space)
+        )
+    except KeyError:
+        raise CatalogMismatch("a permutation moved a generator off the catalog") from None
 
 
 def kron_pauli_matrix(op, spec):

@@ -119,6 +119,14 @@ def test_perp_masks_match_form():
             assert ((masks[i] >> j) & 1) == (W33.symp_form(u, v) == 0)
 
 
+@pytest.mark.parametrize(
+    "d,n", [(2, 2), (3, 2), (2, 3), (5, 2), (7, 2), (13, 2), (3, 3), (2, 4), (2, 5)]
+)
+def test_perp_masks_match_the_row_by_row_oracle(d, n):
+    space = PolarSpace(d, n)
+    assert space.perp_masks == oracles.perp_masks(space)
+
+
 @pytest.mark.parametrize("d,n", [(3, 2), (2, 3)])
 def test_index_of_matches_brute_force_normalisation(d, n):
     space = PolarSpace(d, n)
@@ -138,6 +146,16 @@ def test_point_indices_walks_set_bits():
     assert W52.point_indices(1 << 62 | 1) == [0, 62]
 
 
+def test_point_indices_refuses_a_mask_that_is_no_point_set():
+    # A negative mask has infinitely many set bits, and a bit at or above
+    # num_points names no point.
+    with pytest.raises(ValueError, match=r"-1 is not a point set of W_3\(2\)"):
+        W32.point_indices(-1)
+    with pytest.raises(ValueError, match="not a point set"):
+        W32.point_indices(1 << 15 | 1)
+    assert W32.point_indices((1 << 15) - 1) == list(range(15))
+
+
 # -- generator catalog
 
 
@@ -155,6 +173,15 @@ def test_generators_are_maximal_isotropic_with_full_masks():
             assert is_isotropic(space, g.basis)
             assert bin(g.point_mask).count("1") == per_gen
             assert algebra.rref(g.basis, space.field) == g.basis
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_rank_one_catalog_is_every_point(d):
+    # W_1(d) is a projective line, and each of its points is its own perp.
+    space = PolarSpace(d, 1)
+    assert [(g.gen_index, g.basis, g.point_mask) for g in space.generators] == [
+        (i, (v,), 1 << i) for i, v in enumerate(space.points)
+    ]
 
 
 # sha256 over "index|basis|mask" lines in catalog order: any rewrite of the
@@ -761,6 +788,34 @@ def test_transvection_permutations_pinned(d, n):
     digest = hashlib.sha256(json.dumps([list(p) for p in perms]).encode()).hexdigest()
     assert digest == TRANSVECTION_DIGESTS[(d, n)]
     assert list(space.transvection_lift) == fixed_transvections(space, perms=perms)
+
+
+LIFT_SPACES = [(2, 2), (3, 2), (2, 3), (5, 2), (7, 2), (3, 3), (2, 4)]
+
+
+@pytest.mark.parametrize("d,n", LIFT_SPACES)
+def test_generator_points_are_the_point_masks(d, n):
+    space = PolarSpace(d, n)
+    table = space.generator_points
+    assert table.shape == (space.num_generators, (d**n - 1) // (d - 1))
+    assert table.tolist() == [space.point_indices(g.point_mask) for g in space.generators]
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1
+
+
+@pytest.mark.parametrize("d,n", LIFT_SPACES)
+def test_transvection_lift_matches_the_mask_oracle(d, n):
+    space = PolarSpace(d, n)
+    assert space.transvection_lift == oracles.transvection_lift(space)
+
+
+def test_transvection_lift_refuses_two_generators_with_one_point_set():
+    space = PolarSpace(2, 2)
+    table = space.generator_points.copy()
+    table[3] = table[0]
+    vars(space)["generator_points"] = table
+    with pytest.raises(CatalogMismatch, match="generators 0 and 3 have one point key"):
+        space.transvection_lift
 
 
 # (j*, Schreier generators drawn) of each space's pair-orbit certificate.

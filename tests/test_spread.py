@@ -734,6 +734,7 @@ UNCALLED_KEPT = {
     "pair_partner": "README T(U) result",
     "asymptotic_gate": "README inequality result",
     "deserialize_spread": "README spread files",
+    "point_indices": "point sets other than a generator's",
 }
 
 
