@@ -356,9 +356,13 @@ class PolarSpace:
             on = np.unpackbits(incident[byte], bitorder="little")
             if np.count_nonzero(on[8 * np.arange(bit.size) + (bit - 8 * byte).ravel()]) != bit.size:
                 raise CatalogMismatch("a permutation moved a generator off the catalog")
-            for lift, part in zip(found, block):
-                lift += part
-        return tuple(tuple(lift) for lift in found)
+            for part, ids in zip(found, block):
+                part += ids
+        lift = []
+        for part in found:
+            lift.append(tuple(part))
+            part.clear()  # else lists and tuples coexist: 11 MB more at W_9(2)
+        return tuple(lift)
 
     @functools.cached_property
     def disjoint_pair_orbit(self) -> PairOrbit:

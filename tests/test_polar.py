@@ -818,6 +818,17 @@ def test_transvection_lift_refuses_two_generators_with_one_point_set():
         space.transvection_lift
 
 
+def test_transvection_lift_refuses_a_point_map_that_is_not_one_to_one(monkeypatch):
+    # Two points of generator 0 sent to one: its image has fewer points
+    # than a generator, all of them on generator 0.
+    a, b = W32.generator_points[0][:2].tolist()
+    collapse = list(range(W32.num_points))
+    collapse[b] = a
+    monkeypatch.setattr(polar, "symplectic_generators", lambda space: [tuple(collapse)])
+    with pytest.raises(CatalogMismatch, match="not one to one on points"):
+        PolarSpace(2, 2).transvection_lift
+
+
 # (j*, Schreier generators drawn) of each space's pair-orbit certificate.
 PAIR_ORBIT_PINS = {
     (2, 2): (4, 3),
