@@ -189,6 +189,9 @@ SPREAD_PINS = {
     (2, 3): "1650fde48939a70468e6e49d74b5bb29b4cc3d312963f5e55c5f86591b7a6f69",
     (3, 3): "139ff2f9dc1c1567da8316d2bc68fbc53ea62f3a9b9d2e01fd69016e00864675",
     (2, 4): "0beb437422b52b41a9ed08595c1da3fb230338c8f17857ddcea15715732bd767",
+    # W_5(5), recorded from the matrix field reduction with its
+    # row-by-row coordinate map.
+    (5, 3): "d154758856de56e66c971057a3534917071c2559b4c9c6559cb046b5ade803ef",
 }
 
 USET_PINS = {
@@ -227,6 +230,37 @@ TRACE_GRAM_PINS = {
     (11, 2): "80b12a21322ddfdb17e3985cb78b965a82b2efa5a139c7e2b9c0ad5ca2b93a29",
     (13, 1): "f903a04683632804309c48ccd767d709b1fb7044ea7b809ff8fd1827c6ee8809",
     (13, 2): "b156b7c91d9de7b6b59d35cc4df55d88d6f6967797a7a19c16d6cff62160a04e",
+}
+
+
+# The images of the 2N unit vectors under the hyperbolic basis change of
+# `_symplectic_coordinates`, from the trace form to the canonical form,
+# recorded from the row-by-row coordinate map.
+COORDINATE_PINS = {
+    (2, 1): "6080bf66f855b0f98ada9ba7c2e164e3e461d63997ddb9f347a7af461102cb96",
+    (2, 2): "5d4a4436da741e88c683c4053d7cf38b72528861040bf5083355ae85ded75cd7",
+    (2, 3): "d25e8ce2cfac8708f34b65af557677fb7ce3250a2ae2f2a7251848b10ea2ac79",
+    (2, 4): "b2a34c492ba37ffa17db1b2a47c359d2eb1b743050ebd86291871e9c132f5d88",
+    (2, 5): "27554ed6a8554d55954345d48a9e0c6c9a7c3bc3daf663fa6ca7d35d1f725e18",
+    (2, 6): "3437cb5e979b2a52db00b029736ea74bafc57aba9116f733df8f10d874d4062a",
+    (2, 7): "b8a03a705557f62e2edeb5540ab3ef8ed894bac3cf57a8fb6e8831fa2b2affd1",
+    (2, 8): "034a251e1096462b10840eb182e07bb27a3eb72a6a5fdb85e18854a26cd04408",
+    (3, 1): "6080bf66f855b0f98ada9ba7c2e164e3e461d63997ddb9f347a7af461102cb96",
+    (3, 2): "8f95846f605a3958f9943339aba85ea0a497f6b36f49b7ddda22bb32f1051468",
+    (3, 3): "49e05565db6af3b3aee45e4644e3db2d2d7f2e4750b6f4dda2e6033216b81b04",
+    (3, 4): "f24d09ed8a96d8b16867570b75118712476d5b245f4c7bc9e584843b859d64b6",
+    (3, 5): "aa65542e5ac10a5bbda6f95c392b2fc178f3999c223e8876adae14b9f869951e",
+    (5, 1): "6080bf66f855b0f98ada9ba7c2e164e3e461d63997ddb9f347a7af461102cb96",
+    (5, 2): "8f95846f605a3958f9943339aba85ea0a497f6b36f49b7ddda22bb32f1051468",
+    (5, 3): "7e2bfcf0d9a319019b8db4adfde98778c21b2c2232790cd4c1c9123eb120ea67",
+    (5, 4): "e306116b47cd06f50853278a64ff870295ce71341ddf719e044c2e9f5fefaf9f",
+    (7, 1): "6080bf66f855b0f98ada9ba7c2e164e3e461d63997ddb9f347a7af461102cb96",
+    (7, 2): "5306380f606abbcf3081f8d21625cd38e0f829076f603062d0521e5d7ebd1e57",
+    (7, 3): "5e68079b38fa6f4fd6f895813cddb504b907a2c8cf9041e947591db97010f250",
+    (11, 1): "6080bf66f855b0f98ada9ba7c2e164e3e461d63997ddb9f347a7af461102cb96",
+    (11, 2): "6ea3ad1a7571ddc126870b9f059a81a237ec3b3a67a8a1a66345046128c79514",
+    (13, 1): "6080bf66f855b0f98ada9ba7c2e164e3e461d63997ddb9f347a7af461102cb96",
+    (13, 2): "6ea3ad1a7571ddc126870b9f059a81a237ec3b3a67a8a1a66345046128c79514",
 }
 
 
@@ -291,6 +325,23 @@ def test_trace_gram_is_pinned_for_every_accepted_space():
     for d, n in sorted(accepted):
         gram = spread._trace_gram(spread._field_modulus(d, n), d)
         assert _digest(gram) == TRACE_GRAM_PINS[d, n], (d, n)
+
+
+def test_symplectic_coordinates_are_pinned_for_every_accepted_space():
+    accepted = {
+        (d, n)
+        for d in algebra.SUPPORTED_PRIMES
+        for n in range(1, 9)
+        if polar.point_count(d, n) <= polar.POINT_LIMIT
+    }
+    assert accepted == set(COORDINATE_PINS)
+    for d, n in sorted(accepted):
+        space = PolarSpace(d, n)
+        gram = spread._trace_gram(spread._field_modulus(d, n), d)
+        coordinates = spread._symplectic_coordinates(gram, space.form, space.field)
+        unit = [tuple(int(i == j) for j in range(2 * n)) for i in range(2 * n)]
+        images = tuple(tuple(coordinates(e)) for e in unit)
+        assert _digest(images) == COORDINATE_PINS[d, n], (d, n)
 
 
 # -- completeness and coverage
