@@ -13,8 +13,9 @@ the others empty only under the certified orbit of `polar`'s
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -39,6 +40,9 @@ from .errors import (
 from .polar import Generator, PolarSpace
 
 EXHAUSTIVE_SPACES = {(2, 2), (3, 2), (2, 3)}
+# Entries of M and C per batch of `_unclosed_triples`: 2 MB of float32, so
+# that the regularity certificate's peak memory stays small at W_3(13).
+_TRIPLE_CELLS = 1 << 19
 
 
 # Slots: an exhaustive census holds tens of thousands of these at once.
@@ -114,52 +118,57 @@ def is_complete(ps: PartialSpread) -> CompletenessCert:
 # --------------------------------------------------------------------------
 
 
-def _symplectic_coordinates(
-    gram: Matrix, target: Matrix, spec: algebra.FieldSpec
-) -> Callable[[Vector], Vector]:
-    """a ↦ a·P⁻¹, for P the rows e1, f1, e2, f2, ... hyperbolic for the form
-    B of the given Gram matrix, with P·gram·Pᵀ = target, the canonical form,
-    checked.  Since target·targetᵀ = I, P⁻¹ = gram·Pᵀ·targetᵀ, which sends a
-    to (B(a, f1), -B(a, e1), B(a, f2), -B(a, e2), ...)."""
+def _symplectic_coordinates(gram: Matrix, target: Matrix, spec: algebra.FieldSpec) -> Matrix:
+    """The matrix C of a ↦ a·C = a·P⁻¹, for P the rows e1, f1, e2, f2, ...
+    hyperbolic for the form B of the given Gram matrix, with P·gram·Pᵀ =
+    target, the canonical form, checked.  Since target·targetᵀ = I, P⁻¹ =
+    gram·Pᵀ·targetᵀ, whose columns are gram·f1ᵀ, -gram·e1ᵀ, gram·f2ᵀ, ...,
+    so that a·C = (B(a, f1), -B(a, e1), B(a, f2), -B(a, e2), ...).  Each
+    form B(u, v) = u·(gram·vᵀ) reads gram·vᵀ, or v·gram for B(v, u),
+    computed once per basis vector."""
     d = spec.d
     width = len(gram)
+    transposed = tuple(zip(*gram))
 
-    def form(u, v):
-        return sum(u[i] * gram[i][j] * v[j] for i in range(width) for j in range(width)) % d
+    def times(m: Matrix, v: Vector) -> list[int]:  # m·vᵀ
+        return [sum(map(mul, r, v)) for r in m]
+
+    def dot(u, v) -> int:
+        return sum(map(mul, u, v)) % d
 
     rem = [tuple(1 if j == i else 0 for j in range(width)) for i in range(width)]
-    out: list[tuple[int, ...]] = []
+    out: list[Vector] = []
+    columns: list[list[int]] = []  # gram·vᵀ for each v of out
     while rem:
         v = rem[0]
-        j = next(i for i in range(1, len(rem)) if form(v, rem[i]))
-        w = rem[j]
-        inv = pow(form(v, w), -1, d)
-        w = tuple((inv * x) % d for x in w)
+        vg = times(transposed, v)  # v·gram
+        j = next(i for i in range(1, len(rem)) if dot(vg, rem[i]))
+        inv = pow(dot(vg, rem[j]), -1, d)
+        w = tuple((inv * x) % d for x in rem[j])
+        gv, gw = times(gram, v), times(gram, w)
         out.extend([v, w])
+        columns.extend([gv, gw])
         projected = []
         for i, u in enumerate(rem):
-            if i in (0, j):
-                continue
-            cv, cw = form(u, w), form(u, v)
-            u2 = tuple((u[t] - cv * v[t] + cw * w[t]) % d for t in range(width))
-            projected.append(u2)
+            if i not in (0, j):
+                cv, cw = dot(u, gw), dot(u, gv)
+                projected.append(tuple((a - cv * b + cw * c) % d for a, b, c in zip(u, v, w)))
         rem = list(algebra.rref(tuple(projected), spec))
-    if tuple(tuple(form(u, v) for v in out) for u in out) != target:
+    if tuple(tuple(dot(u, c) for c in columns) for u in out) != target:
         raise NotSymplecticBasis("hyperbolic basis change failed")
-    # The columns gram·f1ᵀ, -gram·e1ᵀ, ..., so that a·column = ±B(a, ·).
-    columns = [
-        tuple(sign * sum(g * x for g, x in zip(row, v)) % d for row in gram)
-        for e, f in zip(out[::2], out[1::2])
-        for v, sign in ((f, 1), (e, -1))
-    ]
-    return lambda a: tuple(sum(x * c for x, c in zip(a, col)) % d for col in columns)
+    # Column 2i of C is gram·f_iᵀ and column 2i + 1 is -gram·e_iᵀ.
+    signed = []
+    for e, f in zip(columns[::2], columns[1::2]):
+        signed += [[x % d for x in f], [-x % d for x in e]]
+    return tuple(zip(*signed))
 
 
-def _times_t(v: Vector, count: int, f: Vector, d: int) -> list[Vector]:
-    """v, v·t, ..., v·t^(count-1) in F_d[t]/(f), for f monic of degree N.
-    Each step shifts and reduces: v·t = (0, v_0, ..., v_{N-2}) - v_{N-1}·f.
-    With count = N these are the rows of the multiplication matrix of v."""
-    rows = [tuple(v)]
+def _powers(f: Vector, d: int, count: int) -> list[Vector]:
+    """t^0, t^1, ..., t^(count-1) in F_d[t]/(f), for f monic of degree N,
+    little-endian.  Each step shifts and reduces: v·t = (0, v_0, ...,
+    v_{N-2}) - v_{N-1}·f."""
+    n = len(f) - 1
+    rows = [(1,) + (0,) * (n - 1)]
     while len(rows) < count:
         *head, c = rows[-1]
         rows.append(tuple((a - c * b) % d for a, b in zip((0, *head), f)))
@@ -170,22 +179,33 @@ def _field_modulus(d: int, n: int) -> Vector:
     """The least monic irreducible f of degree N over F_d, little-endian.
 
     Candidates are scanned in ascending order of the base-d value of their
-    lower coefficients, constant term least significant.  f is reducible
-    exactly when it has a monic factor y of degree at most N/2, and such a y
-    is a zero divisor of F_d[t]/(f), since y·(f/y) = f = 0 there with f/y of
-    degree below N.  So f is irreducible iff the multiplication matrix of
-    every monic y of degree 1..⌊N/2⌋ has full rank N."""
-    spec = algebra.FieldSpec(d)
+    lower coefficients, constant term least significant.  A reducible f of
+    degree N is a product of two monic factors whose degrees sum to N, so
+    the lesser has degree at most N/2.  So f is irreducible iff no monic y
+    of degree 1..⌊N/2⌋ divides it: the remainder of f by y, long division
+    mod d in integers (y is monic, so no inverse is needed), is never 0."""
     monic = [
-        tail + (1,) + (0,) * (n - k - 1)
+        tail + (1,)
         for k in range(1, n // 2 + 1)
         for tail in itertools.product(range(d), repeat=k)
     ]
     for value in range(d**n):
         f = tuple(value // d**i % d for i in range(n)) + (1,)
-        if all(len(algebra.rref(_times_t(y, n, f, d), spec)) == n for y in monic):
+        if not any(_divides(y, f, d) for y in monic):
             return f
     raise ValueError(f"no irreducible polynomial of degree {n} over F_{d}")
+
+
+def _divides(y: Vector, f: Vector, d: int) -> bool:
+    """Whether y, monic of degree k, divides f over F_d: long division
+    leaves the remainder in the k low coefficients."""
+    r, k = list(f), len(y) - 1
+    for top in range(len(f) - 1, k - 1, -1):
+        c = r[top]
+        if c:
+            for i in range(k):
+                r[top - k + i] = (r[top - k + i] - c * y[i]) % d
+    return not any(r[:k])
 
 
 def _trace_gram(f: Vector, d: int) -> Matrix:
@@ -194,7 +214,7 @@ def _trace_gram(f: Vector, d: int) -> Matrix:
     Tr(t^k) is the trace of multiplication by t^k, the sum over j of the
     t^j coefficient of t^(j+k), so it lies in F_d by construction."""
     n = len(f) - 1
-    powers = _times_t((1,) + (0,) * (n - 1), 3 * n - 2, f, d)
+    powers = _powers(f, d, 3 * n - 2)
     trace = [sum(powers[j + k][j] for j in range(n)) % d for k in range(2 * n - 1)]
     zero = (0,) * n
     top = [zero + tuple(trace[i + j] for j in range(n)) for i in range(n)]
@@ -206,25 +226,27 @@ def construct_symplectic_spread(space: PolarSpace) -> PartialSpread:
     """The regular spread of W_{2N-1}(d) by field reduction from F_{d^N}^2.
 
     F_{d^N} is F_d[t]/(f) for the modulus f = `_field_modulus(d, N)`, and an
-    element y enters only through its multiplication matrix M_y over F_d.
-    The trace form Tr(x1 y2 - x2 y1) on F_{d^N}^2 is a non-degenerate
-    alternating F_d-form whose isotropic F_{d^N}-lines are the d^N + 1
-    members: the row spaces of [I | M_y], one per y, and of [0 | I].  A
-    hyperbolic basis change carries them onto canonical coordinates, read
-    off the trace form row by row by `_symplectic_coordinates`.
+    element y enters only through its multiplication matrix M_y over F_d,
+    whose row r is y·t^r.  The trace form Tr(x1 y2 - x2 y1) on F_{d^N}^2 is
+    a non-degenerate alternating F_d-form whose isotropic F_{d^N}-lines are
+    the d^N + 1 members: the row spaces of [I | M_y], one per y, and of
+    [0 | I].  With C the matrix of `_symplectic_coordinates` and C_top,
+    C_bottom its first and last N rows, their canonical bases are
+    [I | M_y]·C = C_top + M_y·C_bottom and [0 | I]·C = C_bottom.  Every M_y
+    comes from one integer product, M_y = Σ y_k·M_{t^k}, the table of every
+    y times the N matrices M_{t^k}, whose row r is t^(k+r); one batched
+    product by C_bottom then gives every member's basis.  Each entry is a
+    sum of at most 2N products of residues, far inside int64.
     """
     d, n = space.d, space.n
-    spec = space.field
     f = _field_modulus(d, n)
-    coordinates = _symplectic_coordinates(_trace_gram(f, d), space.form, spec)
-
-    identity = _times_t((1,) + (0,) * (n - 1), n, f, d)
-    blocks = [(identity, _times_t(y, n, f, d)) for y in itertools.product(range(d), repeat=n)]
-    blocks.append((((0,) * n,) * n, identity))
-    members = []
-    for left, right in blocks:
-        rows = tuple(coordinates(a + b) for a, b in zip(left, right))
-        members.append(space.generator_by_basis(rows).gen_index)
+    C = np.array(_symplectic_coordinates(_trace_gram(f, d), space.form, space.field))
+    powers = _powers(f, d, 2 * n - 1)
+    shifts = np.array([powers[k : k + n] for k in range(n)]).reshape(n, n * n)
+    ys = np.array(list(itertools.product(range(d), repeat=n)))
+    M = (ys @ shifts % d).reshape(-1, n, n)
+    bases = [*((M @ C[n:] + C[:n]) % d).tolist(), C[n:].tolist()]
+    members = [space.generator_by_basis(rows).gen_index for rows in bases]
     ps = partial_spread(space, members)
     if not ps.is_spread:
         raise NotASpread(f"field reduction gave {ps.size} members, not a spread")
@@ -251,11 +273,12 @@ def _unclosed_triples(s: PartialSpread) -> Iterator[tuple[int, int, int]]:
     b and c.  A line meeting two disjoint members meets each in one point,
     so those lines join a point of a to one of b.
 
-    One batch takes the pairs (a, b), a < b < k − 1, of one first member a,
-    each with its P² lines, P the point count of a member.  A line's points
-    x + t·y (t in F_d) and y are coded in base 2d − 1, in which the code of
-    x + t·y is the code of x plus that of t·y mod d, and one table reads the
-    member on each code's point off `index_of` and `member_positions`.
+    One batch takes pairs (a, b), a < b < k − 1, of one first member a, in
+    increasing b, each with its P² lines, P the point count of a member.  A
+    line's points x + t·y (t in F_d) and y are coded in base 2d − 1, in
+    which the code of x + t·y is the code of x plus that of t·y mod d, and
+    one table reads the member on each code's point off `index_of` and
+    `member_positions`.
     M[pair, line, m] is 1 when the line meets member m, and C = MᵀM, one
     k × k matrix per pair, counts the lines that meet both c and m.
     (a, b, c) is closed when d + 1 members m have C[c, m] = C[c, c]; when
@@ -263,11 +286,14 @@ def _unclosed_triples(s: PartialSpread) -> Iterator[tuple[int, int, int]]:
 
     C is a float32 product of 0/1 entries and exact: every partial sum is
     an integer at most P² < P·(d^N + 1), the point count, which is at most
-    `polar.POINT_LIMIT` = 10⁵ < 2²⁴.  A batch of nb ≤ k − 2 pairs holds its
-    line codes and their members as int64, 2·nb·P²·(d + 1)·8 bytes, M as
+    `polar.POINT_LIMIT` = 10⁵ < 2²⁴.  A batch of nb pairs holds its line
+    codes and their members as int64, 2·nb·P²·(d + 1)·8 bytes, M as
     float32, nb·P²·(k + 1)·4 bytes, and C, nb·k²·4 bytes; the table holds
-    (2d − 1)^{2N} int64.  At W_3(13) (k = 170, P = 14) that is about 7.4,
-    22.5, 19.4 and 3.1 MB."""
+    (2d − 1)^{2N} int64.  nb is the most pairs whose M and C stay within
+    `_TRIPLE_CELLS` entries, one at least, so every batch through W_3(7)
+    holds all of its first member's pairs.  At W_3(13) (k = 170, P = 14)
+    a batch is 8 pairs, about 0.4, 1.1 and 0.9 MB, beside a 3.1 MB
+    table."""
     space = s.space
     d, k = space.d, s.size
     if k < 3:
@@ -288,22 +314,27 @@ def _unclosed_triples(s: PartialSpread) -> Iterator[tuple[int, int, int]]:
     yc = (coords[:, :, None] * np.array([*range(d), 1])[:, None] % d) @ place
     later = np.triu(np.ones((k, k), dtype=bool), 1)
 
+    lines = coords.shape[1] ** 2
+    step = max(1, _TRIPLE_CELLS // (lines * (k + 1) + k * k))
+
     # A function, so that a batch's arrays are freed before the next one's
     # are made.
-    def unclosed(a: int) -> list[list[int]]:
-        """The (b − a − 1, c) of the unclosed triples (a, b, c)."""
-        meets = on[xc[a][:, None] + yc[a + 1 : k - 1, None]].reshape(-1, d + 1)
+    def unclosed(a: int, start: int, stop: int) -> list[list[int]]:
+        """The (b − start, c) of the unclosed triples (a, b, c), start ≤ b <
+        stop."""
+        meets = on[xc[a][:, None] + yc[start:stop, None]].reshape(-1, d + 1)
         M = np.zeros((len(meets), k + 1), dtype=np.float32)
         M[np.arange(len(meets))[:, None], meets] = 1
         # Column k, the points that no member covers, is dropped.
-        M = M.reshape(k - 2 - a, -1, k + 1)[..., :k]
+        M = M.reshape(stop - start, lines, k + 1)[..., :k]
         C = M.transpose(0, 2, 1) @ M
         qualify = np.count_nonzero(C == C.diagonal(0, 1, 2)[..., None], axis=2)
-        return np.argwhere((qualify != d + 1) & later[a + 1 : k - 1]).tolist()
+        return np.argwhere((qualify != d + 1) & later[start:stop]).tolist()
 
     for a in range(k - 2):
-        for b, c in unclosed(a):
-            yield a, a + 1 + b, c
+        for start in range(a + 1, k - 1, step):
+            for b, c in unclosed(a, start, min(start + step, k - 1)):
+                yield a, start + b, c
 
 
 # --------------------------------------------------------------------------

@@ -27,6 +27,12 @@ generator indices by building each image mask bit by bit and looking it up
 among the catalog's masks: the reference for the array lift of
 `polarmub.polar.PolarSpace.transvection_lift`.
 
+`symplectic_coordinates` is the hyperbolic basis change of the field
+reduction as a function of one row, each form a full width² sum, and
+`field_modulus` decides irreducibility by the rank of multiplication
+matrices: the references for the coordinate matrix and the trial division
+of `polarmub.spread`.
+
 `transvections` gives one permutation of generator indices per point, the
 action of every transvection on the catalog, found by matching sorted image
 rows against void-dtype keys of the generators' point indices.  It is the
@@ -59,7 +65,7 @@ import weakref
 import numpy as np
 
 from polarmub import algebra, counting, pauli, polar, spread
-from polarmub.errors import CatalogMismatch
+from polarmub.errors import CatalogMismatch, NotSymplecticBasis
 
 # Each space's points keyed by coordinates, dropped with the space.
 _point_index = weakref.WeakKeyDictionary()
@@ -125,6 +131,68 @@ def transvection_lift(space):
         )
     except KeyError:
         raise CatalogMismatch("a permutation moved a generator off the catalog") from None
+
+
+def symplectic_coordinates(gram, target, spec):
+    """a ↦ a·P⁻¹ as a function of one row, for P the rows e1, f1, e2, f2,
+    ... hyperbolic for the form of the given Gram matrix, each form a full
+    width² sum, `NotSymplecticBasis` unless P·gram·Pᵀ = target."""
+    d = spec.d
+    width = len(gram)
+
+    def form(u, v):
+        return sum(u[i] * gram[i][j] * v[j] for i in range(width) for j in range(width)) % d
+
+    rem = [tuple(1 if j == i else 0 for j in range(width)) for i in range(width)]
+    out = []
+    while rem:
+        v = rem[0]
+        j = next(i for i in range(1, len(rem)) if form(v, rem[i]))
+        w = rem[j]
+        inv = pow(form(v, w), -1, d)
+        w = tuple((inv * x) % d for x in w)
+        out.extend([v, w])
+        projected = []
+        for i, u in enumerate(rem):
+            if i in (0, j):
+                continue
+            cv, cw = form(u, w), form(u, v)
+            projected.append(tuple((u[t] - cv * v[t] + cw * w[t]) % d for t in range(width)))
+        rem = list(algebra.rref(tuple(projected), spec))
+    if tuple(tuple(form(u, v) for v in out) for u in out) != target:
+        raise NotSymplecticBasis("hyperbolic basis change failed")
+    columns = [
+        tuple(sign * sum(g * x for g, x in zip(row, v)) % d for row in gram)
+        for e, f in zip(out[::2], out[1::2])
+        for v, sign in ((f, 1), (e, -1))
+    ]
+    return lambda a: tuple(sum(x * c for x, c in zip(a, col)) % d for col in columns)
+
+
+def times_t(v, count, f, d):
+    """v, v·t, ..., v·t^(count-1) in F_d[t]/(f), for f monic of degree N."""
+    rows = [tuple(v)]
+    while len(rows) < count:
+        *head, c = rows[-1]
+        rows.append(tuple((a - c * b) % d for a, b in zip((0, *head), f)))
+    return rows
+
+
+def field_modulus(d, n):
+    """The least monic irreducible of degree N over F_d, little-endian, by
+    rank: f is irreducible iff the multiplication matrix of every monic y
+    of degree 1..⌊N/2⌋ in F_d[t]/(f) has full rank N."""
+    spec = algebra.FieldSpec(d)
+    monic = [
+        tail + (1,) + (0,) * (n - k - 1)
+        for k in range(1, n // 2 + 1)
+        for tail in itertools.product(range(d), repeat=k)
+    ]
+    for value in range(d**n):
+        f = tuple(value // d**i % d for i in range(n)) + (1,)
+        if all(len(algebra.rref(times_t(y, n, f, d), spec)) == n for y in monic):
+            return f
+    raise ValueError(f"no irreducible polynomial of degree {n} over F_{d}")
 
 
 def kron_pauli_matrix(op, spec):

@@ -4,6 +4,7 @@ The small spaces here are fully enumerable, so most checks are exhaustive
 rather than sampled: the brute-force side is the oracle.
 """
 
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -368,6 +369,24 @@ def test_generator_refuses_entries_of_another_catalog():
     for ref in refs:
         with pytest.raises(DimensionMismatch, match="is not generator"):
             W32.generator(ref)
+
+
+@pytest.mark.parametrize("space", [W32, W52, PolarSpace(3, 1)], ids=["W_3(2)", "W_5(2)", "W_1(3)"])
+def test_catalog_entries_are_slotted_frozen_records(space):
+    g = space.generators[-1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.point_mask = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.gen_index = 0
+    with pytest.raises(TypeError):
+        vars(g)
+    # The basis is a tuple of the rref rows, one row at rank 1.
+    assert type(g.basis) is tuple and len(g.basis) == space.n
+    assert all(row in space.points for row in g.basis)
+    copy = polar.Generator(g.gen_index, g.basis, g.point_mask)
+    assert space.generator(copy) is g and hash(copy) == hash(g)
+    with pytest.raises(DimensionMismatch, match="is not generator"):
+        W33.generator(g)
 
 
 def test_generator_by_basis_refuses_rows_that_span_no_generator():

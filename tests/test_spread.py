@@ -33,6 +33,7 @@ from polarmub.errors import (
 )
 from polarmub.polar import PolarSpace
 
+import oracles
 from oracles import covered_generators, line_mask, regulus_closure
 
 W32 = PolarSpace(2, 2)
@@ -338,10 +339,13 @@ def test_symplectic_coordinates_are_pinned_for_every_accepted_space():
     for d, n in sorted(accepted):
         space = PolarSpace(d, n)
         gram = spread._trace_gram(spread._field_modulus(d, n), d)
-        coordinates = spread._symplectic_coordinates(gram, space.form, space.field)
+        # Row i of C is the image of the unit vector e_i.
+        C = spread._symplectic_coordinates(gram, space.form, space.field)
+        assert _digest(C) == COORDINATE_PINS[d, n], (d, n)
+        coordinates = oracles.symplectic_coordinates(gram, space.form, space.field)
         unit = [tuple(int(i == j) for j in range(2 * n)) for i in range(2 * n)]
-        images = tuple(tuple(coordinates(e)) for e in unit)
-        assert _digest(images) == COORDINATE_PINS[d, n], (d, n)
+        assert C == tuple(coordinates(e) for e in unit), (d, n)
+        assert spread._field_modulus(d, n) == oracles.field_modulus(d, n), (d, n)
 
 
 # -- completeness and coverage
@@ -463,6 +467,38 @@ def test_unclosed_triples_of_W37_block_swaps_are_pinned(k):
     triples = list(spread._unclosed_triples(sr))
     digest = hashlib.sha256(repr(triples).encode()).hexdigest()
     assert (sr.size, len(triples), digest) == W37_SWAP_PINS[k]
+
+
+def _count_batches(monkeypatch) -> list:
+    """The shapes of the M matrices that `_unclosed_triples` makes from now
+    on, one per batch: its only `np.zeros` call."""
+    shapes = []
+    zeros = np.zeros
+    monkeypatch.setattr(np, "zeros", lambda shape, **kw: shapes.append(shape) or zeros(shape, **kw))
+    return shapes
+
+
+@pytest.mark.parametrize("k", sorted(W37_SWAP_PINS))
+def test_unclosed_triples_in_small_batches_keep_the_W37_pins(k, monkeypatch):
+    # A budget of 2^14 entries splits each first member's pairs into
+    # batches of 3 or 4, the last one shorter; the yield order stays
+    # lexicographic.
+    s = spread.construct_symplectic_spread(PolarSpace(7, 2))
+    sr = spread.construct_SR(s, s.members[0], s.members[1], k)
+    monkeypatch.setattr(spread, "_TRIPLE_CELLS", 1 << 14)
+    batches = _count_batches(monkeypatch)
+    triples = list(spread._unclosed_triples(sr))
+    digest = hashlib.sha256(repr(triples).encode()).hexdigest()
+    assert (sr.size, len(triples), digest) == W37_SWAP_PINS[k]
+    assert len(batches) > sr.size - 2
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_regularity_takes_one_batch_per_first_member_through_W37(d, monkeypatch):
+    s = spread.construct_symplectic_spread(PolarSpace(d, 2))
+    batches = _count_batches(monkeypatch)
+    assert spread.check_regularity(s)
+    assert len(batches) == s.size - 2
 
 
 def test_regular_triples_have_d_plus_one_transversals():
