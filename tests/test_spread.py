@@ -474,7 +474,7 @@ def _count_batches(monkeypatch) -> list:
     on, one per batch: its only `np.zeros` call."""
     shapes = []
     zeros = np.zeros
-    monkeypatch.setattr(np, "zeros", lambda shape, **kw: shapes.append(shape) or zeros(shape, **kw))
+    monkeypatch.setattr(np, "zeros", lambda *args, **kw: shapes.append(args[0]) or zeros(*args, **kw))
     return shapes
 
 
