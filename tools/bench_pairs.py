@@ -3,7 +3,7 @@
 Usage, from anywhere:
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload catalog-cold \\
-        --pairs 10 --seconds 10 --seed-base 7000 [--json OUT.json]
+        --pairs 10 --seconds 10 --seed-base 7000
 
 Pair i (1 to --pairs) runs `perfbench/run.py --trace 0` once in each
 checkout, both with seed seed-base + i: the parent first in odd pairs, the
@@ -72,7 +72,6 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--seed-base", type=int, required=True)
-    parser.add_argument("--json", type=Path, help="also write the report here")
     args = parser.parse_args()
     args.checkouts = [args.parent.resolve(), args.change.resolve()]
     if args.pairs < 1:
@@ -89,23 +88,21 @@ def main() -> int:
             for checkout in args.checkouts:
                 shutil.rmtree(checkout / "src" / "polarmub" / "__pycache__", ignore_errors=True)
             runs[SIDES[k]] = run(args.checkouts[k], args.workload, seed, args.seconds)
-        pairs.append({"pair": i, "seed": seed, "first": SIDES[order[0]], **runs})
+        pairs.append({"pair": i, **runs})
         values = "  ".join(
             f"{name} {value(runs['parent'], name):.4f} -> {value(runs['change'], name):.4f}"
             for name in better
         )
         print(f"pair {i} (seed {seed}, {SIDES[order[0]]} first): {values}", flush=True)
 
-    summary = {}
     for name, direction in better.items():
         sides = {side: [value(p[side], name) for p in pairs] for side in SIDES}
         sign = 1 if direction == "lower" else -1
         wins = sum(sign * (c - p) < 0 for p, c in zip(sides["parent"], sides["change"]))
-        stats = {s: {"median": statistics.median(v), "quartiles": quartiles(v)} for s, v in sides.items()}
-        summary[name] = {**stats, "change_better": wins}
-        (p1, p3), (c1, c3) = stats["parent"]["quartiles"], stats["change"]["quartiles"]
+        (p1, p3), (c1, c3) = quartiles(sides["parent"]), quartiles(sides["change"])
         print(
-            f"{name}: median {stats['parent']['median']:.4f} -> {stats['change']['median']:.4f}"
+            f"{name}: median {statistics.median(sides['parent']):.4f}"
+            f" -> {statistics.median(sides['change']):.4f}"
             f" (change {direction} in {wins}/{len(pairs)};"
             f" parent quartiles {p1:.4f}-{p3:.4f}, change quartiles {c1:.4f}-{c3:.4f})"
         )
@@ -124,9 +121,6 @@ def main() -> int:
     ]
     for entry in bad:
         print(f"not correct or failed: {entry}")
-    if args.json:
-        report = {"workload": args.workload, "pairs": pairs, "summary": summary, "jobs": jobs}
-        args.json.write_text(json.dumps(report, indent=1))
     return 1 if bad else 0
 
 
