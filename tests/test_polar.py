@@ -225,11 +225,14 @@ def _catalog_digest(space):
     return h.hexdigest()
 
 
-# The same digest at the two largest catalogs under GENERATOR_LIMIT, without
-# the per-generator checks, which would take most of a minute there.
+# The same digest at the three largest catalogs under GENERATOR_LIMIT,
+# without the per-generator checks, which would take most of a minute there.
+# W_7(3), the largest, was recorded by the search before the room cut, the
+# cut that `test_greedy_basis_points_leave_room_for_later_leads` rests on.
 LARGE_CATALOG_DIGESTS = {
     (5, 3): "f621e38c332774689974c34f6aac24f8658f9f8f4135c363a02a7baa00c0fee0",
     (2, 5): "310e4a108cc861b4b9d46916d41eed3554dd5cf2bb06b4a68d340c739317aa48",
+    (3, 4): "82c06b8357daeea589b928054e1d81112298cdf7e8d25f79277407c3651897a2",
 }
 
 
@@ -238,6 +241,39 @@ def test_large_catalog_digest_is_pinned(d, n):
     space = PolarSpace(d, n)
     assert space.num_generators == polar.generator_count(d, n)
     assert _catalog_digest(space) == LARGE_CATALOG_DIGESTS[(d, n)]
+
+
+def test_points_with_a_later_lead_are_an_index_prefix():
+    # Points list later leads first, so the points leading at coordinate c
+    # or later are the first (d^{2N−c} − 1)/(d − 1) indices, at every
+    # accepted space.
+    accepted = [
+        (d, n)
+        for d in algebra.SUPPORTED_PRIMES
+        for n in range(1, 9)
+        if polar.point_count(d, n) <= polar.POINT_LIMIT
+    ]
+    assert len(accepted) == 24
+    for d, n in accepted:
+        space = PolarSpace(d, n)
+        leads = np.argmax(space.coords != 0, axis=1)
+        for c in range(2 * n):
+            prefix = (d ** (2 * n - c) - 1) // (d - 1)
+            assert (leads[:prefix] >= c).all() and (leads[prefix:] < c).all(), (d, n, c)
+
+
+@pytest.mark.parametrize("d,n", sorted(CATALOG_DIGESTS))
+def test_greedy_basis_points_leave_room_for_later_leads(d, n):
+    # Leads fall strictly along a greedy basis, so its k-th point (the k-th
+    # rref row counted from the last) leaves N − 1 − k smaller leads after
+    # its own: it leads at N − 1 − k or later, below index
+    # (d^{N+1+k} − 1)/(d − 1).  The bound is reached at k = 0.
+    space = PolarSpace(d, n)
+    rows = np.array([g.basis for g in space.generators])
+    greedy = space.index_of[rows[:, ::-1] @ space.weights]
+    room = [(d ** (n + 1 + k) - 1) // (d - 1) for k in range(n)]
+    assert (greedy < room).all()
+    assert greedy[:, 0].max() == room[0] - 1
 
 
 def test_catalog_refuses_a_count_off_the_closed_form(monkeypatch):
