@@ -18,25 +18,28 @@ leading coordinate of every point of the basis, and such an x is never in
 S.  The points that are 0 at coordinate c are the perp of the unit point
 e_{c xor 1}, so the search needs only AND-ed perp masks: the points that may
 follow x are one mask succ[x], a node's candidates are the AND of succ over
-its basis, and a node with none is never entered.  The last point closes the
-generator as its own perp.  The greedy basis is the rref basis read
-backwards.  A later basis point is 0 at an earlier point's lead, since succ
-requires it.  An earlier point is 0 at a later point's lead, since that lead
-comes first in coordinate order and a point is 0 everywhere before its own
-lead.  So each basis point is 1 at its own lead and 0 at the others' leads,
-and in descending index order, ascending leads, the basis is the rref basis
-of its span; the point-count check confirms that this span is the
-generator's point set.  Generators are indexed in lexicographic order of
-their rref basis.  The symplectic group acts on
-points: `symplectic_generators` gives 4N − 1 transvections as permutations
-of point indices, and `symplectic_group_order` certifies the order of the
-group they generate by a Schreier–Sims base and strong generating set,
-checked against the closed form |PSp(2N, d)|, with no generator catalog.
-The group is never enumerated.  `transvection_lift` lifts the same
-transvections once per space to permutations of generator indices, by the
-rows of `generator_points`, and `disjoint_pair_orbit` certifies on them,
-by a Schreier vector and `orbit`, that the group is transitive on ordered
-pairs of disjoint generators.
+its basis, and a node with none is never entered.  A point of succ[x] lies
+after x and is 0 at x's lead, so leads fall strictly along a greedy basis;
+points list later leads first, so those leading at c or later are an index
+prefix, and each level stops where too few smaller leads are left for the
+rows still to come.  The last point closes the generator as its own perp.
+The greedy basis is the rref basis read backwards.  A later basis point is
+0 at an earlier point's lead, since succ requires it.  An earlier point is
+0 at a later point's lead, since that lead comes first in coordinate order
+and a point is 0 everywhere before its own lead.  So each basis point is 1
+at its own lead and 0 at the others' leads, and in descending index order,
+ascending leads, the basis is the rref basis of its span; the point-count
+check confirms that this span is the generator's point set.  Generators are
+indexed in lexicographic order of their rref basis.  The symplectic group
+acts on points: `symplectic_generators` gives 4N − 1 transvections as
+permutations of point indices, and `symplectic_group_order` certifies the
+order of the group they generate by a Schreier–Sims base and strong
+generating set, checked against the closed form |PSp(2N, d)|, with no
+generator catalog.  The group is never enumerated.  `transvection_lift`
+lifts the same transvections once per space to permutations of generator
+indices, by the rows of `generator_points`, and `disjoint_pair_orbit`
+certifies on them, by a Schreier vector and `orbit`, that the group is
+transitive on ordered pairs of disjoint generators.
 
 The catalog is built once per space, by whichever read comes first, and
 its one index, by point mask, is derived from it.  `generator_by_basis`
@@ -444,6 +447,10 @@ class PolarSpace:
         succ = [
             perp[x] & vanish_at[v.index(1)] & -(2 << x) for x, v in enumerate(self.points)
         ]
+        # Leads fall strictly along a greedy basis, and the points leading at
+        # c or later are the first (d^{2N-c} - 1)/(d - 1), so basis point k,
+        # with n - 1 - k smaller leads after it, lies below room[k].
+        room = [(d ** (n + 1 + k) - 1) // (d - 1) for k in range(n)]
         # Leaves read their row indices from one table: an index above 256
         # is otherwise a new int object in every row that holds it, 3 MB of
         # peak memory at W_7(3).
@@ -465,15 +472,18 @@ class PolarSpace:
                     x = low.bit_length() - 1
                     found.append((tuple([index[x], *rows]), common & perp[x]))
                 return
+            stop = room[len(basis)]
             while cand:
                 low = cand & -cand
                 cand ^= low
                 x = low.bit_length() - 1
-                below = cand & succ[x]
+                if x >= stop:
+                    break
+                below = cand & succ[x]  # from all of cand: rows past the cut
                 if below:
                     grow(basis + [x], below, common & perp[x])
 
-        for p, cand in enumerate(succ):
+        for p, cand in enumerate(succ[: room[0]]):
             if n == 1:
                 # Every point of W_1(d) is a generator, its own perp.
                 found.append(((index[p],), perp[p]))
