@@ -15,10 +15,11 @@ side by an earlier run would lower that side's `setup_s` and raise its
 `peak_rss_mb`.
 
 The report gives each pair's values, then, per end-to-end metric of the
-change's BENCHMARK.json, each side's median and quartiles and the number
-of pairs in which the change is better, and each job's median time over
-the pairs.  The exit status is 1 if any run failed or read
-`correct: false`.  Standard library only.
+change's BENCHMARK.json, each side's median and quartiles, the relative
+change of the median, the number of pairs in which the change is better,
+and whether the gap between the medians exceeds the parent's interquartile
+range, then each job's median time over the pairs.  The exit status is 1
+if any run failed or read `correct: false`.  Standard library only.
 """
 
 from __future__ import annotations
@@ -100,11 +101,14 @@ def main() -> int:
         sign = 1 if direction == "lower" else -1
         wins = sum(sign * (c - p) < 0 for p, c in zip(sides["parent"], sides["change"]))
         (p1, p3), (c1, c3) = quartiles(sides["parent"]), quartiles(sides["change"])
+        before, after = statistics.median(sides["parent"]), statistics.median(sides["change"])
+        gap = abs(after - before)
         print(
-            f"{name}: median {statistics.median(sides['parent']):.4f}"
-            f" -> {statistics.median(sides['change']):.4f}"
-            f" (change {direction} in {wins}/{len(pairs)};"
-            f" parent quartiles {p1:.4f}-{p3:.4f}, change quartiles {c1:.4f}-{c3:.4f})"
+            f"{name}: median {before:.4f} -> {after:.4f} ({(after - before) / before:+.1%};"
+            f" change {direction} in {wins}/{len(pairs)};"
+            f" parent quartiles {p1:.4f}-{p3:.4f}, change quartiles {c1:.4f}-{c3:.4f};"
+            f" median gap {gap:.4f} {'exceeds' if gap > p3 - p1 else 'within'}"
+            f" parent IQR {p3 - p1:.4f})"
         )
     jobs = {
         job: {side: statistics.median(p[side]["jobs"][job] for p in pairs) for side in SIDES}
