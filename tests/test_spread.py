@@ -421,6 +421,19 @@ def test_regulus_oracle_matches_check_regularity():
         assert all(closure.values()) and spread.check_regularity(s)
 
 
+@pytest.mark.parametrize("d,unclosed", [(2, 0), (3, 1), (5, 4), (7, 4)])
+def test_regularity_at_rank_one(d, unclosed):
+    # At N = 1 the members are points and every d + 1 of them form the
+    # spread, which is regular.  Fewer than d + 1 points leave every triple
+    # unclosed: 0, 1, 4 and 4 triples on the first min(4, d) points.
+    space = PolarSpace(d, 1)
+    assert spread.check_regularity(spread.construct_symplectic_spread(space)) is True
+    ps = spread.partial_spread(space, range(min(4, d)))
+    expected = [triple for triple, closed in regulus_closure(ps).items() if not closed]
+    assert list(spread._unclosed_triples(ps)) == expected
+    assert len(expected) == unclosed
+
+
 @pytest.mark.parametrize("d,size,unclosed", [(3, 8, 32), (5, 22, 940)])
 def test_unclosed_triples_of_block_swap_completion(d, size, unclosed):
     # The complete block swap of a regular spread is no spread.  At W_3(5),
@@ -467,6 +480,29 @@ def test_unclosed_triples_of_W37_block_swaps_are_pinned(k):
     triples = list(spread._unclosed_triples(sr))
     digest = hashlib.sha256(repr(triples).encode()).hexdigest()
     assert (sr.size, len(triples), digest) == W37_SWAP_PINS[k]
+
+
+# Two spreads of W_5(3) that are not regular, by member tuple, with (number
+# of unclosed triples, sha256 of the repr of their list), pinned from the
+# count that took one member pair at a time; `oracles.regulus_closure` finds
+# the same triples.
+NON_REGULAR_W53 = {
+    (9, 51, 94, 120, 159, 219, 258, 272, 305, 361, 385, 450, 482, 495, 581, 633, 691,
+     725, 764, 790, 834, 836, 915, 965, 989, 1037, 1072, 1109):
+    (2912, "6baf8b6af758ebce8039dca4ee71dc33752e669a5f9652af784c9267c1e3c2b8"),
+    (23, 59, 85, 116, 165, 213, 227, 292, 302, 366, 391, 441, 500, 515, 589, 634, 695,
+     768, 785, 802, 829, 880, 922, 935, 975, 1024, 1071, 1101):
+    (2808, "5e571ad1985b8190e704681eb7301a3468f1143acaee80c5a7ca3260b79b93f8"),
+}
+
+
+@pytest.mark.parametrize("members", list(NON_REGULAR_W53))
+def test_non_regular_spreads_of_W53_are_pinned(members):
+    s = spread.partial_spread(PolarSpace(3, 3), members)
+    assert s.is_spread and spread.check_regularity(s) is False
+    triples = list(spread._unclosed_triples(s))
+    digest = hashlib.sha256(repr(triples).encode()).hexdigest()
+    assert (len(triples), digest) == NON_REGULAR_W53[members]
 
 
 def _count_batches(monkeypatch) -> list:
