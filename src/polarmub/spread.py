@@ -15,7 +15,8 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
-from operator import mul
+from functools import reduce
+from operator import and_, mul
 
 import numpy as np
 
@@ -40,9 +41,6 @@ from .errors import (
 from .polar import Generator, PolarSpace
 
 EXHAUSTIVE_SPACES = {(2, 2), (3, 2), (2, 3)}
-# Entries of M and C per batch of `_unclosed_triples`: 2 MB of float32, so
-# that the regularity certificate's peak memory stays small at W_3(13).
-_TRIPLE_CELLS = 1 << 19
 
 
 # Slots: an exhaustive census holds tens of thousands of these at once.
@@ -270,71 +268,61 @@ def check_regularity(s: PartialSpread) -> bool:
 def _unclosed_triples(s: PartialSpread) -> Iterator[tuple[int, int, int]]:
     """The member positions a < b < c of the triples that are not
     regulus-closed: d + 1 members do not meet every ambient line meeting a,
-    b and c.  A line meeting two disjoint members meets each in one point,
-    so those lines join a point of a to one of b.
+    b and c.
 
-    One batch takes pairs (a, b), a < b < k − 1, of one first member a, in
-    increasing b, each with its P² lines, P the point count of a member.  A
-    line's points x + t·y (t in F_d) and y are coded in base 2d − 1, in
-    which the code of x + t·y is the code of x plus that of t·y mod d, and
-    one table reads the member on each code's point off `index_of` and
-    `member_positions`.
-    M[pair, line, m] is 1 when the line meets member m, and C = MᵀM, one
-    k × k matrix per pair, counts the lines that meet both c and m.
-    (a, b, c) is closed when d + 1 members m have C[c, m] = C[c, c]; when
-    no line meets c, all k members do.
-
-    C is a float32 product of 0/1 entries and exact: every partial sum is
-    an integer at most P² < P·(d^N + 1), the point count, which is at most
-    `polar.POINT_LIMIT` = 10⁵ < 2²⁴.  A batch of nb pairs holds its line
-    codes and their members as int64, 2·nb·P²·(d + 1)·8 bytes, M as
-    float32, nb·P²·(k + 1)·4 bytes, and C, nb·k²·4 bytes; the table holds
-    (2d − 1)^{2N} int64.  nb is the most pairs whose M and C stay within
-    `_TRIPLE_CELLS` entries, one at least, so every batch through W_3(7)
-    holds all of its first member's pairs.  At W_3(13) (k = 170, P = 14)
-    a batch is 8 pairs, about 0.4, 1.1 and 0.9 MB, beside a 3.1 MB
-    table."""
+    Fix a, with rref rows A_j.  a is its own perp and meets any other member
+    m only in 0, so on m the forms F(A_j, ·) are coordinates: row i of R_m,
+    the basis of m on which they read the unit vectors, spans the one point
+    of m in the cut ⋂_{j≠i} A_j⊥, and is scaled by F(A_i, ·)⁻¹.  Write c as
+    the graph of φ: a → b.  The lines meeting a, b and c are ⟨x, φ(x)⟩, x in
+    a, and a member m ≠ a, b, the graph of ψ, meets them all exactly when
+    every vector is an eigenvector of φ⁻¹ψ, that is when ψ = s·φ, s ≠ 0.  So
+    (a, b, c) is closed exactly when every graph of s·φ is a member.  The
+    rows of R_c − R_b lie in a⊥ = a and φ sends them to those of R_b, so the
+    graph of s·φ is the row space of t·R_c + (1 − t)·R_b, t = 1/s: t = 0
+    gives b and t = 1 gives c.  The triple is closed exactly when, for each
+    t from 2 to d − 1, those N rows lie on one member, read off by one gather
+    through `member_positions()[index_of]`, where k means none.  Every entry
+    is a residue or a sum of two reduced by table, so the test is exact.  A
+    cut that does not hold exactly one point of m, or whose point lies in
+    A_i⊥, raises `CatalogMismatch`: the perp masks are not this space's."""
     space = s.space
-    d, k = space.d, s.size
+    d, n, k = space.d, space.n, s.size
     if k < 3:
         return
-    member = s.member_positions()
-    coords = space.coords[np.stack([np.flatnonzero(member == i) for i in range(k)])]
-    # on[v] is the member on the point of the vector whose base-(2d − 1)
-    # code is v, its digits read mod d.
-    base = 2 * d - 1
-    place = base ** np.arange(space.dim - 1, -1, -1)
-    v, code = np.arange(base**space.dim), 0
-    for weight in space.weights[::-1].tolist():
-        v, digit = np.divmod(v, base)
-        code = code + digit % d * weight
-    on = member[space.index_of[code]]
-    # The points of the line x–y are x + t·y for t in F_d, and y.
-    xc = (coords @ place)[..., None] * np.array([1] * d + [0])
-    yc = (coords[:, :, None] * np.array([*range(d), 1])[:, None] % d) @ place
+    gens, perp = space.generators, space.perp_masks
+    A = np.array([gens[m].basis for m in s.members])
+    FA = A @ np.array(space.form) % d  # F(A_i, x) = FA[i] · x
+    on = s.member_positions()[space.index_of]
+    mod = np.arange(2 * d) % d
     later = np.triu(np.ones((k, k), dtype=bool), 1)
-
-    lines = coords.shape[1] ** 2
-    step = max(1, _TRIPLE_CELLS // (lines * (k + 1) + k * k))
-
-    # A function, so that a batch's arrays are freed before the next one's
-    # are made.
-    def unclosed(a: int, start: int, stop: int) -> list[list[int]]:
-        """The (b − start, c) of the unclosed triples (a, b, c), start ≤ b <
-        stop."""
-        meets = on[xc[a][:, None] + yc[start:stop, None]].reshape(-1, d + 1)
-        M = np.zeros((len(meets), k + 1), dtype=np.float32)
-        M[np.arange(len(meets))[:, None], meets] = 1
-        # Column k, the points that no member covers, is dropped.
-        M = M.reshape(stop - start, lines, k + 1)[..., :k]
-        C = M.transpose(0, 2, 1) @ M
-        qualify = np.count_nonzero(C == C.diagonal(0, 1, 2)[..., None], axis=2)
-        return np.argwhere((qualify != d + 1) & later[start:stop]).tolist()
-
     for a in range(k - 2):
-        for start in range(a + 1, k - 1, step):
-            for b, c in unclosed(a, start, min(start + step, k - 1)):
-                yield a, start + b, c
+        # An rref row leads with a 1, so it is the point it spans; -1 has
+        # every bit set, so the cut of N = 1 is every point.
+        perps = [perp[p] for p in space.index_of[A[a] @ space.weights].tolist()]
+        cuts = [reduce(and_, perps[:i] + perps[i + 1 :], -1) for i in range(n)]
+        points = []
+        for m in s.members[a + 1 :]:
+            for cut in cuts:
+                x = gens[m].point_mask & cut
+                if x.bit_count() != 1:
+                    raise CatalogMismatch(f"a perp cut holds {x.bit_count()} points of a member, not one")
+                points.append(x.bit_length() - 1)
+        X = space.coords[points].reshape(-1, n, 2 * n)
+        f = (X * FA[a]).sum(2) % d
+        if not f.all():
+            raise CatalogMismatch("a perp cut point lies in the first member's perp")
+        # tR[t] holds t·R_m for the members m after a, R_m = X_m scaled by
+        # f⁻¹ = f^(d − 2); tR[1 − t], counted from the end, is (1 − t)·R_m.
+        tR = np.arange(d)[:, None, None, None] * (f ** (d - 2))[..., None] * X % d
+        unclosed = np.zeros((len(X), len(X)), dtype=bool)
+        for t in range(2, d):
+            hit = on[mod[tR[1 - t][:, None] + tR[t]] @ space.weights]
+            unclosed |= hit[..., 0] == k
+            for i in range(1, n):
+                unclosed |= hit[..., i] != hit[..., 0]
+        for b, c in np.argwhere(unclosed & later[a + 1 :, a + 1 :]).tolist():
+            yield a, a + 1 + b, a + 1 + c
 
 
 # --------------------------------------------------------------------------

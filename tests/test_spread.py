@@ -505,36 +505,19 @@ def test_non_regular_spreads_of_W53_are_pinned(members):
     assert (len(triples), digest) == NON_REGULAR_W53[members]
 
 
-def _count_batches(monkeypatch) -> list:
-    """The shapes of the M matrices that `_unclosed_triples` makes from now
-    on, one per batch: its only `np.zeros` call."""
-    shapes = []
-    zeros = np.zeros
-    monkeypatch.setattr(np, "zeros", lambda *args, **kw: shapes.append(args[0]) or zeros(*args, **kw))
-    return shapes
-
-
-@pytest.mark.parametrize("k", sorted(W37_SWAP_PINS))
-def test_unclosed_triples_in_small_batches_keep_the_W37_pins(k, monkeypatch):
-    # A budget of 2^14 entries splits each first member's pairs into
-    # batches of 3 or 4, the last one shorter; the yield order stays
-    # lexicographic.
-    s = spread.construct_symplectic_spread(PolarSpace(7, 2))
-    sr = spread.construct_SR(s, s.members[0], s.members[1], k)
-    monkeypatch.setattr(spread, "_TRIPLE_CELLS", 1 << 14)
-    batches = _count_batches(monkeypatch)
-    triples = list(spread._unclosed_triples(sr))
-    digest = hashlib.sha256(repr(triples).encode()).hexdigest()
-    assert (sr.size, len(triples), digest) == W37_SWAP_PINS[k]
-    assert len(batches) > sr.size - 2
-
-
-@pytest.mark.parametrize("d", [3, 5, 7])
-def test_regularity_takes_one_batch_per_first_member_through_W37(d, monkeypatch):
-    s = spread.construct_symplectic_spread(PolarSpace(d, 2))
-    batches = _count_batches(monkeypatch)
-    assert spread.check_regularity(s)
-    assert len(batches) == s.size - 2
+@pytest.mark.parametrize("entry", ["empty", "full"])
+def test_regularity_refuses_perp_masks_of_another_space(entry):
+    # The perp mask of the point on the first member's first rref row, made
+    # empty or full, leaves a perp cut that does not hold exactly one point
+    # of each other member.
+    space = PolarSpace(3, 2)
+    s = spread.construct_symplectic_spread(space)
+    perps = list(space.perp_masks)
+    row = s.member_generators()[0].basis[0]
+    perps[space.points.index(row)] = 0 if entry == "empty" else full_mask(space)
+    vars(space)["perp_masks"] = tuple(perps)
+    with pytest.raises(CatalogMismatch, match="perp cut"):
+        spread.check_regularity(s)
 
 
 def test_regular_triples_have_d_plus_one_transversals():
