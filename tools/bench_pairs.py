@@ -3,8 +3,9 @@
 Usage, from anywhere:
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload catalog-cold \\
-        --pairs 10 --seconds 10 --seed-base 7000
+        --workload mub-dense --pairs 10 --seconds 10 --seed-base 7000
 
+Each --workload, in the order given, gets its own pairs and its own report.
 Pair i (1 to --pairs) runs `perfbench/run.py --trace 0` once in each
 checkout, both with seed seed-base + i: the parent first in odd pairs, the
 change first in even ones, so that neither side always runs on a host
@@ -14,12 +15,13 @@ worker compiles the package from source, and a stale cache left on one
 side by an earlier run would lower that side's `setup_s` and raise its
 `peak_rss_mb`.
 
-The report gives each pair's values, then, per end-to-end metric of the
-change's BENCHMARK.json, each side's median and quartiles, the relative
-change of the median, the number of pairs in which the change is better,
-and whether the gap between the medians exceeds the parent's interquartile
-range, then each job's median time over the pairs.  The exit status is 1
-if any run failed or read `correct: false`.  Standard library only.
+A workload's report gives each pair's values, then, per end-to-end metric
+of the change's BENCHMARK.json, each side's median and quartiles, the
+relative change of the median, the number of pairs in which the change is
+better, and whether the gap between the medians exceeds the parent's
+interquartile range, then each job's median time over the pairs.  The exit
+status is 1 if any run of any workload failed or read `correct: false`.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -63,23 +65,9 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(
-        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
-    )
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--seed-base", type=int, required=True)
-    args = parser.parse_args()
-    args.checkouts = [args.parent.resolve(), args.change.resolve()]
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
-    declared = json.loads((args.checkouts[1] / "BENCHMARK.json").read_text())["end_to_end"]
-    better = {m["name"]: m["better"] for m in declared}
-
+def compare(args: argparse.Namespace, workload: str, better: dict[str, str]) -> list[str]:
+    """Run the pairs of one workload and print its report; the runs that
+    failed or read `correct: false`."""
     pairs = []
     for i in range(1, args.pairs + 1):
         seed = args.seed_base + i
@@ -88,7 +76,7 @@ def main() -> int:
         for k in order:
             for checkout in args.checkouts:
                 shutil.rmtree(checkout / "src" / "polarmub" / "__pycache__", ignore_errors=True)
-            runs[SIDES[k]] = run(args.checkouts[k], args.workload, seed, args.seconds)
+            runs[SIDES[k]] = run(args.checkouts[k], workload, seed, args.seconds)
         pairs.append({"pair": i, **runs})
         values = "  ".join(
             f"{name} {value(runs['parent'], name):.4f} -> {value(runs['change'], name):.4f}"
@@ -124,7 +112,31 @@ def main() -> int:
         if not p[side]["correct"] or p[side]["failed"]
     ]
     for entry in bad:
-        print(f"not correct or failed: {entry}")
+        print(f"not correct or failed: {workload} {entry}")
+    return bad
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--seed-base", type=int, required=True)
+    args = parser.parse_args()
+    args.checkouts = [args.parent.resolve(), args.change.resolve()]
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    declared = json.loads((args.checkouts[1] / "BENCHMARK.json").read_text())["end_to_end"]
+    better = {m["name"]: m["better"] for m in declared}
+
+    bad = []
+    for workload in args.workload:
+        print(f"workload {workload}", flush=True)
+        bad += compare(args, workload, better)
     return 1 if bad else 0
 
 
