@@ -505,18 +505,20 @@ def test_non_regular_spreads_of_W53_are_pinned(members):
     assert (len(triples), digest) == NON_REGULAR_W53[members]
 
 
-@pytest.mark.parametrize("entry", ["empty", "full"])
+@pytest.mark.parametrize("entry", ["empty", "full", "second"])
 def test_regularity_refuses_perp_masks_of_another_space(entry):
     # The perp mask of the point on the first member's first rref row, made
-    # empty or full, leaves a perp cut that does not hold exactly one point
-    # of each other member.
+    # empty or full, leaves a perp cut that is not one point of each other
+    # member; made that of the second row's point, it leaves cut points in
+    # the first member's perp.
     space = PolarSpace(3, 2)
     s = spread.construct_symplectic_spread(space)
     perps = list(space.perp_masks)
-    row = s.member_generators()[0].basis[0]
-    perps[space.points.index(row)] = 0 if entry == "empty" else full_mask(space)
+    first, second = (space.points.index(row) for row in s.member_generators()[0].basis)
+    perps[first] = {"empty": 0, "full": full_mask(space), "second": perps[second]}[entry]
     vars(space)["perp_masks"] = tuple(perps)
-    with pytest.raises(CatalogMismatch, match="perp cut"):
+    message = "lies in the first member's perp" if entry == "second" else "points of a member, not one"
+    with pytest.raises(CatalogMismatch, match=message):
         spread.check_regularity(s)
 
 
