@@ -282,10 +282,11 @@ def _unclosed_triples(s: PartialSpread) -> Iterator[tuple[int, int, int]]:
     graph of s·φ is the row space of t·R_c + (1 − t)·R_b, t = 1/s: t = 0
     gives b and t = 1 gives c.  The triple is closed exactly when, for each
     t from 2 to d − 1, those N rows lie on one member, read off by one gather
-    through `member_positions()[index_of]`, where k means none.  Every entry
-    is a residue or a sum of two reduced by table, so the test is exact.  A
-    cut that does not hold exactly one point of m, or whose point lies in
-    A_i⊥, raises `CatalogMismatch`: the perp masks are not this space's."""
+    through `member_positions()[index_of]`, where k means none.  No product
+    exceeds (d − 1)^d < 2⁶³ before it is reduced, and a sum of two residues
+    is reduced by table, so the test is exact.  A cut that does not hold
+    exactly one point of m, or whose point lies in A_i⊥, raises
+    `CatalogMismatch`: the perp masks are not this space's."""
     space = s.space
     d, n, k = space.d, space.n, s.size
     if k < 3:
