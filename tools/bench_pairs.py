@@ -66,8 +66,8 @@ def quartiles(values: list[float]) -> tuple[float, float]:
 
 
 def compare(args: argparse.Namespace, workload: str, better: dict[str, str]) -> list[str]:
-    """Run the pairs of one workload and print its report; the runs that
-    failed or read `correct: false`."""
+    """Run the pairs of one workload and print its report.  Returns the runs
+    that failed or read `correct: false`."""
     pairs = []
     for i in range(1, args.pairs + 1):
         seed = args.seed_base + i
