@@ -393,7 +393,8 @@ def test_scale_limits_are_refused_before_the_catalog(capsys, monkeypatch, argv, 
 
 # sha256 of stdout per command, pinned before the reports were read from
 # their result records, so any byte the JSON or text rendering changes shows.
-# The mub payloads carry a float deviation, so they pin its numerics too.
+# The mub payloads carry a float deviation, so they pin its numerics too,
+# at dimensions 4, 9, 8, 25 and 16.
 STDOUT_PINS = {
     "conjecture --d 3 --n 2":
         (0, "00ca9e7b2f19652b5c508360a2aa3163bf3fe4efe1a134eb44b75b459e59d167"),
@@ -407,6 +408,10 @@ STDOUT_PINS = {
         (0, "719526b6ffb8907d0c4aa37eb42c4f0d5a605cf12f8627a6305b5aefdf5133d8"),
     "mub --d 2 --n 3 --from-spread uset":
         (0, "9cef9aa4fd0ee9c835786c295214371f58da29bb92de7f5fb65fb7fa3a0b2494"),
+    "mub --d 5 --n 2 --from-spread classical":
+        (0, "4bd702d0bf96d3017ff6c9a4f7ef3fdb110fc1c2362eed693b60026162b2ccaa"),
+    "mub --d 2 --n 4 --from-spread classical":
+        (0, "735fae1e7daf72f69c7849c8b26d8f91012ea6c1241ec6673ac6367f26c7b7d8"),
     "construct --d 3 --n 2 --method tu --format text":
         (0, "bd84bbc73087e34f17e6fbf1d9cebc45b49fd8e7c9f6eee5743ce0ef5bd218b0"),
     "construct --d 5 --n 2 --method uset --format text":
