@@ -9,6 +9,8 @@ weight at least half the largest, the argmax of min(weight, max / 2): the
 nonzero weights are all equal, so a plain argmax would follow rounding noise.
 Unbiasedness between two bases is read off the overlaps |U^H V|^2, the
 trace products tr(P Q) of the rank-1 projectors, free of eigenvector phases.
+Each basis keeps its adjoint U^H, set once when it is made, so a pair costs
+one `np.dot`, one modulus and two direct ufunc reductions.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +39,11 @@ from .spread import PartialSpread
 class Eigenbasis:
     dim: int
     unitary: np.ndarray
+    # U^H, set once from the basis's own unitary, for `unbiasedness` to read.
+    adjoint: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "adjoint", self.unitary.conj().T)
 
     @property
     def projectors(self) -> tuple:
@@ -104,9 +111,10 @@ def eigenprojectors(c: CommutingClass, spec) -> Eigenbasis:
     unitary = (joint[chis, :, cols] / np.sqrt(weight[chis, cols])[:, None]).T
     if not np.abs(mats @ unitary - unitary * chars).max() <= 1e-9:
         raise NonDiagonalizable("a column is not a joint eigenvector of the class")
-    if not np.abs(unitary.conj().T @ unitary - identity).max() <= 1e-9:
+    eigenbasis = Eigenbasis(dim, unitary)
+    if not np.abs(eigenbasis.adjoint @ unitary - identity).max() <= 1e-9:
         raise NonDiagonalizable("joint eigenvectors are not orthonormal")
-    return Eigenbasis(dim, unitary)
+    return eigenbasis
 
 
 def unbiasedness(p: Eigenbasis, q: Eigenbasis) -> float:
@@ -115,14 +123,18 @@ def unbiasedness(p: Eigenbasis, q: Eigenbasis) -> float:
     Read off the largest and smallest modulus M and m of U^H V alone, as
     max(M^2 - 1/dim, 1/dim - m^2): squaring a nonnegative float and then
     subtracting are monotone and round symmetrically, so this is the
-    entrywise maximum bit for bit.  A NaN entry makes both M and m NaN, and
-    the result with them."""
+    entrywise maximum bit for bit.  U^H V is `np.dot` of p's kept adjoint
+    and q's unitary, and M and m come from `np.maximum.reduce` and
+    `np.minimum.reduce` directly, not through the `ndarray.max` wrappers;
+    the rest is Python float arithmetic.  A NaN entry makes both M and m
+    NaN, and the result with them."""
     if p.dim != q.dim:
         raise DimensionMismatch("bases act on different dimensions")
-    moduli = np.abs(p.unitary.conj().T @ q.unitary)
-    hi, lo = moduli.max(), moduli.min()
+    moduli = np.abs(np.dot(p.adjoint, q.unitary))
+    hi = float(np.maximum.reduce(moduli, axis=None))
+    lo = float(np.minimum.reduce(moduli, axis=None))
     target = 1.0 / p.dim
-    return float(max(hi * hi - target, target - lo * lo))
+    return max(hi * hi - target, target - lo * lo)
 
 
 def certify_weak_umub(ps: PartialSpread, tolerance: float = 1e-9) -> UMUBCertificate:

@@ -293,17 +293,40 @@ def test_unbiasedness_matches_trace_products(sp, pairs):
         assert abs(mub.unbiasedness(bases[i], bases[j]) - trace_deviation(bases[i], bases[j])) < TOL
 
 
-@pytest.mark.parametrize("sp, count", [(W52, 4320), (W33, 540)], ids=["W_5(2)", "W_3(3)"])
-def test_unbiasedness_matches_the_entrywise_reduction_bit_for_bit(sp, count):
-    bases = all_bases(sp)
-    pairs = [
-        (i, j)
-        for i, j in itertools.combinations(range(sp.num_generators), 2)
-        if sp.disjoint_adjacency[i] >> j & 1
-    ]
+W72 = PolarSpace(2, 4)
+
+
+@pytest.mark.parametrize(
+    "sp, sample, count",
+    [
+        (W52, None, 4320),
+        (W33, None, 540),
+        (W32, None, 60),
+        (W35, None, 9750),
+        (W72, 300, 20257),
+    ],
+    ids=["W_5(2)", "W_3(3)", "W_3(2)", "W_3(5)", "W_7(2)"],
+)
+def test_unbiasedness_matches_the_entrywise_reduction_bit_for_bit(sp, sample, count):
+    # Every disjoint pair, or those among a fixed sample of generators.
+    gens = range(sp.num_generators)
+    if sample is not None:
+        gens = sorted(random.Random(17).sample(gens, sample))
+    bases = {i: mub.eigenprojectors(class_from_generator(sp.generator(i), sp), sp.field) for i in gens}
+    pairs = [(i, j) for i, j in itertools.combinations(gens, 2) if sp.disjoint_adjacency[i] >> j & 1]
     assert len(pairs) == count
     for i, j in pairs:
         assert mub.unbiasedness(bases[i], bases[j]) == oracles.unbiasedness(bases[i], bases[j])
+
+
+def test_eigenbasis_keeps_the_adjoint_of_its_own_unitary():
+    u = mub.eigenprojectors(class_from_generator(W33.generators[3], W33), W33.field).unitary
+    adjoint = mub.Eigenbasis(9, u).adjoint
+    expected = u.conj().T
+    assert adjoint.tobytes("A") == expected.tobytes("A") and adjoint.strides == expected.strides
+    hand = nan_basis(mub.Eigenbasis(9, u), 2, 5)
+    assert np.array_equal(hand.adjoint, hand.unitary.conj().T, equal_nan=True)
+    assert np.isnan(hand.adjoint[5, 2]) and not np.isnan(mub.Eigenbasis(9, u).adjoint[5, 2])
 
 
 @pytest.mark.parametrize("sp", [W32, W33, W52], ids=["W_3(2)", "W_3(3)", "W_5(2)"])
