@@ -67,9 +67,12 @@ class PartialSpread:
 
     def member_positions(self) -> np.ndarray:
         """Entry p is the position of the member on point p, or `size` on a
-        point that no member covers."""
-        table = np.full(self.space.num_points, self.size)
-        table[self.space.generator_points[list(self.members)]] = np.arange(self.size)[:, None]
+        point that no member covers, read off the members' point masks."""
+        m = self.space.num_points
+        masks = polar._mask_bytes([g.point_mask for g in self.member_generators()], (m + 7) // 8)
+        member, point = np.nonzero(np.unpackbits(masks, axis=1, count=m, bitorder="little"))
+        table = np.full(m, self.size)
+        table[point] = member
         return table
 
 

@@ -17,7 +17,10 @@ into a fresh operator by `op_from_image`.  It is the reference for the
 shared per-point operators of `polarmub.pauli.class_from_generator`.
 `unbiasedness` reduces the squared overlaps |U^H V|^2 minus 1/dim by
 absolute value, entry by entry: the reference for the max/min reduction of
-`polarmub.mub.unbiasedness`.
+`polarmub.mub.unbiasedness`.  `member_positions` fills a spread's
+point-to-member table from the rows of the catalog's `generator_points`:
+the reference for `polarmub.spread.PartialSpread.member_positions`, which
+reads the members' own point masks.
 
 `perp_masks` builds the perp masks one point at a time, one product, `%`
 and `packbits` per row: the reference for the row blocks and lookup table
@@ -253,6 +256,14 @@ def class_from_generator(g, space):
     points = (space.points[p] for p in space.point_indices(g.point_mask))
     vecs = sorted([tuple([c * x % d for x in v]) for v in points for c in range(1, d)])
     return pauli.CommutingClass(d, tuple(pauli.op_from_image(v, d) for v in vecs), g.gen_index)
+
+
+def member_positions(s):
+    """Entry p is the position of the member on point p, or `size` on a
+    point that no member covers, read off the catalog's point table."""
+    table = np.full(s.space.num_points, s.size)
+    table[s.space.generator_points[list(s.members)]] = np.arange(s.size)[:, None]
+    return table
 
 
 def unbiasedness(p, q):

@@ -412,6 +412,23 @@ def test_classical_spreads_are_regular():
     assert spread.check_regularity(spread.construct_symplectic_spread(PolarSpace(2, 4))) is True
 
 
+@pytest.mark.parametrize("d, n", [(2, 2), (3, 2), (2, 3), (5, 2), (3, 3), (2, 4), (7, 2), (3, 1)])
+def test_member_positions_match_the_point_table(d, n):
+    # A half-size prefix leaves points uncovered, which read `size`.
+    s = spread.construct_symplectic_spread(PolarSpace(d, n))
+    half = spread.partial_spread(s.space, s.members[: s.size // 2])
+    for ps in (s, half):
+        got, want = ps.member_positions(), oracles.member_positions(ps)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.count_nonzero(got == half.size) == s.space.num_points - half.coverage.bit_count() > 0
+
+
+def test_regularity_leaves_the_catalog_point_table_unbuilt():
+    space = PolarSpace(5, 2)
+    assert spread.check_regularity(spread.construct_symplectic_spread(space)) is True
+    assert "generator_points" not in vars(space)
+
+
 def test_regulus_oracle_matches_check_regularity():
     # Every triple of a regular spread is regulus-closed.
     for space in (W32, W52, W33, PolarSpace(5, 2)):
