@@ -39,7 +39,7 @@ from .spread import PartialSpread
 class Eigenbasis:
     dim: int
     unitary: np.ndarray
-    # U^H, set once from the basis's own unitary, for `unbiasedness` to read.
+    # U^H, set once from the basis's own unitary, hand-built bases included.
     adjoint: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
