@@ -218,10 +218,10 @@ def test_catalog_is_pinned(d, n):
     assert h.hexdigest() == CATALOG_DIGESTS[(d, n)]
 
 
-def _catalog_digest(space):
+def _catalog_digest(space, mask_format=""):
     h = hashlib.sha256()
     for g in space.generators:
-        h.update(f"{g.gen_index}|{g.basis}|{g.point_mask}\n".encode())
+        h.update(f"{g.gen_index}|{g.basis}|{g.point_mask:{mask_format}}\n".encode())
     return h.hexdigest()
 
 
@@ -235,12 +235,21 @@ LARGE_CATALOG_DIGESTS = {
     (3, 4): "82c06b8357daeea589b928054e1d81112298cdf7e8d25f79277407c3651897a2",
 }
 
+# The same catalogs with each mask written in hex, recorded by the code that
+# recorded the decimal digests above.
+LARGE_CATALOG_HEX_DIGESTS = {
+    (5, 3): "6ccb6358fd78e2c5202c0d652b234422c7a8c9be5c9f899ad6391ddf66c6a1b8",
+    (2, 5): "209e0f77cd3a27af19bdfa1fe36253bee3a047046b180e7a2acba88927850277",
+    (3, 4): "6c88f5fdd3c5c43cef5b57485560f9f9152c732b805cc52401248ea47f1eb0db",
+}
+
 
 @pytest.mark.parametrize("d,n", sorted(LARGE_CATALOG_DIGESTS))
 def test_large_catalog_digest_is_pinned(d, n):
     space = PolarSpace(d, n)
     assert space.num_generators == polar.generator_count(d, n)
     assert _catalog_digest(space) == LARGE_CATALOG_DIGESTS[(d, n)]
+    assert _catalog_digest(space, "x") == LARGE_CATALOG_HEX_DIGESTS[(d, n)]
 
 
 def test_points_with_a_later_lead_are_an_index_prefix():
