@@ -146,13 +146,12 @@ def class_from_generator(g: Generator, space: PolarSpace) -> CommutingClass:
 
     One operator per nonzero vector of the underlying rank-N subspace, in
     lexicographic vector order; commuting is inherited from total isotropy.
-    Those vectors are the nonzero multiples of the generator's points, and
-    their operators are the shared ones of `_point_ops`.
+    Those vectors are the nonzero multiples of the points of its mask, read
+    by `space.point_indices`, with the shared operators of `_point_ops`.
     """
     g = space.generator(g)
     d, points = space.d, space.points
-    row = space.generator_points[g.gen_index].tolist()
-    pairs = [pair for p in row for pair in _point_ops(points[p], d)]
+    pairs = [pair for p in space.point_indices(g.point_mask) for pair in _point_ops(points[p], d)]
     pairs.sort(key=lambda pair: pair[0])
     return CommutingClass(d, tuple([op for _, op in pairs]), g.gen_index)
 

@@ -9,7 +9,9 @@ each nonzero vector's code to its point, and is built with the points.
 `perp_masks`, each point's perp as a mask, is built on first read, by
 whichever read comes first, in blocks of rows.  `generator_points`, each
 generator's point indices as a row of one read-only int array, is built on
-first read from the catalog's masks; the catalog never builds it.
+first read from the catalog's masks (the catalog never builds it), for the
+passes over every generator: `disjoint_adjacency`, `transvection_lift` and
+the brute-force count.  One set's points come from `point_indices`.
 Generators (maximal totally isotropic subspaces) are enumerated once each
 by depth-first search over their greedy point bases, each point the least
 of the generator outside the span S of those before it.  A point x outside
@@ -183,9 +185,9 @@ class PolarSpace:
     def point_indices(self, mask: int) -> list[int]:
         """The indices of the set bits of a point set mask, ascending;
         `ValueError` for a negative mask or one with a bit at or above
-        `num_points`, which is no set of this space's points.  Kept for point
-        sets other than a generator's, such as a partial spread's coverage;
-        a generator's are the rows of `generator_points`."""
+        `num_points`, which is no set of this space's points.  The route
+        from one point set's mask to its points, a generator's too;
+        `generator_points` is the table for passes over every generator."""
         if mask < 0 or mask >> self.num_points:
             raise ValueError(f"{mask} is not a point set of W_{self.dim - 1}({self.d})")
         out = []
@@ -303,10 +305,10 @@ class PolarSpace:
     @functools.cached_property
     def generator_points(self) -> np.ndarray:
         """Row i holds the (d^N − 1)/(d − 1) point indices of generator i,
-        ascending: one read-only int32 array (indices stay below
-        `POINT_LIMIT`), built from the point masks on first read,
-        `_BLOCK_CELLS` mask bytes at a time.  Only a mask's nonzero bytes are
-        unpacked to bits."""
+        ascending, for passes over every generator: one read-only int32
+        array (indices stay below `POINT_LIMIT`), built from the point masks
+        on first read, `_BLOCK_CELLS` mask bytes at a time.  Only a mask's
+        nonzero bytes are unpacked to bits."""
         masks = [g.point_mask for g in self.generators]
         width = (self.num_points + 7) // 8
         rows = max(1, _BLOCK_CELLS // width)

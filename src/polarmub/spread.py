@@ -67,12 +67,10 @@ class PartialSpread:
 
     def member_positions(self) -> np.ndarray:
         """Entry p is the position of the member on point p, or `size` on a
-        point that no member covers, read off the members' point masks."""
-        m = self.space.num_points
-        masks = polar._mask_bytes([g.point_mask for g in self.member_generators()], (m + 7) // 8)
-        member, point = np.nonzero(np.unpackbits(masks, axis=1, count=m, bitorder="little"))
-        table = np.full(m, self.size)
-        table[point] = member
+        point that no member covers, read off each member's mask by `point_indices`."""
+        table = np.full(self.space.num_points, self.size)
+        for i, g in enumerate(self.member_generators()):
+            table[self.space.point_indices(g.point_mask)] = i
         return table
 
 
@@ -462,9 +460,8 @@ def _partitionable_with(space: PolarSpace, omega: int, chi: Generator) -> bool:
         if g.point_mask & omega == g.point_mask and g.gen_index != chi.gen_index
     ]
     by_point: dict[int, list[Generator]] = {}
-    points = space.generator_points
     for g in cands:
-        for p in points[g.gen_index].tolist():
+        for p in space.point_indices(g.point_mask):
             by_point.setdefault(p, []).append(g)
 
     def cover(done: int) -> bool:

@@ -16,7 +16,7 @@ import types
 import numpy as np
 import pytest
 
-from polarmub import algebra, polar, spread
+from polarmub import algebra, mub, pauli, polar, spread
 from polarmub.errors import (
     AmbiguousPartner,
     BadK,
@@ -423,9 +423,27 @@ def test_member_positions_match_the_point_table(d, n):
     assert np.count_nonzero(got == half.size) == s.space.num_points - half.coverage.bit_count() > 0
 
 
-def test_regularity_leaves_the_catalog_point_table_unbuilt():
+def _uset_family(s):
+    final, cert = spread.unextendible_from_Uset(s, spread.construct_U_set(s))
+    return cert.complete and not final.is_spread
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        spread.check_regularity,
+        lambda s: mub.certify_weak_umub(s).valid,
+        lambda s: pauli.generator_from_class(pauli.class_from_generator(3, s.space), s.space)
+        == s.space.generators[3],
+        _uset_family,
+    ],
+    ids=["regularity", "weak_umub", "class_round_trip", "uset_family"],
+)
+def test_single_set_readers_leave_the_catalog_point_table_unbuilt(job):
+    # Each asks about a handful of generators of a fresh space, so none
+    # builds the point table of the whole catalog.
     space = PolarSpace(5, 2)
-    assert spread.check_regularity(spread.construct_symplectic_spread(space)) is True
+    assert job(spread.construct_symplectic_spread(space)) is True
     assert "generator_points" not in vars(space)
 
 
@@ -810,10 +828,12 @@ def test_search_first_of_size():
 
 @pytest.mark.parametrize(
     "mode, size",
-    [("exhaustive", 5), ("first_of_size", None), ("first_of_size", 0), ("first_of_size", -2)],
+    [("exhaustive", 5), ("first_of_size", None), ("first_of_size", 0), ("first_of_size", -2),
+     ("bogus", None)],
 )
 def test_search_rejects_a_size_it_cannot_answer(mode, size):
-    with pytest.raises(ValueError):
+    # An unknown mode is refused before any size is read.
+    with pytest.raises(ValueError, match="unknown search mode" if mode == "bogus" else None):
         spread.search_maximal(W32, mode, size=size)
 
 
@@ -859,7 +879,6 @@ UNCALLED_KEPT = {
     "pair_partner": "README T(U) result",
     "asymptotic_gate": "README inequality result",
     "deserialize_spread": "README spread files",
-    "point_indices": "point sets other than a generator's",
 }
 
 
