@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from polarmub import algebra, polar, spread
 from polarmub.algebra import FieldSpec
+from polarmub.errors import DimensionMismatch
 
 
 def span_set(basis, spec):
@@ -53,6 +54,8 @@ def test_rref_examples():
     assert algebra.rref(((2, 4),), f5) == ((1, 2),)
     f3 = FieldSpec(3)
     assert algebra.rref(((1, 1, 0), (1, 1, 0)), f3) == ((1, 1, 0),)
+    with pytest.raises(DimensionMismatch, match="ragged matrix"):
+        algebra.rref(((1, 0), (0, 1, 1)), f2)
 
 
 @settings(derandomize=True, database=None, max_examples=200)

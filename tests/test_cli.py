@@ -600,6 +600,12 @@ def test_serialize_empty_spread():
     assert deserialize_spread(serialize_spread(ps, "json")).members == ()
 
 
+def test_serialize_refuses_an_unknown_format():
+    ps = spread.construct_symplectic_spread(get_space(2, 2))
+    with pytest.raises(cli.UsageError, match="unknown format 'yaml'"):
+        serialize_spread(ps, "yaml")
+
+
 # -- rejected input: exit 1 and one line on stderr
 
 

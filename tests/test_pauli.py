@@ -90,6 +90,8 @@ def test_batch_refuses_operators_of_another_field_or_size():
         pauli.pauli_matrices([*ops, PauliOp(5, (1, 0), (0, 1))], FieldSpec(3))
     with pytest.raises(DimensionMismatch):
         pauli.pauli_matrices([*ops, PauliOp(3, (1,), (0,))], FieldSpec(3))
+    with pytest.raises(DimensionMismatch, match="equal length"):
+        PauliOp(2, (0, 1), (1,))
 
 
 def test_cached_tables_are_read_only():
@@ -280,6 +282,15 @@ def test_generator_from_class_rejects_corruption():
     corrupted = pauli.CommutingClass(2, c.ops[:-1] + (bad_op,), 0)
     with pytest.raises(NotAClass):
         generator_from_class(corrupted, W32)
+
+
+def test_generator_from_class_rejects_a_repeated_operator():
+    # A copy of the first operator in place of the last leaves d^N − 2
+    # distinct images, which the count check refuses before any span.
+    c = class_from_generator(W33.generators[0], W33)
+    repeated = pauli.CommutingClass(3, c.ops[:-1] + c.ops[:1], 0)
+    with pytest.raises(NotAClass, match="class must hold one operator per nonzero vector"):
+        generator_from_class(repeated, W33)
 
 
 @pytest.mark.parametrize("space", [W32, W33])
