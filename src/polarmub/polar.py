@@ -190,12 +190,13 @@ class PolarSpace:
         `generator_points` is the table for passes over every generator."""
         if mask < 0 or mask >> self.num_points:
             raise ValueError(f"{mask} is not a point set of W_{self.dim - 1}({self.d})")
+        # From the top down, so that each step shortens the int it works on.
         out = []
         while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
+            top = mask.bit_length() - 1
+            out.append(top)
+            mask ^= 1 << top
+        return out[::-1]
 
     # -- incidence
 
