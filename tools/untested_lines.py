@@ -27,6 +27,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "polarmub"
+DOCUMENTED = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 SKIPPED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom)
 
 
@@ -37,17 +38,11 @@ def statements(tree: ast.Module) -> list[tuple[int, set[int]]]:
         body = getattr(node, "body", None)
         if not isinstance(body, list):
             continue
+        documented = isinstance(node, DOCUMENTED) and ast.get_docstring(node) is not None
+        docstring = body[0] if documented else None
         for block in (body, getattr(node, "orelse", []), getattr(node, "finalbody", [])):
-            for i, stmt in enumerate(block):
-                docstring = (
-                    i == 0
-                    and block is body
-                    and isinstance(node, (ast.Module, *SKIPPED[:3]))
-                    and isinstance(stmt, ast.Expr)
-                    and isinstance(stmt.value, ast.Constant)
-                    and isinstance(stmt.value.value, str)
-                )
-                if docstring or isinstance(stmt, SKIPPED):
+            for stmt in block:
+                if stmt is docstring or isinstance(stmt, SKIPPED):
                     continue
                 inner = getattr(stmt, "body", None)
                 if isinstance(inner, list) and inner:
