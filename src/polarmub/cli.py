@@ -421,13 +421,10 @@ def _render_text(envelope: dict) -> str:
 def run(argv=None) -> int:
     parser = build_parser()
     try:
+        # parse_args raises UsageError, or SystemExit for --help and the like.
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    start = time.monotonic()
-    config = {k: v for k, v in sorted(vars(args).items()) if v is not None}
-    try:
+        start = time.monotonic()
+        config = {k: v for k, v in sorted(vars(args).items()) if v is not None}
         # Every report records the tolerance; only mub reads it.
         if args.command != "mub" and args.tolerance != TOLERANCE:
             raise UsageError(f"{args.command} does not read --tolerance")

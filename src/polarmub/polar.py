@@ -40,8 +40,9 @@ generating set, checked against the closed form |PSp(2N, d)|, with no
 generator catalog.  The group is never enumerated.  `transvection_lift`
 lifts the same transvections once per space to permutations of generator
 indices, by the rows of `generator_points`, and `disjoint_pair_orbit`
-certifies on them, by a Schreier vector and `orbit`, that the group is
-transitive on ordered pairs of disjoint generators.
+certifies on them and the catalog's masks, by a Schreier vector and
+`orbit`, that the group is transitive on ordered pairs of disjoint
+generators; only the search reads `disjoint_adjacency`.
 
 The catalog is built once per space, by whichever read comes first, and
 its one index, by point mask, is derived from it.  `generator_by_basis`
@@ -374,8 +375,9 @@ class PolarSpace:
     @functools.cached_property
     def disjoint_pair_orbit(self) -> PairOrbit:
         """The certificate that every ordered pair of disjoint generators is
-        an image of (0, j*), j* the lowest generator disjoint from generator
-        0, under the lifted transvections s_k; computed once per space.
+        an image of (0, j*), j* the lowest generator whose mask misses
+        generator 0's, under the lifted transvections s_k; computed once per
+        space from the lift and the catalog, with no `disjoint_adjacency`.
 
         Witt's theorem promises it, since two complementary Lagrangians
         extend to a symplectic basis; two orbit walks check it.  First, a
@@ -406,9 +408,9 @@ class PolarSpace:
         # A permutation p acts as x ↦ p[x]; an inverse is its argsort.
         forward = np.array(perms)
         backward = np.argsort(forward, axis=1)
-        partners = self.disjoint_adjacency[0]
-        target = partners.bit_count()
-        j = (partners & -partners).bit_length() - 1
+        first = self.generators[0].point_mask
+        partners = {g.gen_index for g in self.generators if not g.point_mask & first}
+        j = min(partners)
         reached, drawn = {j}, []
         for x in queue:
             for k, p in enumerate(perms):
@@ -422,13 +424,13 @@ class PolarSpace:
                     h = backward[t][h]
                 drawn.append(h.tolist())
                 reached = orbit(j, lambda z: {g[z] for g in drawn})
-                off = [z for z in reached if not partners >> z & 1]
+                off = reached - partners
                 if off:
                     raise CatalogMismatch(f"the stabilizer of generator 0 moved {j} onto {min(off)}")
-                if len(reached) == target:
-                    return PairOrbit(j, len(queue), target, len(drawn))
+                if len(reached) == len(partners):
+                    return PairOrbit(j, len(queue), len(partners), len(drawn))
         raise CatalogMismatch(
-            f"the stabilizer of generator 0 moves {j} onto {len(reached)} of its {target} partners"
+            f"the stabilizer of generator 0 moves {j} onto {len(reached)} of its {len(partners)} partners"
         )
 
     def _enumerate_generators(self) -> tuple[Generator, ...]:

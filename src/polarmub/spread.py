@@ -367,24 +367,20 @@ def members_meeting(s: PartialSpread, g) -> list[int]:
 
 
 def pair_partner(s: PartialSpread, x) -> Generator:
-    """The unique other line Y with S_X = S_Y, via common transversals.
-    Kept for the README T(U) result: in odd order, the line `complete_TU`
-    adjoins to T(X) is X's partner."""
+    """The unique other line Y with S_X = S_Y: x's mate in the
+    `transversal_blocks` of the first two members x meets, and `NoPartner`
+    if x meets fewer than two.  Kept for the README T(U) result: in odd
+    order, the line `complete_TU` adjoins to T(X) is X's partner."""
     space = s.space
     x = space.generator(x)
     if x.gen_index in s.members:
         raise GeneratorInSpread("x must lie outside the spread")
-    sx = [space.generator(m) for m in members_meeting(s, x)]
-    trans = polar.common_transversals(sx, space)
-    partners = [t for t in trans if t.gen_index != x.gen_index]
-    if not partners:
-        raise NoPartner("no partner line; order is even or the spread is not classical")
-    if len(partners) > 1:
-        raise AmbiguousPartner(f"{len(partners)} partner candidates")
-    y = partners[0]
-    if members_meeting(s, y) != [g.gen_index for g in sx]:
-        raise NoPartner("the transversal candidate meets other members than x")
-    return y
+    met = members_meeting(s, x)
+    if len(met) < 2:
+        raise NoPartner(f"x meets {len(met)} members, not two or more")
+    # x meets both members, so it lies in exactly one block's pair.
+    pair = next(pair for _, pair in transversal_blocks(s, met[0], met[1]) if x.gen_index in pair)
+    return space.generators[sum(pair) - x.gen_index]
 
 
 def transversal_blocks(s: PartialSpread, l_idx, m_idx):
@@ -626,7 +622,8 @@ def search_maximal(
     complementary Lagrangians extend to a symplectic basis.  The group maps
     complete partial spreads to complete partial spreads of the same size,
     and any result contains a disjoint pair, so some image of it contains 0
-    and j* and lies in the branch.
+    and j* and lies in the branch.  A certificate for a partner other than
+    the j* searched raises `CatalogMismatch`.
 
     Each descent checks that the new member is disjoint from the points
     already covered.  Members are pairwise disjoint with (d^N - 1)/(d - 1)
@@ -716,8 +713,11 @@ def search_maximal(
         # Only the first branch, generators 0 and j*; the certificate
         # stands for the others.
         members.append(0)
-        if not lex(adj[0], adj[0], adj[0] & -adj[0], masks[0]):
-            space.disjoint_pair_orbit  # CatalogMismatch unless it holds
+        first = adj[0] & -adj[0]
+        if not lex(adj[0], adj[0], first, masks[0]):
+            partner = space.disjoint_pair_orbit.partner  # CatalogMismatch unless it holds
+            if first != 1 << partner:
+                raise CatalogMismatch(f"searched j* = {first.bit_length() - 1}, certified {partner}")
     # Both searches call themselves through their closures; break those
     # cycles so that `results` is freed on return, not at the next full
     # collection.

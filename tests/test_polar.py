@@ -911,6 +911,15 @@ def test_disjoint_pair_orbit_certificate_pinned(d, n):
     assert cert.partners == bin(space.disjoint_adjacency[0]).count("1") == d ** (n * (n + 1) // 2)
 
 
+@pytest.mark.parametrize("d,n", [(3, 2), (2, 4)])
+def test_disjoint_pair_orbit_builds_no_adjacency(d, n):
+    # Generator 0's partners come off the catalog's masks: the certificate
+    # leaves the G×G disjointness table to the search.
+    space = PolarSpace(d, n)
+    space.disjoint_pair_orbit
+    assert "disjoint_adjacency" not in vars(space)
+
+
 @pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (2, 3), (5, 2)])
 def test_disjoint_pair_orbit_agrees_with_the_pair_walk(d, n):
     # The oracle walks ordered pairs under one transvection per point.

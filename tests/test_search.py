@@ -11,6 +11,7 @@ where `first_of_size` answers from one branch and the pair-orbit
 certificate.
 """
 
+import dataclasses
 import functools
 
 import networkx as nx
@@ -99,6 +100,18 @@ def test_first_of_size_answers_none_only_with_the_certificate(monkeypatch, d, n)
         else:
             with pytest.raises(CatalogMismatch, match="generator 0 has"):
                 spread.search_maximal(fresh, "first_of_size", size=size)
+
+
+def test_first_of_size_refuses_a_certificate_for_another_partner():
+    # W_3(3) has no complete partial spread of 7 members.  The search tried
+    # the branch of 0 and j*; a certificate for another partner of 0 stands
+    # for no branch it searched.
+    fresh = PolarSpace(3, 2)
+    masks = [g.point_mask for g in fresh.generators]
+    j, other = [k for k, m in enumerate(masks) if not m & masks[0]][:2]
+    fresh.disjoint_pair_orbit = dataclasses.replace(fresh.disjoint_pair_orbit, partner=other)
+    with pytest.raises(CatalogMismatch, match=f"searched j\\* = {j}, certified {other}"):
+        spread.search_maximal(fresh, "first_of_size", size=7)
 
 
 @pytest.mark.parametrize("d, n, size", [(2, 4, 3), (2, 4, 4), (3, 3, 3), (3, 3, 4)])

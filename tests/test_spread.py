@@ -637,6 +637,12 @@ def test_complete_TU_order_five_spot():
         assert final.size in (21, 22)
 
 
+def test_complete_TU_refuses_more_than_one_extension():
+    # Generator 0 alone was not cut from a spread: d^3 = 27 lines miss it.
+    with pytest.raises(AmbiguousPartner, match="27 disjoint extensions"):
+        spread.complete_TU(spread.partial_spread(W33, [0]))
+
+
 # -- partner lines
 
 
@@ -654,6 +660,33 @@ def test_pair_partner_w33():
         tu = spread.construct_TU(S33, x)
         final, _ = spread.complete_TU(tu)
         assert set(final.members) - set(tu.members) == {y.gen_index}
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_pair_partner_is_the_other_line_with_the_same_members(d):
+    # S_X, the members a line meets, is shared by exactly two outside lines.
+    space = PolarSpace(d, 2)
+    s = spread.construct_symplectic_spread(space)
+    by_members = {}
+    for g in space.generators:
+        if g.gen_index not in s.members:
+            key = tuple(spread.members_meeting(s, g))
+            by_members.setdefault(key, []).append(g.gen_index)
+    for x, y in by_members.values():
+        assert spread.pair_partner(s, x).gen_index == y
+        assert spread.pair_partner(s, y).gen_index == x
+
+
+def test_pair_partner_needs_two_members_met():
+    # A one-member partial spread: a line meeting it meets one member, and
+    # a line disjoint from it none.
+    s = spread.partial_spread(W33, [0])
+    masks = [g.point_mask for g in W33.generators]
+    meets = next(j for j in range(1, len(masks)) if masks[j] & masks[0])
+    misses = next(j for j in range(1, len(masks)) if not masks[j] & masks[0])
+    for x, count in ((meets, 1), (misses, 0)):
+        with pytest.raises(NoPartner, match=f"x meets {count} members"):
+            spread.pair_partner(s, x)
 
 
 def test_pair_partner_w35_spot():
@@ -701,6 +734,13 @@ def test_transversal_block_structure(d):
         assert len(seen_lines) == d + 1
         for (k1, _), (k2, _) in itertools.combinations(blocks, 2):
             assert k1 & k2 == {l_idx, m_idx}
+
+
+def test_transversal_blocks_refuse_even_order():
+    # In order 2 the transversals of two members of the regular spread do
+    # not pair off by the members they meet.
+    with pytest.raises(AmbiguousPartner, match="block of size 1"):
+        spread.transversal_blocks(S32, S32.members[0], S32.members[1])
 
 
 @pytest.mark.parametrize(
